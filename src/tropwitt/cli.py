@@ -1,8 +1,9 @@
 """Command-line front end: JSON in, JSON out, exact arithmetic throughout.
 
 Exit codes: 0 success, 1 validation failure (an input fails its axioms, or
-a law suite fails), 2 malformed input (unreadable file, bad JSON, schema
-mismatch).  Errors are reported as one JSON object on stdout.
+a law suite fails), 2 malformed input (bad options, unreadable file, bad
+JSON, schema mismatch, a degree bound above ``MAX_DEGREE``).  Errors are
+reported as one JSON object on stdout.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ from .witt import WittElem, tau, theta
 from . import suites as suites_mod
 
 DEFAULT_DEGREE = 8
+# Largest degree bound accepted from options and input files.  A cold process
+# at degree 12 spends about 0.35 s on the multiplicative-coproduct table and
+# 8 s on the product table, and one WittElem.mul takes 0.25-0.35 s (2-vCPU
+# Xeon); each grows about threefold per degree.
+MAX_DEGREE = 12
+DEGREE = click.IntRange(min=1, max=MAX_DEGREE)
 
 
 def _fail(code: int, kind: str, detail: str) -> None:
@@ -65,7 +72,20 @@ def handle_errors(fn):
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    # check before any object is built: WittElem enumerates every partition
+    # up to its bound on construction
+    nodes = [data]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, dict):
+            bound = node.get("degree_bound")
+            if isinstance(bound, int) and bound > MAX_DEGREE:
+                raise FormatError(f"degree_bound {bound} exceeds the maximum {MAX_DEGREE}")
+            nodes.extend(node.values())
+        elif isinstance(node, list):
+            nodes.extend(node)
+    return data
 
 
 def _emit(data, output: str | None) -> None:
@@ -112,7 +132,19 @@ def _table_json(space_points, table) -> dict:
     }
 
 
-@click.group()
+class _JsonErrorGroup(click.Group):
+    """Reports click's usage errors (bad or missing options) as one JSON
+    error object with exit 2, like every other malformed input."""
+
+    def main(self, *args, **kwargs):
+        kwargs["standalone_mode"] = False
+        try:
+            return super().main(*args, **kwargs)
+        except click.ClickException as exc:
+            _fail(2, "usage", exc.format_message())
+
+
+@click.group(cls=_JsonErrorGroup)
 def main() -> None:
     """Witt vectors over the min-plus rig: symmetric functions, validated
     homomorphisms, enriched spaces, and the law suites."""
@@ -163,8 +195,8 @@ def sym_plethysm(input_, other, output):
 
 
 @sym.command("bases")
-@click.option("--n", required=True, type=click.IntRange(min=0))
-@click.option("--degree", default=DEFAULT_DEGREE, type=click.IntRange(min=1), show_default=True)
+@click.option("--n", required=True, type=click.IntRange(min=0, max=MAX_DEGREE))
+@click.option("--degree", default=DEFAULT_DEGREE, type=DEGREE, show_default=True)
 @click.option("--output", type=click.Path())
 @handle_errors
 def sym_bases(n, degree, output):
@@ -223,7 +255,7 @@ def witt_validate(input_, output):
 
 @witt.command("theta")
 @click.option("--r", required=True, type=str, help="a rational like 3/2, or inf")
-@click.option("--degree", default=DEFAULT_DEGREE, type=click.IntRange(min=1), show_default=True)
+@click.option("--degree", default=DEFAULT_DEGREE, type=DEGREE, show_default=True)
 @click.option("--output", type=click.Path())
 @handle_errors
 def witt_theta(r, degree, output):
@@ -315,7 +347,7 @@ def cat_slice(input_, lam, h_n, unchecked, output):
 
 @cat.command("theta")
 @click.option("--input", "input_", required=True, type=click.Path())
-@click.option("--degree", default=DEFAULT_DEGREE, type=click.IntRange(min=1), show_default=True)
+@click.option("--degree", default=DEFAULT_DEGREE, type=DEGREE, show_default=True)
 @click.option("--unchecked", is_flag=True)
 @click.option("--output", type=click.Path())
 @handle_errors

@@ -63,10 +63,9 @@ class Partition:
         if s == "":
             return cls()
         try:
-            parts = [int(x) for x in s.split(",")]
-        except ValueError as exc:
+            return cls(int(x) for x in s.split(","))
+        except ValueError as exc:  # a part that is not an integer, or not positive
             raise FormatError(f"bad partition key {s!r}") from exc
-        return cls(parts)
 
     def to_json(self) -> list[int]:
         return list(self._parts)

@@ -12,9 +12,11 @@ coproduct use direct combinatorics (exponent-vector alignment counts and
 multiset splittings); :func:`expand_in_vars` / :func:`from_polynomial`
 give the brute-force polynomial route that the test suite replays against
 them.  The multiplicative coproduct is defined by expanding m_λ at a
-doubled alphabet x_i·y_j; here that expansion is aggregated by row and
-column sums of the exponent matrix, which avoids materializing the |λ|²
-variables while computing exactly the same coefficients.
+doubled alphabet x_i·y_j.  Here it is computed through the power sums,
+which it sends to p_ρ ⊗ p_ρ: one table per degree, from the p↔m
+transition matrices in exact integer arithmetic (:func:`_comult_table`).
+The literal route, counting matrices with entries λ and given row and
+column sums, is kept in ``tests/oracles.py`` as the reference.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from itertools import product as iter_product
+from math import factorial
 from typing import Iterator, Mapping
 
 from .errors import ConstantTermError, DegreeOverflowError, FormatError, NotSymmetricError
@@ -36,14 +39,10 @@ class SymFunc:
     __slots__ = ("_coeffs", "_degree_bound")
 
     def __init__(self, coeffs: Mapping[Partition, int], degree_bound: int):
-        if degree_bound < 0:
-            raise ValueError("degree bound must be nonnegative")
+        _check_natural("degree bound", degree_bound)
         clean: dict[Partition, int] = {}
         for lam, c in coeffs.items():
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise TypeError(f"coefficient of {lam} must be int, got {c!r}")
-            if c < 0:
-                raise ValueError(f"coefficient of {lam} must be ≥ 0, got {c}")
+            _check_natural(f"coefficient of {lam}", c)
             if c == 0:
                 continue
             if lam.size > degree_bound:
@@ -150,14 +149,14 @@ class SymFunc:
         if not isinstance(data, dict) or "degree_bound" not in data or "coeffs" not in data:
             raise FormatError("SymFunc JSON needs 'degree_bound' and 'coeffs'")
         bound = data["degree_bound"]
-        if not isinstance(bound, int) or bound < 0:
+        if not _is_natural(bound):
             raise FormatError(f"bad degree_bound {bound!r}")
         raw = data["coeffs"]
         if not isinstance(raw, dict):
             raise FormatError("'coeffs' must be an object")
         coeffs = {}
         for key, c in raw.items():
-            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+            if not _is_natural(c):
                 raise FormatError(f"bad coefficient {c!r} for key {key!r}")
             coeffs[Partition.from_key(key)] = c
         try:
@@ -172,10 +171,10 @@ class TensorSymFunc:
     __slots__ = ("_coeffs", "_degree_bound")
 
     def __init__(self, coeffs: Mapping[tuple[Partition, Partition], int], degree_bound: int):
+        _check_natural("degree bound", degree_bound)
         clean: dict[tuple[Partition, Partition], int] = {}
         for pair, c in coeffs.items():
-            if c < 0:
-                raise ValueError(f"coefficient of {pair} must be ≥ 0")
+            _check_natural(f"coefficient of {pair}", c)
             if c == 0:
                 continue
             mu, nu = pair
@@ -243,17 +242,20 @@ class TensorSymFunc:
             raise FormatError("TensorSymFunc JSON needs 'degree_bound' and 'coeffs'")
         bound = data["degree_bound"]
         raw = data["coeffs"]
-        if not isinstance(bound, int) or not isinstance(raw, dict):
+        if not _is_natural(bound) or not isinstance(raw, dict):
             raise FormatError("bad TensorSymFunc JSON")
         coeffs = {}
         for key, c in raw.items():
             if key.count("|") != 1:
                 raise FormatError(f"tensor key must be 'mu|nu', got {key!r}")
-            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+            if not _is_natural(c):
                 raise FormatError(f"bad coefficient {c!r} for key {key!r}")
             left, right = key.split("|")
             coeffs[(Partition.from_key(left), Partition.from_key(right))] = c
-        return cls(coeffs, bound)
+        try:
+            return cls(coeffs, bound)
+        except DegreeOverflowError as exc:
+            raise FormatError(str(exc)) from exc
 
 
 # -- basis elements ---------------------------------------------------------
@@ -391,67 +393,114 @@ def coproduct_add(f: SymFunc) -> TensorSymFunc:
     return TensorSymFunc(out, f.degree_bound)
 
 
-@cache
-def _comult_pairs(lam: Partition) -> tuple[tuple[tuple[Partition, Partition], int], ...]:
-    """Coefficients of the multiplicative coproduct of m_λ.
+def _power_sum_rows(parts: tuple[Partition, ...]) -> list[list[tuple[int, int]]]:
+    """Sparse rows of L, the power-sum-to-monomial transition matrix on the
+    partitions of one size, indexed by position in ``parts``.
 
-    Expanding m_λ at the doubled alphabet x_i·y_j and collecting by the
-    exponents each x_i and y_j receives, the coefficient of m_μ ⊗ m_ν is
-    the number of matrices whose nonzero entries form the multiset λ, with
-    row-sum vector μ and column-sum vector ν.  Both factors always have
+    Row ρ lists (μ, L[ρ][μ]) for each nonzero coefficient of m_μ in p_ρ.
+    That coefficient counts the maps from the parts of ρ to the positions
+    of μ under which each position receives parts summing to its own
+    value.  It vanishes unless μ dominates ρ, so with ``parts`` in
+    ``partitions_of`` order every row ends at its diagonal entry
+    L[ρ][ρ] = Π m_i(ρ)!, and L is lower triangular.
+    """
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+
+    def count(rho: tuple[int, ...], mu: tuple[int, ...]) -> int:
+        # send the last part of ρ to each position of μ that can take it
+        if not rho:
+            return 0 if mu else 1
+        key = (rho, mu)
+        if key not in memo:
+            r, rest = rho[-1], rho[:-1]
+            total = 0
+            for i, v in enumerate(mu):
+                if v == r:
+                    total += count(rest, mu[:i] + mu[i + 1:])
+                elif v > r:
+                    smaller = sorted(mu[:i] + (v - r,) + mu[i + 1:], reverse=True)
+                    total += count(rest, tuple(smaller))
+            memo[key] = total
+        return memo[key]
+
+    return [
+        [(m, c) for m in range(r + 1) if (c := count(rho.parts, parts[m].parts))]
+        for r, rho in enumerate(parts)
+    ]
+
+
+def _divide_exactly(num: int, den: int) -> int:
+    q, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"{num} is not divisible by {den}")
+    return q
+
+
+@cache
+def _comult_table(
+    n: int,
+) -> dict[Partition, tuple[tuple[tuple[Partition, Partition], int], ...]]:
+    """Multiplicative-coproduct coefficients of every m_λ with |λ| = n.
+
+    Power sums are the ghost coordinates: Δ×(p_ρ) = p_ρ ⊗ p_ρ (Macdonald,
+    *Symmetric Functions and Hall Polynomials*, ch. I §2, §7).  With
+    p_ρ = Σ_μ L[ρ][μ] m_μ and A = L⁻¹, the coefficient of m_μ ⊗ m_ν in
+    Δ×(m_λ) is Σ_ρ A[λ][ρ]·L[ρ][μ]·L[ρ][ν].  A is lower triangular like L
+    and n!·A is integral, so the sum runs on integers scaled by n! over the
+    nonzero entries of each row of L and is divided exactly at the end.  A
+    remainder or a negative count would mean a wrong table and raises.
+
+    Each λ maps to its ((μ, ν), c) entries with c > 0, ordered by μ and
+    then ν in ``partitions_of`` order.
+    """
+    parts = partitions_of(n)
+    size = len(parts)
+    rows = _power_sum_rows(parts)
+    diagonal = [row[-1][1] for row in rows]
+    # the off-diagonal columns of L, to solve A·L = I one row of A at a time
+    columns: list[list[tuple[int, int]]] = [[] for _ in parts]
+    for r, row in enumerate(rows):
+        for m, c in row[:-1]:
+            columns[m].append((r, c))
+    # row ρ of L ⊗ L, flattened to (size·μ + ν, L[ρ][μ]·L[ρ][ν])
+    squares = [[(size * i + j, a * b) for i, a in row for j, b in row] for row in rows]
+    scale = factorial(n)
+    table = {}
+    for l, lam in enumerate(parts):
+        inverse = [0] * size  # row λ of n!·A, zero right of the diagonal
+        inverse[l] = _divide_exactly(scale, diagonal[l])
+        for m in range(l - 1, -1, -1):
+            inverse[m] = _divide_exactly(
+                -sum(inverse[r] * c for r, c in columns[m]), diagonal[m]
+            )
+        acc = [0] * (size * size)
+        for r in range(l + 1):
+            a = inverse[r]
+            if a:
+                for k, w in squares[r]:
+                    acc[k] += a * w
+        entries = []
+        for k, v in enumerate(acc):
+            if v:
+                c = _divide_exactly(v, scale)
+                if c < 0:
+                    raise ArithmeticError(f"negative coproduct coefficient {c} in m{lam}")
+                entries.append(((parts[k // size], parts[k % size]), c))
+        table[lam] = tuple(entries)
+    return table
+
+
+def _comult_pairs(lam: Partition) -> tuple[tuple[tuple[Partition, Partition], int], ...]:
+    """Coefficients of the multiplicative coproduct of m_λ: its entries in
+    the table of degree |λ|, built from power sums by :func:`_comult_table`.
+
+    Expanding m_λ at the doubled alphabet x_i·y_j, the coefficient of
+    m_μ ⊗ m_ν also counts the matrices whose nonzero entries form the
+    multiset λ, with row sums μ and column sums ν; ``tests/oracles.py``
+    keeps that count as the reference route.  Both factors always have
     degree exactly |λ|.
     """
-    if lam.is_empty():
-        return (((EMPTY, EMPTY), 1),)
-    out = []
-    for mu in partitions_of(lam.size):
-        for nu in partitions_of(lam.size):
-            c = _matrix_count(lam, mu, nu)
-            if c:
-                out.append(((mu, nu), c))
-    return tuple(out)
-
-
-def _matrix_count(lam: Partition, mu: Partition, nu: Partition) -> int:
-    entries = lam.length
-    if entries < mu.length or entries < nu.length or entries > mu.length * nu.length:
-        return 0
-    if lam.parts[0] > mu.parts[0] or lam.parts[0] > nu.parts[0]:
-        return 0
-    cols = list(nu.parts)
-    ncols = len(cols)
-    remaining = Counter(lam.parts)
-    values = sorted(remaining, reverse=True)
-    count = 0
-
-    def fill_row(r: int) -> None:
-        nonlocal count
-        if r == mu.length:
-            count += 1
-            return
-        target = mu.parts[r]
-
-        def place(j: int, acc: int) -> None:
-            if acc == target:
-                fill_row(r + 1)
-                return
-            if j == ncols or acc + sum(cols[j:]) < target:
-                return
-            place(j + 1, acc)
-            room = target - acc
-            cap = cols[j]
-            for v in values:
-                if v <= room and v <= cap and remaining[v]:
-                    remaining[v] -= 1
-                    cols[j] -= v
-                    place(j + 1, acc + v)
-                    remaining[v] += 1
-                    cols[j] += v
-
-        place(0, 0)
-
-    fill_row(0)
-    return count
+    return _comult_table(lam.size)[lam]
 
 
 def coproduct_mult(f: SymFunc) -> TensorSymFunc:
@@ -607,6 +656,18 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
             key = tuple(combined)
             out[key] = out.get(key, 0) + c
     return from_polynomial(out, bound, bound)
+
+
+def _is_natural(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _check_natural(what: str, x) -> None:
+    """Degree bounds and coefficients are plain nonnegative ints."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"{what} must be int, got {x!r}")
+    if x < 0:
+        raise ValueError(f"{what} must be ≥ 0, got {x}")
 
 
 def _check_bounds(f: SymFunc, g: SymFunc) -> None:

@@ -96,6 +96,71 @@ def naive_comult(lam: Partition) -> dict[tuple[Partition, Partition], int]:
     return out
 
 
+def comult_by_matrix_count(
+    lam: Partition,
+) -> tuple[tuple[tuple[Partition, Partition], int], ...]:
+    """The multiplicative coproduct of m_λ, aggregated from the doubled
+    alphabet by row and column sums: the coefficient of m_μ ⊗ m_ν is the
+    number of matrices whose nonzero entries form the multiset λ, with
+    row-sum vector μ and column-sum vector ν.
+
+    Counted by backtracking, which is exponential in |λ|; entries come
+    ordered by μ, then ν, in ``partitions_of`` order, as the library's
+    table does.
+    """
+    if lam.is_empty():
+        return (((lam, lam), 1),)
+    out = []
+    for mu in partitions_of(lam.size):
+        for nu in partitions_of(lam.size):
+            c = _matrix_count(lam, mu, nu)
+            if c:
+                out.append(((mu, nu), c))
+    return tuple(out)
+
+
+def _matrix_count(lam: Partition, mu: Partition, nu: Partition) -> int:
+    entries = lam.length
+    if entries < mu.length or entries < nu.length or entries > mu.length * nu.length:
+        return 0
+    if lam.parts[0] > mu.parts[0] or lam.parts[0] > nu.parts[0]:
+        return 0
+    cols = list(nu.parts)
+    ncols = len(cols)
+    remaining = Counter(lam.parts)
+    values = sorted(remaining, reverse=True)
+    count = 0
+
+    def fill_row(r: int) -> None:
+        nonlocal count
+        if r == mu.length:
+            count += 1
+            return
+        target = mu.parts[r]
+
+        def place(j: int, acc: int) -> None:
+            if acc == target:
+                fill_row(r + 1)
+                return
+            if j == ncols or acc + sum(cols[j:]) < target:
+                return
+            place(j + 1, acc)
+            room = target - acc
+            cap = cols[j]
+            for v in values:
+                if v <= room and v <= cap and remaining[v]:
+                    remaining[v] -= 1
+                    cols[j] -= v
+                    place(j + 1, acc + v)
+                    remaining[v] += 1
+                    cols[j] += v
+
+        place(0, 0)
+
+    fill_row(0)
+    return count
+
+
 def _orbit(vec: tuple[int, ...]) -> set[tuple[int, ...]]:
     return set(permutations(vec))
 

@@ -290,3 +290,51 @@ def test_round_trip_through_cli_files(runner, tmp_path):
     result = runner.invoke(main, ["cat", "validate", "--input", path])
     assert result.exit_code == 0
     assert WittSpace.from_json(w.to_json()) == w
+
+
+def error_of(result, code):
+    assert result.exit_code == code
+    data = json.loads(result.output)
+    assert list(data) == ["error"]
+    return data["error"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["witt", "theta", "--r", "1", "--degree", "13"],
+        ["witt", "theta", "--r", "1", "--degree", "0"],
+        ["sym", "bases", "--n", "13"],
+        ["plancherel", "sample", "--steps", "0"],
+        ["witt", "theta", "--degree", "4"],
+    ],
+)
+def test_usage_errors_are_one_json_object(runner, args):
+    assert error_of(runner.invoke(main, args), 2)["kind"] == "usage"
+
+
+def test_degree_bound_above_ceiling_in_any_input_is_refused(runner, tmp_path):
+    sym = write(tmp_path, "sym.json", {"degree_bound": 13, "coeffs": {"1": 1}})
+    result = runner.invoke(main, ["sym", "coprod-mult", "--input", sym])
+    assert error_of(result, 2)["kind"] == "format"
+
+    elem = write(tmp_path, "elem.json", {"degree_bound": 13, "values": {}})
+    result = runner.invoke(main, ["witt", "validate", "--input", elem])
+    assert error_of(result, 2)["kind"] == "format"
+
+    space, _ = metric_fixture(tmp_path)
+    data = theta_space(space, 2).to_json()
+    data["dist"]["a|b"]["degree_bound"] = 13
+    nested = write(tmp_path, "space.json", data)
+    result = runner.invoke(main, ["cat", "validate", "--input", nested])
+    assert error_of(result, 2)["kind"] == "format"
+
+
+def test_non_positive_partition_key_is_a_format_error(runner, tmp_path):
+    sym = write(tmp_path, "sym.json", {"degree_bound": 4, "coeffs": {"0": 1}})
+    result = runner.invoke(main, ["sym", "coprod-add", "--input", sym])
+    assert error_of(result, 2)["kind"] == "format"
+
+    elem = write(tmp_path, "elem.json", {"degree_bound": 4, "values": {"2,0": "1"}})
+    result = runner.invoke(main, ["witt", "validate", "--input", elem])
+    assert error_of(result, 2)["kind"] == "format"

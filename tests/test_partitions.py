@@ -131,5 +131,6 @@ def test_from_json_rejects_bad_shapes():
         Partition.from_json("2,1")
     with pytest.raises(FormatError):
         Partition.from_json([2, "1"])
-    with pytest.raises(FormatError):
-        Partition.from_key("2,x")
+    for key in ("2,x", "0", "2,0", "-1"):
+        with pytest.raises(FormatError):
+            Partition.from_key(key)

@@ -23,9 +23,15 @@ from tropwitt.symfunc import (
     poly_mul,
     tensor_counit_left,
     tensor_counit_right,
+    _comult_pairs,
 )
 
-from oracles import naive_comult, nat_combination_exists, three_way_splittings
+from oracles import (
+    comult_by_matrix_count,
+    naive_comult,
+    nat_combination_exists,
+    three_way_splittings,
+)
 
 N = 8
 
@@ -247,6 +253,22 @@ def test_coproduct_mult_matches_naive_doubled_alphabet():
         assert got == naive_comult(lam), lam
 
 
+def test_comult_table_matches_matrix_count_oracle():
+    # same entries in the same order, so WittElem.mul and JSON output keep theirs
+    for lam in partitions_up_to(7):
+        assert _comult_pairs(lam) == comult_by_matrix_count(lam), lam
+
+
+def test_comult_table_symmetric_with_counit_at_degree_ten():
+    # beyond the oracle's reach: Δ× is cocommutative and ε× picks the rows
+    n = 10
+    for lam in partitions_of(n):
+        table = dict(_comult_pairs(lam))
+        assert all(table.get((nu, mu)) == c for (mu, nu), c in table.items()), lam
+        for mu in partitions_of(n):
+            assert table.get((mu, Partition([n])), 0) == (mu == lam), (lam, mu)
+
+
 def test_coproduct_mult_preserves_degree_on_both_sides():
     for lam in partitions_up_to(6):
         for (mu, nu), _ in coproduct_mult(monomial(lam, 6)).items():
@@ -394,6 +416,28 @@ def test_symfunc_json_rejects_bad_inputs():
         SymFunc.from_json({"degree_bound": 4, "coeffs": {"9": 1}})
     with pytest.raises(FormatError):
         TensorSymFunc.from_json({"degree_bound": 4, "coeffs": {"2,1": 1}})
+
+
+@pytest.mark.parametrize("cls", [SymFunc, TensorSymFunc])
+def test_constructors_reject_what_the_other_rejects(cls):
+    key = EMPTY if cls is SymFunc else (EMPTY, EMPTY)
+    for bad in (True, 1.5, "1"):
+        with pytest.raises(TypeError):
+            cls({key: bad}, 4)
+        with pytest.raises(TypeError):
+            cls({}, bad)
+    with pytest.raises(ValueError):
+        cls({key: -1}, 4)
+    with pytest.raises(ValueError):
+        cls({}, -1)
+
+
+def test_tensor_json_rejects_bad_bounds_as_format_errors():
+    for bound in (-1, True, 1.5):
+        with pytest.raises(FormatError):
+            TensorSymFunc.from_json({"degree_bound": bound, "coeffs": {}})
+    with pytest.raises(FormatError):
+        TensorSymFunc.from_json({"degree_bound": 2, "coeffs": {"3|1,1,1": 1}})
 
 
 def test_scalar_and_zero():
