@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 validation failure (an input fails its axioms, or
 a law suite fails), 2 malformed input (bad options, unreadable file, bad
 JSON, schema mismatch, a degree bound above ``MAX_DEGREE``).  Errors are
-reported as one JSON object on stdout.
+reported as one JSON object on stdout.  Every command takes ``--output`` to
+write its JSON result to a file instead of stdout.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from .enriched import (
 )
 from .errors import FormatError, TropwittError
 from .partitions import Partition
-from .plancherel import observe, plancherel_measure, sample_path
+from .plancherel import _MAX_MEASURE_N, observe, plancherel_measure, sample_path
 from .quantale import LValue
+from .report import Report
 from .symfunc import (
     SymFunc,
     complete,
@@ -45,7 +47,29 @@ DEFAULT_DEGREE = 8
 # 8 s on the product table, and one WittElem.mul takes 0.25-0.35 s (2-vCPU
 # Xeon); each grows about threefold per degree.
 MAX_DEGREE = 12
-DEGREE = click.IntRange(min=1, max=MAX_DEGREE)
+# Largest --steps of a growth path.  Sampling took 0.7-1.0 s at 500 steps and
+# 6 s at 1,000, and more than 110 s at 3,000 (2-vCPU Xeon).
+MAX_STEPS = 500
+
+
+def _path(*decls, **attrs):
+    return click.option(*decls, required=True, type=click.Path(), **attrs)
+
+
+INPUT = _path("--input", "input_")
+OTHER = _path("--other")
+UNCHECKED = click.option("--unchecked", is_flag=True)
+DEGREE = click.option(
+    "--degree",
+    default=DEFAULT_DEGREE,
+    type=click.IntRange(min=1, max=MAX_DEGREE),
+    show_default=True,
+)
+STEPS_SEED = (
+    click.option("--steps", required=True, type=click.IntRange(min=1, max=MAX_STEPS)),
+    click.option("--seed", default=0, type=int, show_default=True),
+)
+OUTPUT = click.option("--output", type=click.Path())
 
 
 def _fail(code: int, kind: str, detail: str) -> None:
@@ -97,22 +121,52 @@ def _emit(data, output: str | None) -> None:
         click.echo(text)
 
 
-def _load_sym(path: str) -> SymFunc:
-    return SymFunc.from_json(_read_json(path))
+def command(group: click.Group, name: str, *options):
+    """Register the decorated body as ``group name`` with ``options`` and
+    ``--output``.
+
+    The body returns its result: a JSON payload, or an object serialised by
+    its ``to_json``.  The result goes to stdout, or to the ``--output`` file.
+    A returned ``Report`` that fails then exits 1.  Errors the body raises
+    exit 1 or 2 with one JSON object (:func:`handle_errors`).
+    """
+
+    def register(body):
+        @handle_errors
+        def run(output, **kwargs):
+            result = body(**kwargs)
+            _emit(result.to_json() if hasattr(result, "to_json") else result, output)
+            if isinstance(result, Report) and not result.ok:
+                sys.exit(1)
+
+        for option in reversed((*options, OUTPUT)):
+            run = option(run)
+        return group.command(name)(run)
+
+    return register
+
+
+def _load(cls, path: str):
+    return cls.from_json(_read_json(path))
+
+
+def _checked(value, unchecked: bool):
+    """`value` once its ``validate()`` report passes.  A failing report goes
+    to stdout, never to ``--output``, and exits 1; ``--unchecked`` skips it."""
+    if not unchecked:
+        report = value.validate()
+        if not report.ok:
+            _emit(report.to_json(), None)
+            sys.exit(1)
+    return value
 
 
 def _load_witt(path: str, unchecked: bool) -> WittElem:
-    elem = WittElem.from_json(_read_json(path))
-    if not unchecked:
-        report = elem.validate()
-        if not report.ok:
-            click.echo(json.dumps(report.to_json(), indent=2))
-            sys.exit(1)
-    return elem
+    return _checked(_load(WittElem, path), unchecked)
 
 
 def _load_witt_space(path: str, unchecked: bool) -> WittSpace:
-    space = WittSpace.from_json(_read_json(path))
+    space = _load(WittSpace, path)
     if not unchecked:
         bad = [
             (x, y)
@@ -158,55 +212,48 @@ def sym() -> None:
     """Symmetric-function operations."""
 
 
-@sym.command("mul")
-@click.option("--input", "input_", required=True, type=click.Path())
-@click.option("--other", required=True, type=click.Path())
-@click.option("--strict", is_flag=True, help="reject terms beyond the degree bound")
-@click.option("--output", type=click.Path())
-@handle_errors
-def sym_mul(input_, other, strict, output):
-    f, g = _load_sym(input_), _load_sym(other)
-    _emit(multiply(f, g, strict=strict).to_json(), output)
+@command(
+    sym,
+    "mul",
+    INPUT,
+    OTHER,
+    click.option("--strict", is_flag=True, help="reject terms beyond the degree bound"),
+)
+def sym_mul(input_, other, strict):
+    return multiply(_load(SymFunc, input_), _load(SymFunc, other), strict=strict)
 
 
-@sym.command("coprod-add")
-@click.option("--input", "input_", required=True, type=click.Path())
-@click.option("--output", type=click.Path())
-@handle_errors
-def sym_coprod_add(input_, output):
-    _emit(coproduct_add(_load_sym(input_)).to_json(), output)
+@command(sym, "coprod-add", INPUT)
+def sym_coprod_add(input_):
+    return coproduct_add(_load(SymFunc, input_))
 
 
-@sym.command("coprod-mult")
-@click.option("--input", "input_", required=True, type=click.Path())
-@click.option("--output", type=click.Path())
-@handle_errors
-def sym_coprod_mult(input_, output):
-    _emit(coproduct_mult(_load_sym(input_)).to_json(), output)
+@command(sym, "coprod-mult", INPUT)
+def sym_coprod_mult(input_):
+    return coproduct_mult(_load(SymFunc, input_))
 
 
-@sym.command("plethysm")
-@click.option("--input", "input_", required=True, type=click.Path(), help="outer factor")
-@click.option("--other", required=True, type=click.Path(), help="inner factor")
-@click.option("--output", type=click.Path())
-@handle_errors
-def sym_plethysm(input_, other, output):
-    _emit(plethysm(_load_sym(input_), _load_sym(other)).to_json(), output)
+@command(
+    sym,
+    "plethysm",
+    _path("--input", "input_", help="outer factor"),
+    _path("--other", help="inner factor"),
+)
+def sym_plethysm(input_, other):
+    return plethysm(_load(SymFunc, input_), _load(SymFunc, other))
 
 
-@sym.command("bases")
-@click.option("--n", required=True, type=click.IntRange(min=0, max=MAX_DEGREE))
-@click.option("--degree", default=DEFAULT_DEGREE, type=DEGREE, show_default=True)
-@click.option("--output", type=click.Path())
-@handle_errors
-def sym_bases(n, degree, output):
-    _emit(
-        {
-            "elementary": elementary(n, degree).to_json(),
-            "complete": complete(n, degree).to_json(),
-        },
-        output,
-    )
+@command(
+    sym,
+    "bases",
+    click.option("--n", required=True, type=click.IntRange(min=0, max=MAX_DEGREE)),
+    DEGREE,
+)
+def sym_bases(n, degree):
+    return {
+        "elementary": elementary(n, degree).to_json(),
+        "complete": complete(n, degree).to_json(),
+    }
 
 
 # -- witt -----------------------------------------------------------------------
@@ -217,80 +264,45 @@ def witt() -> None:
     """Witt-rig operations on validated value tables."""
 
 
-@witt.command("add")
-@click.option("--input", "input_", required=True, type=click.Path())
-@click.option("--other", required=True, type=click.Path())
-@click.option("--unchecked", is_flag=True)
-@click.option("--output", type=click.Path())
-@handle_errors
-def witt_add(input_, other, unchecked, output):
+@command(witt, "add", INPUT, OTHER, UNCHECKED)
+def witt_add(input_, other, unchecked):
+    return _load_witt(input_, unchecked).add(_load_witt(other, unchecked))
+
+
+@command(witt, "mul", INPUT, OTHER, UNCHECKED)
+def witt_mul(input_, other, unchecked):
+    return _load_witt(input_, unchecked).mul(_load_witt(other, unchecked))
+
+
+@command(witt, "validate", INPUT)
+def witt_validate(input_):
+    return _load(WittElem, input_).validate()
+
+
+@command(
+    witt,
+    "theta",
+    click.option("--r", required=True, type=str, help="a rational like 3/2, or inf"),
+    DEGREE,
+)
+def witt_theta(r, degree):
+    return theta(LValue(r), degree)
+
+
+@command(witt, "tau", INPUT, UNCHECKED)
+def witt_tau(input_, unchecked):
+    return {"value": tau(_load_witt(input_, unchecked)).to_json()}
+
+
+@command(witt, "eval", INPUT, _path("--sym", "sym_path"), UNCHECKED)
+def witt_eval(input_, sym_path, unchecked):
     f = _load_witt(input_, unchecked)
-    g = _load_witt(other, unchecked)
-    _emit(f.add(g).to_json(), output)
+    return {"value": f.eval(_load(SymFunc, sym_path)).to_json()}
 
 
-@witt.command("mul")
-@click.option("--input", "input_", required=True, type=click.Path())
-@click.option("--other", required=True, type=click.Path())
-@click.option("--unchecked", is_flag=True)
-@click.option("--output", type=click.Path())
-@handle_errors
-def witt_mul(input_, other, unchecked, output):
-    f = _load_witt(input_, unchecked)
-    g = _load_witt(other, unchecked)
-    _emit(f.mul(g).to_json(), output)
-
-
-@witt.command("validate")
-@click.option("--input", "input_", required=True, type=click.Path())
-@click.option("--output", type=click.Path())
-@handle_errors
-def witt_validate(input_, output):
-    elem = WittElem.from_json(_read_json(input_))
-    report = elem.validate()
-    _emit(report.to_json(), output)
-    if not report.ok:
-        sys.exit(1)
-
-
-@witt.command("theta")
-@click.option("--r", required=True, type=str, help="a rational like 3/2, or inf")
-@click.option("--degree", default=DEFAULT_DEGREE, type=DEGREE, show_default=True)
-@click.option("--output", type=click.Path())
-@handle_errors
-def witt_theta(r, degree, output):
-    _emit(theta(LValue(r), degree).to_json(), output)
-
-
-@witt.command("tau")
-@click.option("--input", "input_", required=True, type=click.Path())
-@click.option("--unchecked", is_flag=True)
-@click.option("--output", type=click.Path())
-@handle_errors
-def witt_tau(input_, unchecked, output):
-    _emit({"value": tau(_load_witt(input_, unchecked)).to_json()}, output)
-
-
-@witt.command("eval")
-@click.option("--input", "input_", required=True, type=click.Path())
-@click.option("--sym", "sym_path", required=True, type=click.Path())
-@click.option("--unchecked", is_flag=True)
-@click.option("--output", type=click.Path())
-@handle_errors
-def witt_eval(input_, sym_path, unchecked, output):
-    f = _load_witt(input_, unchecked)
-    phi = _load_sym(sym_path)
-    _emit({"value": f.eval(phi).to_json()}, output)
-
-
-@witt.command("in-l")
-@click.option("--input", "input_", required=True, type=click.Path())
-@click.option("--unchecked", is_flag=True)
-@click.option("--output", type=click.Path())
-@handle_errors
-def witt_in_l(input_, unchecked, output):
-    f = _load_witt(input_, unchecked)
-    _emit({"lipschitz": f.is_lipschitz()}, output)
+@command(witt, "in-l", INPUT, UNCHECKED)
+def witt_in_l(input_, unchecked):
+    return {"lipschitz": _load_witt(input_, unchecked).is_lipschitz()}
 
 
 # -- cat -----------------------------------------------------------------------------
@@ -302,35 +314,32 @@ def cat() -> None:
 
 
 def _detect_space(data):
-    if not isinstance(data, dict) or "dist" not in data or not isinstance(data["dist"], dict):
+    if not isinstance(data, dict) or not isinstance(data.get("dist"), dict):
         raise FormatError("space JSON needs a 'dist' object")
-    for v in data["dist"].values():
-        if isinstance(v, dict):
-            return WittSpace.from_json(data)
-        return MetricSpace.from_json(data)
-    raise FormatError("empty 'dist' object")
+    kinds = {isinstance(v, dict) for v in data["dist"].values()}
+    if not kinds:
+        raise FormatError("empty 'dist' object")
+    if len(kinds) > 1:
+        raise FormatError("'dist' mixes WittElem objects and scalar distances")
+    return (WittSpace if kinds.pop() else MetricSpace).from_json(data)
 
 
-@cat.command("validate")
-@click.option("--input", "input_", required=True, type=click.Path())
-@click.option("--output", type=click.Path())
-@handle_errors
-def cat_validate(input_, output):
-    space = _detect_space(_read_json(input_))
-    report = space.validate()
-    _emit(report.to_json(), output)
-    if not report.ok:
-        sys.exit(1)
+@command(cat, "validate", INPUT)
+def cat_validate(input_):
+    return _detect_space(_read_json(input_)).validate()
 
 
-@cat.command("slice")
-@click.option("--input", "input_", required=True, type=click.Path())
-@click.option("--lambda", "lam", type=str, help="partition key like 2,1")
-@click.option("--h", "h_n", type=click.IntRange(min=1), help="degree of the complete element")
-@click.option("--unchecked", is_flag=True)
-@click.option("--output", type=click.Path())
-@handle_errors
-def cat_slice(input_, lam, h_n, unchecked, output):
+@command(
+    cat,
+    "slice",
+    INPUT,
+    click.option("--lambda", "lam", type=str, help="partition key like 2,1"),
+    click.option(
+        "--h", "h_n", type=click.IntRange(min=1), help="degree of the complete element"
+    ),
+    UNCHECKED,
+)
+def cat_slice(input_, lam, h_n, unchecked):
     if (lam is None) == (h_n is None):
         raise FormatError("exactly one of --lambda and --h is required")
     space = _load_witt_space(input_, unchecked)
@@ -342,47 +351,31 @@ def cat_slice(input_, lam, h_n, unchecked, output):
         table = slice_complete(space, h_n)
         payload = {"n": h_n}
     payload.update(_table_json(space.points, table))
-    _emit(payload, output)
+    return payload
 
 
-@cat.command("theta")
-@click.option("--input", "input_", required=True, type=click.Path())
-@click.option("--degree", default=DEFAULT_DEGREE, type=DEGREE, show_default=True)
-@click.option("--unchecked", is_flag=True)
-@click.option("--output", type=click.Path())
-@handle_errors
-def cat_theta(input_, degree, unchecked, output):
-    space = MetricSpace.from_json(_read_json(input_))
-    if not unchecked:
-        report = space.validate()
-        if not report.ok:
-            click.echo(json.dumps(report.to_json(), indent=2))
-            sys.exit(1)
-    _emit(theta_space(space, degree).to_json(), output)
+@command(cat, "theta", INPUT, DEGREE, UNCHECKED)
+def cat_theta(input_, degree, unchecked):
+    return theta_space(_checked(_load(MetricSpace, input_), unchecked), degree)
 
 
-@cat.command("tau")
-@click.option("--input", "input_", required=True, type=click.Path())
-@click.option("--unchecked", is_flag=True)
-@click.option("--output", type=click.Path())
-@handle_errors
-def cat_tau(input_, unchecked, output):
+@command(cat, "tau", INPUT, UNCHECKED)
+def cat_tau(input_, unchecked):
+    return tau_space(_load_witt_space(input_, unchecked))
+
+
+@command(
+    cat,
+    "act",
+    INPUT,
+    _path("--g", "g_path", help="outer factor"),
+    _path("--f", "f_path", help="inner factor"),
+    UNCHECKED,
+)
+def cat_act(input_, g_path, f_path, unchecked):
     space = _load_witt_space(input_, unchecked)
-    _emit(tau_space(space).to_json(), output)
-
-
-@cat.command("act")
-@click.option("--input", "input_", required=True, type=click.Path())
-@click.option("--g", "g_path", required=True, type=click.Path(), help="outer factor")
-@click.option("--f", "f_path", required=True, type=click.Path(), help="inner factor")
-@click.option("--unchecked", is_flag=True)
-@click.option("--output", type=click.Path())
-@handle_errors
-def cat_act(input_, g_path, f_path, unchecked, output):
-    space = _load_witt_space(input_, unchecked)
-    g, f = _load_sym(g_path), _load_sym(f_path)
-    table = lambda_action(space, g, f)
-    _emit(_table_json(space.points, table), output)
+    g, f = _load(SymFunc, g_path), _load(SymFunc, f_path)
+    return _table_json(space.points, lambda_action(space, g, f))
 
 
 # -- plancherel ------------------------------------------------------------------------
@@ -393,46 +386,30 @@ def plancherel() -> None:
     """Plancherel measure and the growth chain on partitions."""
 
 
-@plancherel.command("measure")
-@click.option("--n", required=True, type=click.IntRange(min=1, max=20))
-@click.option("--output", type=click.Path())
-@handle_errors
-def plancherel_measure_cmd(n, output):
+@command(
+    plancherel,
+    "measure",
+    click.option("--n", required=True, type=click.IntRange(min=1, max=_MAX_MEASURE_N)),
+)
+def plancherel_measure_cmd(n):
     measure = plancherel_measure(n)
-    _emit(
-        {
-            "n": n,
-            "measure": {lam.key(): str(p) for lam, p in sorted(measure.items())},
-        },
-        output,
-    )
+    return {"n": n, "measure": {lam.key(): str(p) for lam, p in sorted(measure.items())}}
 
 
-@plancherel.command("sample")
-@click.option("--steps", required=True, type=click.IntRange(min=1))
-@click.option("--seed", default=0, type=int, show_default=True)
-@click.option("--output", type=click.Path())
-@handle_errors
-def plancherel_sample(steps, seed, output):
-    _emit(sample_path(steps, seed).to_json(), output)
+@command(plancherel, "sample", *STEPS_SEED)
+def plancherel_sample(steps, seed):
+    return sample_path(steps, seed)
 
 
-@plancherel.command("observe")
-@click.option("--cat", "cat_path", required=True, type=click.Path())
-@click.option("--steps", required=True, type=click.IntRange(min=1))
-@click.option("--seed", default=0, type=int, show_default=True)
-@click.option("--unchecked", is_flag=True)
-@click.option("--output", type=click.Path())
-@handle_errors
-def plancherel_observe(cat_path, steps, seed, unchecked, output):
+@command(plancherel, "observe", _path("--cat", "cat_path"), *STEPS_SEED, UNCHECKED)
+def plancherel_observe(cat_path, steps, seed, unchecked):
     space = _load_witt_space(cat_path, unchecked)
-    path = sample_path(steps, seed)
     steps_json = []
-    for step in observe(space, path):
+    for step in observe(space, sample_path(steps, seed)):
         entry = {"partition": step.partition.to_json(), "is_metric": step.is_metric}
         entry.update(_table_json(space.points, step.table))
         steps_json.append(entry)
-    _emit({"seed": seed, "steps": steps_json}, output)
+    return {"seed": seed, "steps": steps_json}
 
 
 # -- suite ---------------------------------------------------------------------------------
@@ -443,6 +420,7 @@ def suite() -> None:
     """Run the law suites."""
 
 
+# hand-written: it prints one text line per suite, and JSON only to --output
 @suite.command("run")
 @click.option("--module", "module", type=str, help="only suites tagged with this module")
 @click.option("--seed", default=suites_mod.DEFAULT_SEED, type=int, show_default=True)
@@ -451,19 +429,15 @@ def suite() -> None:
 def suite_run(module, seed, output):
     results = suites_mod.run_all(module=module, seed=seed)
     if not results:
-        _fail(2, "format", f"no suites tagged with module {module!r}")
-    all_ok = True
+        raise FormatError(f"no suites tagged with module {module!r}")
     for res in results:
         status = "PASS" if res.ok else "FAIL"
         click.echo(f"{status} {res.name}: {res.passed} passed, {res.failed} failed")
         for failure in res.failures:
             click.echo(f"  - {failure}")
-        all_ok = all_ok and res.ok
+    all_ok = all(res.ok for res in results)
     if output:
-        _emit(
-            {"ok": all_ok, "suites": [r.to_json() for r in results]},
-            output,
-        )
+        _emit({"ok": all_ok, "suites": [r.to_json() for r in results]}, output)
     sys.exit(0 if all_ok else 1)
 
 

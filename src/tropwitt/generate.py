@@ -81,19 +81,7 @@ def random_theta_space(
 def _axioms_ok(space: WittSpace) -> bool:
     """Identity and composition only; point-evaluation entries are always
     valid homomorphisms, so the full entry check is skipped here."""
-    from .partitions import Partition
-
-    for x in space.points:
-        dxx = space.dist(x, x)
-        for n in range(1, space.degree_bound + 1):
-            if dxx.value(Partition([n])) != ZERO:
-                return False
-    for x in space.points:
-        for y in space.points:
-            for z in space.points:
-                if not space.dist(x, y).mul(space.dist(y, z)).leq(space.dist(x, z)):
-                    return False
-    return True
+    return next(space.axiom_violations(), None) is None
 
 
 def random_point_eval_space(

@@ -72,8 +72,10 @@ class Partition:
 
     @classmethod
     def from_json(cls, data) -> "Partition":
-        if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
-            raise FormatError(f"partition must be a list of integers, got {data!r}")
+        if not isinstance(data, list) or not all(
+            isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in data
+        ):
+            raise FormatError(f"partition must be a list of positive integers, got {data!r}")
         return cls(data)
 
     # -- container & comparison protocol ----------------------------------

@@ -57,8 +57,18 @@ class GrowthPath:
     def from_json(cls, data) -> "GrowthPath":
         if not isinstance(data, dict) or "seed" not in data or "steps" not in data:
             raise FormatError("GrowthPath JSON needs 'seed' and 'steps'")
-        steps = tuple(Partition.from_json(s) for s in data["steps"])
-        return cls(int(data["seed"]), steps)
+        seed, raw = data["seed"], data["steps"]
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise FormatError(f"GrowthPath seed must be an integer, got {seed!r}")
+        if not isinstance(raw, list):
+            raise FormatError("GrowthPath 'steps' must be a list")
+        steps = tuple(Partition.from_json(s) for s in raw)
+        if not steps or steps[0] != Partition([1]):
+            raise FormatError("a growth path starts at (1)")
+        for lam, mu in zip(steps, steps[1:]):
+            if mu not in covers(lam):
+                raise FormatError(f"growth path step {mu} does not cover {lam}")
+        return cls(seed, steps)
 
 
 def sample_path(steps: int, seed: int) -> GrowthPath:

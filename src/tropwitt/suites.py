@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .enriched import slice_complete, slice_table, table_space
 from .partitions import EMPTY, Partition, partitions_of, partitions_up_to
@@ -67,6 +68,33 @@ class SuiteResult:
         }
 
 
+@dataclass(frozen=True)
+class _Suite:
+    """A registered law: ``suite(seed, **sizes)`` runs it on a fresh
+    ``SuiteResult`` tagged with the suite's name and module."""
+
+    name: str
+    module: str
+    law: Callable[..., None]
+
+    def __call__(self, seed: int = DEFAULT_SEED, **sizes) -> SuiteResult:
+        res = SuiteResult(self.name, self.module)
+        self.law(res, seed, **sizes)
+        return res
+
+
+# every suite, by name, in the order `run_all` runs them
+SUITES: dict[str, _Suite] = {}
+
+
+def _suite(name: str, module: str):
+    def register(law) -> _Suite:
+        SUITES[name] = _Suite(name, module, law)
+        return SUITES[name]
+
+    return register
+
+
 def _rationals_with_units(rng: random.Random, count: int) -> list[LValue]:
     values = [ZERO, INF]
     while len(values) < count:
@@ -77,8 +105,8 @@ def _rationals_with_units(rng: random.Random, count: int) -> list[LValue]:
 # -- 1: identities carried over from the source formulas -------------------------
 
 
-def suite_identities(seed: int = DEFAULT_SEED) -> SuiteResult:
-    res = SuiteResult("identities", "symfunc")
+@_suite("identities", "symfunc")
+def suite_identities(res: SuiteResult, seed: int) -> None:
     N = 8
     m = lambda *parts: monomial(Partition(parts), N)
     one = SymFunc.one(N)
@@ -135,14 +163,13 @@ def suite_identities(seed: int = DEFAULT_SEED) -> SuiteResult:
             )
     res.check(plethysm(m(2), m(3)) == m(6), "composition sends rows to their product")
     res.check(one * m(2, 1) == m(2, 1), "multiplicative unit")
-    return res
 
 
 # -- 2: rig laws in the Witt rig -------------------------------------------------
 
 
-def suite_witt_rig_laws(seed: int = DEFAULT_SEED, triples: int = 200) -> SuiteResult:
-    res = SuiteResult("witt-rig-laws", "witt")
+@_suite("witt-rig-laws", "witt")
+def suite_witt_rig_laws(res: SuiteResult, seed: int, triples: int = 200) -> None:
     N = 6
     rng = random.Random(seed)
     zero = additive_unit(N)
@@ -160,14 +187,13 @@ def suite_witt_rig_laws(seed: int = DEFAULT_SEED, triples: int = 200) -> SuiteRe
         )
         res.check(f.add(zero) == f, f"additive unit #{i}")
         res.check(f.mul(one) == f, f"multiplicative unit #{i}")
-    return res
 
 
 # -- 3: the scalar embedding is monoidal and lands in valid elements ----------------
 
 
-def suite_theta_functor(seed: int = DEFAULT_SEED, pairs: int = 200) -> SuiteResult:
-    res = SuiteResult("theta-functor", "witt")
+@_suite("theta-functor", "witt")
+def suite_theta_functor(res: SuiteResult, seed: int, pairs: int = 200) -> None:
     N = 8
     rng = random.Random(seed)
     values = _rationals_with_units(rng, pairs)
@@ -194,14 +220,13 @@ def suite_theta_functor(seed: int = DEFAULT_SEED, pairs: int = 200) -> SuiteResu
         res.check(
             theta(lo, N).leq(theta(hi, N)), f"theta monotone at ({r},{rp}) #{i}"
         )
-    return res
 
 
 # -- 4: the two negative results, reproduced exactly ---------------------------------
 
 
-def suite_negative_results(seed: int = DEFAULT_SEED, pairs: int = 50) -> SuiteResult:
-    res = SuiteResult("negative-results", "witt")
+@_suite("negative-results", "witt")
+def suite_negative_results(res: SuiteResult, seed: int, pairs: int = 50) -> None:
     N = 6
     rng = random.Random(seed)
     lam = Partition([2, 1])
@@ -221,14 +246,13 @@ def suite_negative_results(seed: int = DEFAULT_SEED, pairs: int = 50) -> SuiteRe
             and got != INF,
             f"θ(min) differs from θ⊕θ at (2,1) for ({r},{rp}) #{i}",
         )
-    return res
 
 
 # -- 5: adjunction between the embedding and the initial value ------------------------
 
 
-def suite_adjunction(seed: int = DEFAULT_SEED, samples: int = 500) -> SuiteResult:
-    res = SuiteResult("adjunction", "witt")
+@_suite("adjunction", "witt")
+def suite_adjunction(res: SuiteResult, seed: int, samples: int = 500) -> None:
     N = 6
     rng = random.Random(seed)
     for i in range(samples):
@@ -248,14 +272,13 @@ def suite_adjunction(seed: int = DEFAULT_SEED, samples: int = 500) -> SuiteResul
         lhs = theta(r, N).leq(f)
         rhs = leq(r, tau(f))
         res.check(lhs == rhs, f"adjunction at r={r}, tau={tau(f)} #{i}")
-    return res
 
 
 # -- 6: enriched axioms and slice propositions -----------------------------------------
 
 
-def suite_enriched(seed: int = DEFAULT_SEED, spaces: int = 50) -> SuiteResult:
-    res = SuiteResult("enriched-axioms", "enriched")
+@_suite("enriched-axioms", "enriched")
+def suite_enriched(res: SuiteResult, seed: int, spaces: int = 50) -> None:
     N = 6
     rng = random.Random(seed)
     labels = ("a", "b", "c", "d")
@@ -289,14 +312,13 @@ def suite_enriched(seed: int = DEFAULT_SEED, spaces: int = 50) -> SuiteResult:
     res.check(
         saw_nonzero_self, "some generated slice has finite nonzero self-distance"
     )
-    return res
 
 
 # -- 7: point evaluation turns unions into sums ------------------------------------------
 
 
-def suite_root_calculus(seed: int = DEFAULT_SEED, samples: int = 100) -> SuiteResult:
-    res = SuiteResult("root-calculus", "witt")
+@_suite("root-calculus", "witt")
+def suite_root_calculus(res: SuiteResult, seed: int, samples: int = 100) -> None:
     N = 6
     rng = random.Random(seed)
     for i in range(samples):
@@ -311,14 +333,13 @@ def suite_root_calculus(seed: int = DEFAULT_SEED, samples: int = 100) -> SuiteRe
             fa.mul(fb) == from_points([x + y for x in a for y in b], N),
             f"multiplication is pairwise sum #{i}",
         )
-    return res
 
 
 # -- 8: truncated subtraction is the internal hom -----------------------------------------
 
 
-def suite_residuation(seed: int = DEFAULT_SEED) -> SuiteResult:
-    res = SuiteResult("residuation", "quantale")
+@_suite("residuation", "quantale")
+def suite_residuation(res: SuiteResult, seed: int) -> None:
     grid = sorted(
         {LValue(Fraction(p, q)) for p in range(13) for q in (1, 2, 3)}
     ) + [INF]
@@ -335,14 +356,13 @@ def suite_residuation(seed: int = DEFAULT_SEED) -> SuiteResult:
                 res.check(
                     lhs == rhs, f"residuation at x={x}, y={y}, z={z}"
                 )
-    return res
 
 
 # -- 9: measure and growth-chain identities ------------------------------------------------
 
 
-def suite_plancherel(seed: int = DEFAULT_SEED, paths: int = 10_000) -> SuiteResult:
-    res = SuiteResult("plancherel", "plancherel")
+@_suite("plancherel", "plancherel")
+def suite_plancherel(res: SuiteResult, seed: int, paths: int = 10_000) -> None:
     for n in range(1, 13):
         total = sum(plancherel_measure(n).values())
         res.check(total == 1, f"measure on size {n} sums to 1")
@@ -376,14 +396,13 @@ def suite_plancherel(seed: int = DEFAULT_SEED, paths: int = 10_000) -> SuiteResu
                 f"marginal at size {n}, partition {lam}: freq {float(freq):.4f} "
                 f"vs exact {float(p):.4f}",
             )
-    return res
 
 
 # -- 10: combinatorial routes match the brute-force expansions -------------------------------
 
 
-def suite_oracle_coherence(seed: int = DEFAULT_SEED) -> SuiteResult:
-    res = SuiteResult("oracle-coherence", "symfunc")
+@_suite("oracle-coherence", "symfunc")
+def suite_oracle_coherence(res: SuiteResult, seed: int) -> None:
 
     for lam in partitions_up_to(6):
         if lam.is_empty():
@@ -432,41 +451,12 @@ def suite_oracle_coherence(seed: int = DEFAULT_SEED) -> SuiteResult:
                 d,
             )
             res.check(direct == oracle, f"row product ({n})·({np}) matches expansion")
-    return res
-
-
-SUITES = {
-    "identities": suite_identities,
-    "witt-rig-laws": suite_witt_rig_laws,
-    "theta-functor": suite_theta_functor,
-    "negative-results": suite_negative_results,
-    "adjunction": suite_adjunction,
-    "enriched-axioms": suite_enriched,
-    "root-calculus": suite_root_calculus,
-    "residuation": suite_residuation,
-    "plancherel": suite_plancherel,
-    "oracle-coherence": suite_oracle_coherence,
-}
-
-_MODULE_OF = {
-    "identities": "symfunc",
-    "witt-rig-laws": "witt",
-    "theta-functor": "witt",
-    "negative-results": "witt",
-    "adjunction": "witt",
-    "enriched-axioms": "enriched",
-    "root-calculus": "witt",
-    "residuation": "quantale",
-    "plancherel": "plancherel",
-    "oracle-coherence": "symfunc",
-}
 
 
 def run_all(module: str | None = None, seed: int = DEFAULT_SEED) -> list[SuiteResult]:
     """Run every suite (optionally only those tagged with one module)."""
-    out = []
-    for name, fn in SUITES.items():
-        if module is not None and _MODULE_OF[name] != module:
-            continue
-        out.append(fn(seed))
-    return out
+    return [
+        suite(seed)
+        for suite in SUITES.values()
+        if module is None or suite.module == module
+    ]

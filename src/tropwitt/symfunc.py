@@ -451,7 +451,11 @@ def _comult_table(
     remainder or a negative count would mean a wrong table and raises.
 
     Each λ maps to its ((μ, ν), c) entries with c > 0, ordered by μ and
-    then ν in ``partitions_of`` order.
+    then ν in ``partitions_of`` order.  Expanding m_λ at the doubled
+    alphabet x_i·y_j, c also counts the matrices whose nonzero entries form
+    the multiset λ, with row sums μ and column sums ν; ``tests/oracles.py``
+    keeps that count as the reference route.  Both factors always have
+    degree exactly |λ|.
     """
     parts = partitions_of(n)
     size = len(parts)
@@ -490,24 +494,11 @@ def _comult_table(
     return table
 
 
-def _comult_pairs(lam: Partition) -> tuple[tuple[tuple[Partition, Partition], int], ...]:
-    """Coefficients of the multiplicative coproduct of m_λ: its entries in
-    the table of degree |λ|, built from power sums by :func:`_comult_table`.
-
-    Expanding m_λ at the doubled alphabet x_i·y_j, the coefficient of
-    m_μ ⊗ m_ν also counts the matrices whose nonzero entries form the
-    multiset λ, with row sums μ and column sums ν; ``tests/oracles.py``
-    keeps that count as the reference route.  Both factors always have
-    degree exactly |λ|.
-    """
-    return _comult_table(lam.size)[lam]
-
-
 def coproduct_mult(f: SymFunc) -> TensorSymFunc:
     """Multiplicative coproduct, extended linearly from the basis."""
     out: dict[tuple[Partition, Partition], int] = {}
     for lam, c in f._coeffs.items():
-        for pair, k in _comult_pairs(lam):
+        for pair, k in _comult_table(lam.size)[lam]:
             out[pair] = out.get(pair, 0) + c * k
     return TensorSymFunc(out, f.degree_bound)
 

@@ -22,7 +22,7 @@ from .errors import DegreeOverflowError, FormatError
 from .partitions import Partition, partitions_of, partitions_up_to
 from .quantale import INF, ZERO, LValue, leq as leq_q
 from .report import Report
-from .symfunc import SymFunc, _basis_product, _comult_pairs, _splittings, plethysm
+from .symfunc import SymFunc, _basis_product, _comult_table, _splittings, plethysm
 
 
 class WittElem:
@@ -100,13 +100,14 @@ class WittElem:
         self._check_bound(other)
         mine, theirs = self._values, other._values
         out = {}
-        for lam in mine:
-            best = INF
-            for (mu, nu), _ in _comult_pairs(lam):
-                v = mine[mu] + theirs[nu]
-                if v < best:
-                    best = v
-            out[lam] = best
+        for n in range(1, self._degree_bound + 1):
+            for lam, pairs in _comult_table(n).items():
+                best = INF
+                for (mu, nu), _ in pairs:
+                    v = mine[mu] + theirs[nu]
+                    if v < best:
+                        best = v
+                out[lam] = best
         return WittElem(self._degree_bound, out)
 
     def leq(self, other: "WittElem") -> bool:

@@ -4,7 +4,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from tropwitt.cli import main
+from tropwitt.cli import MAX_STEPS, main
 from tropwitt.enriched import MetricSpace, WittSpace, theta_space
 from tropwitt.generate import random_point_eval_space
 from tropwitt.partitions import Partition
@@ -274,6 +274,108 @@ def test_malformed_inputs_exit_two(runner, tmp_path):
     assert json.loads(result.output)["error"]["kind"] == "format"
 
 
+def cli_inputs(tmp_path):
+    space, metric = metric_fixture(tmp_path)
+    sym = lambda name, parts, n: write(tmp_path, name, monomial(Partition(parts), n).to_json())
+    h2 = SymFunc({Partition([2]): 1, Partition([1, 1]): 1}, 4)
+    return {
+        "m21": m21(tmp_path),
+        "m2": sym("m2.json", [2], 6),
+        "m3": sym("m3.json", [3], 6),
+        "h2": write(tmp_path, "h2.json", h2.to_json()),
+        "a": write(tmp_path, "a.json", theta(LValue(1), 4).to_json()),
+        "b": write(tmp_path, "b.json", theta(LValue(2), 4).to_json()),
+        "metric": metric,
+        "space": write(tmp_path, "space.json", theta_space(space, 6).to_json()),
+    }
+
+
+# one successful call of every command that prints JSON
+EVERY_COMMAND = [
+    ["sym", "mul", "--input", "{m2}", "--other", "{m3}"],
+    ["sym", "coprod-add", "--input", "{m21}"],
+    ["sym", "coprod-mult", "--input", "{m21}"],
+    ["sym", "plethysm", "--input", "{m2}", "--other", "{m3}"],
+    ["sym", "bases", "--n", "3", "--degree", "5"],
+    ["witt", "add", "--input", "{a}", "--other", "{b}"],
+    ["witt", "mul", "--input", "{a}", "--other", "{b}"],
+    ["witt", "validate", "--input", "{a}"],
+    ["witt", "theta", "--r", "3/2", "--degree", "4"],
+    ["witt", "tau", "--input", "{a}"],
+    ["witt", "eval", "--input", "{a}", "--sym", "{h2}"],
+    ["witt", "in-l", "--input", "{a}"],
+    ["cat", "validate", "--input", "{space}"],
+    ["cat", "slice", "--input", "{space}", "--lambda", "2,1"],
+    ["cat", "theta", "--input", "{metric}", "--degree", "3"],
+    ["cat", "tau", "--input", "{space}"],
+    ["cat", "act", "--input", "{space}", "--g", "{m2}", "--f", "{m3}"],
+    ["plancherel", "measure", "--n", "4"],
+    ["plancherel", "sample", "--steps", "5", "--seed", "3"],
+    ["plancherel", "observe", "--cat", "{space}", "--steps", "4", "--seed", "7"],
+]
+
+
+def test_every_json_command_is_listed():
+    registered = {(g, c) for g, group in main.commands.items() for c in group.commands}
+    assert registered - {("suite", "run")} == {tuple(args[:2]) for args in EVERY_COMMAND}
+
+
+@pytest.mark.parametrize("args", EVERY_COMMAND, ids=lambda args: "-".join(args[:2]))
+def test_output_file_holds_the_printed_json(runner, tmp_path, args):
+    inputs = cli_inputs(tmp_path)
+    args = [a.format(**inputs) for a in args]
+    printed = runner.invoke(main, args)
+    assert printed.exit_code == 0
+    out = tmp_path / "out.json"
+    written = runner.invoke(main, args + ["--output", str(out)])
+    assert written.exit_code == 0
+    assert written.output == ""
+    assert out.read_text() == printed.output
+
+
+def test_failing_input_reports_and_exit_codes(runner, tmp_path):
+    bad_elem = WittElem(4, {Partition([1]): LValue(1), Partition([2]): LValue(5)})
+    bad = write(tmp_path, "bad.json", bad_elem.to_json())
+    good = write(tmp_path, "good.json", theta(LValue(1), 4).to_json())
+    out = tmp_path / "out.json"
+
+    # witt validate: the failing report goes to --output, exit 1
+    result = runner.invoke(main, ["witt", "validate", "--input", bad, "--output", str(out)])
+    assert result.exit_code == 1
+    assert result.output == ""
+    assert json.loads(out.read_text()) == bad_elem.validate().to_json()
+    out.unlink()
+
+    # a checked input that fails: its report on stdout, never in --output
+    result = runner.invoke(
+        main, ["witt", "mul", "--input", good, "--other", bad, "--output", str(out)]
+    )
+    assert result.exit_code == 1
+    assert json.loads(result.output) == bad_elem.validate().to_json()
+    assert not out.exists()
+
+    # a space with a bad entry: one error object naming the pair
+    space, _ = metric_fixture(tmp_path)
+    data = theta_space(space, 4).to_json()
+    data["dist"]["a|b"] = bad_elem.to_json()
+    spath = write(tmp_path, "space.json", data)
+    result = runner.invoke(main, ["cat", "slice", "--input", spath, "--lambda", "2"])
+    assert "('a', 'b')" in error_of(result, 1)["detail"]
+
+
+def test_cat_validate_refuses_mixed_entries(runner, tmp_path):
+    space, _ = metric_fixture(tmp_path)
+    witt_first = theta_space(space, 4).to_json()
+    witt_first["dist"]["b|a"] = "2"
+    scalar_first = space.to_json()
+    scalar_first["dist"]["b|a"] = theta(LValue(2), 4).to_json()
+    for data in (witt_first, scalar_first):
+        path = write(tmp_path, "mixed.json", data)
+        error = error_of(runner.invoke(main, ["cat", "validate", "--input", path]), 2)
+        assert error["kind"] == "format"
+        assert "mixes" in error["detail"]
+
+
 def test_output_flag_writes_file(runner, tmp_path):
     out = tmp_path / "out.json"
     result = runner.invoke(
@@ -306,6 +408,8 @@ def error_of(result, code):
         ["witt", "theta", "--r", "1", "--degree", "0"],
         ["sym", "bases", "--n", "13"],
         ["plancherel", "sample", "--steps", "0"],
+        ["plancherel", "sample", "--steps", str(MAX_STEPS + 1)],
+        ["plancherel", "observe", "--cat", "space.json", "--steps", str(MAX_STEPS + 1)],
         ["witt", "theta", "--degree", "4"],
     ],
 )

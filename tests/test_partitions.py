@@ -129,8 +129,9 @@ def test_rejects_bad_parts():
 def test_from_json_rejects_bad_shapes():
     with pytest.raises(FormatError):
         Partition.from_json("2,1")
-    with pytest.raises(FormatError):
-        Partition.from_json([2, "1"])
+    for data in ([2, "1"], [0], [2, -1], [True], [1.5]):
+        with pytest.raises(FormatError):
+            Partition.from_json(data)
     for key in ("2,x", "0", "2,0", "-1"):
         with pytest.raises(FormatError):
             Partition.from_key(key)

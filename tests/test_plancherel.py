@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tropwitt.enriched import theta_space
-from tropwitt.errors import DegreeOverflowError
+from tropwitt.errors import DegreeOverflowError, FormatError
 from tropwitt.generate import random_metric_space, random_point_eval_space
 from tropwitt.partitions import Partition, covers, partitions_up_to
 from tropwitt.plancherel import (
@@ -86,6 +86,25 @@ def test_sample_path_rejects_zero_steps():
 def test_growth_path_json_round_trip():
     path = sample_path(5, 7)
     assert GrowthPath.from_json(path.to_json()) == path
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"seed": "12", "steps": [[1]]},
+        {"seed": True, "steps": [[1]]},
+        {"seed": 1.7, "steps": [[1]]},
+        {"seed": 1, "steps": [[1], [3]]},
+        {"seed": 1, "steps": [[2], [3]]},
+        {"seed": 1, "steps": []},
+        {"seed": 1, "steps": "1"},
+        {"seed": 1, "steps": [[1], [0]]},
+        {"seed": 1, "steps": [[1], [True, 1]]},
+    ],
+)
+def test_growth_path_from_json_rejects_bad_input(data):
+    with pytest.raises(FormatError):
+        GrowthPath.from_json(data)
 
 
 def test_observe_on_theta_image_flags_rows_only():

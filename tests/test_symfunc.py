@@ -23,7 +23,7 @@ from tropwitt.symfunc import (
     poly_mul,
     tensor_counit_left,
     tensor_counit_right,
-    _comult_pairs,
+    _comult_table,
 )
 
 from oracles import (
@@ -256,14 +256,14 @@ def test_coproduct_mult_matches_naive_doubled_alphabet():
 def test_comult_table_matches_matrix_count_oracle():
     # same entries in the same order, so WittElem.mul and JSON output keep theirs
     for lam in partitions_up_to(7):
-        assert _comult_pairs(lam) == comult_by_matrix_count(lam), lam
+        assert _comult_table(lam.size)[lam] == comult_by_matrix_count(lam), lam
 
 
 def test_comult_table_symmetric_with_counit_at_degree_ten():
     # beyond the oracle's reach: Δ× is cocommutative and ε× picks the rows
     n = 10
     for lam in partitions_of(n):
-        table = dict(_comult_pairs(lam))
+        table = dict(_comult_table(n)[lam])
         assert all(table.get((nu, mu)) == c for (mu, nu), c in table.items()), lam
         for mu in partitions_of(n):
             assert table.get((mu, Partition([n])), 0) == (mu == lam), (lam, mu)
