@@ -43,9 +43,10 @@ from . import suites as suites_mod
 
 DEFAULT_DEGREE = 8
 # Largest degree bound accepted from options and input files.  A cold process
-# at degree 12 spends about 0.35 s on the multiplicative-coproduct table and
-# 8 s on the product table, and one WittElem.mul takes 0.25-0.35 s (2-vCPU
-# Xeon); each grows about threefold per degree.
+# at degree 12 spends about 0.3 s on the product table and 0.4 s on the
+# multiplicative-coproduct table, a cold `witt validate` takes about 0.45 s,
+# and one warm WittElem.mul 0.07 s (2-vCPU Xeon); the tables grow about
+# 2.5-fold per degree.
 MAX_DEGREE = 12
 # Largest --steps of a growth path.  Sampling took 0.7-1.0 s at 500 steps and
 # 6 s at 1,000, and more than 110 s at 3,000 (2-vCPU Xeon).

@@ -102,7 +102,7 @@ class MetricSpace:
         points, dist = _parse_space_json(data, LValue.from_json)
         try:
             return cls(points, dist)
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise FormatError(str(exc)) from exc
 
 

@@ -7,16 +7,14 @@ rest of the package because both coproducts respect the grading: the
 additive one splits degree across the two factors and the multiplicative
 one preserves it on each side.
 
-Two computation routes coexist deliberately.  The product and the additive
-coproduct use direct combinatorics (exponent-vector alignment counts and
-multiset splittings); :func:`expand_in_vars` / :func:`from_polynomial`
-give the brute-force polynomial route that the test suite replays against
-them.  The multiplicative coproduct is defined by expanding m_λ at a
-doubled alphabet x_i·y_j.  Here it is computed through the power sums,
-which it sends to p_ρ ⊗ p_ρ: one table per degree, from the p↔m
-transition matrices in exact integer arithmetic (:func:`_comult_table`).
-The literal route, counting matrices with entries λ and given row and
-column sums, is kept in ``tests/oracles.py`` as the reference.
+The product, the multiplicative coproduct and composition (plethysm) are
+read off the power sums, the ghost coordinates (Macdonald, *Symmetric
+Functions and Hall Polynomials*, ch. I): p_ρ·p_σ = p_{ρ∪σ},
+Δ×(p_ρ) = p_ρ ⊗ p_ρ and p_k ∘ m_μ = m_{kμ}, through one cached p↔m
+transition per degree in exact integer arithmetic (:func:`_transition`).
+The brute-force polynomial route (:func:`expand_in_vars`, :func:`poly_mul`,
+:func:`from_polynomial`) is the reference that the ``oracle-coherence``
+suite and the tests check them against.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from collections import Counter
 from functools import cache
 from itertools import product as iter_product
 from math import factorial
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ConstantTermError, DegreeOverflowError, FormatError, NotSymmetricError
 from .partitions import EMPTY, Partition, partitions_of
@@ -282,64 +280,116 @@ def complete(n: int, degree_bound: int) -> SymFunc:
     return SymFunc({lam: 1 for lam in partitions_of(n)}, degree_bound)
 
 
+# -- power sums ------------------------------------------------------------
+
+
+def _power_sum_rows(parts: tuple[Partition, ...]) -> list[list[tuple[int, int]]]:
+    """Sparse rows of L, the power-sum-to-monomial transition matrix on the
+    partitions of one size, indexed by position in ``parts``.
+
+    Row ρ lists (μ, L[ρ][μ]) for each nonzero coefficient of m_μ in p_ρ.
+    That coefficient counts the maps from the parts of ρ to the positions
+    of μ under which each position receives parts summing to its own
+    value.  It vanishes unless μ dominates ρ, so with ``parts`` in
+    ``partitions_of`` order every row ends at its diagonal entry
+    L[ρ][ρ] = Π m_i(ρ)!, and L is lower triangular.
+    """
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+
+    def count(rho: tuple[int, ...], mu: tuple[int, ...]) -> int:
+        # send the last part of ρ to each position of μ that can take it
+        if not rho:
+            return 0 if mu else 1
+        key = (rho, mu)
+        if key not in memo:
+            r, rest = rho[-1], rho[:-1]
+            total = 0
+            for i, v in enumerate(mu):
+                if v == r:
+                    total += count(rest, mu[:i] + mu[i + 1:])
+                elif v > r:
+                    smaller = sorted(mu[:i] + (v - r,) + mu[i + 1:], reverse=True)
+                    total += count(rest, tuple(smaller))
+            memo[key] = total
+        return memo[key]
+
+    return [
+        [(m, c) for m in range(r + 1) if (c := count(rho.parts, parts[m].parts))]
+        for r, rho in enumerate(parts)
+    ]
+
+
+def _divide_exactly(num: int, den: int) -> int:
+    q, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"{num} is not divisible by {den}")
+    return q
+
+
+def _exact_counts(scaled: Iterable[tuple], scale: int, what: str) -> Iterator[tuple]:
+    """Divide the (key, value) pairs exactly by ``scale``, keeping nonzero
+    counts.  A remainder or a negative count means a wrong table."""
+    for key, v in scaled:
+        if v:
+            c = _divide_exactly(v, scale)
+            if c < 0:
+                raise ArithmeticError(f"negative coefficient {c} in {what}")
+            yield key, c
+
+
+class _Transition(NamedTuple):
+    """The power-sum transition on the partitions of one size n, in
+    ``partitions_of`` order: the sparse rows of L (p_ρ = Σ_μ L[ρ][μ] m_μ)
+    and of n!·A, A = L⁻¹, both lower triangular and integral, as
+    (column, entry) pairs."""
+
+    parts: tuple[Partition, ...]
+    index: dict[Partition, int]
+    rows: list[list[tuple[int, int]]]
+    inverse: list[list[tuple[int, int]]]
+    scale: int  # n!
+
+
+@cache
+def _transition(n: int) -> _Transition:
+    parts = partitions_of(n)
+    rows = _power_sum_rows(parts)
+    scale = factorial(n)
+    # L·A = I gives row ρ of n!·A from the rows of A above it
+    inverse: list[list[tuple[int, int]]] = []
+    for r, row in enumerate(rows):
+        acc = [0] * len(parts)
+        acc[r] = scale
+        for m, c in row[:-1]:
+            for k, a in inverse[m]:
+                acc[k] -= c * a
+        inverse.append([(k, _divide_exactly(v, row[-1][1])) for k, v in enumerate(acc) if v])
+    index = {lam: i for i, lam in enumerate(parts)}
+    return _Transition(parts, index, rows, inverse, scale)
+
+
 # -- product ------------------------------------------------------------------
-
-
-def _distinct_perms(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Each distinct ordering of a multiset exactly once."""
-    counts = Counter(items)
-    values = sorted(counts)
-    n = len(items)
-    perm = [0] * n
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(perm)
-            return
-        for v in values:
-            if counts[v]:
-                counts[v] -= 1
-                perm[i] = v
-                yield from rec(i + 1)
-                counts[v] += 1
-
-    yield from rec(0)
 
 
 @cache
 def _basis_product(mu: Partition, nu: Partition) -> tuple[tuple[Partition, int], ...]:
-    """Structure constants of m_μ · m_ν in the monomial basis.
+    """Structure constants of m_μ · m_ν in the monomial basis, as (λ, c)
+    entries with c > 0 in ``partitions_of`` order.
 
-    The coefficient at λ counts the ways to write the exponent vector λ as
-    a componentwise sum a + b where a arranges the parts of μ over the
-    positions of λ and b the parts of ν.
+    p_ρ·p_σ = p_{ρ∪σ}, so with A = L⁻¹ the coefficient at λ is
+    Σ_{ρ,σ} A[μ][ρ]·A[ν][σ]·L[ρ∪σ][λ], summed on integers scaled by
+    |μ|!·|ν|! and divided exactly.
     """
-    if mu.is_empty():
-        return ((nu, 1),)
-    if nu.is_empty():
-        return ((mu, 1),)
-    total = mu.size + nu.size
-    out = []
-    for lam in partitions_of(total):
-        length = lam.length
-        if length > mu.length + nu.length or length < max(mu.length, nu.length):
-            continue
-        padded = mu.parts + (0,) * (length - mu.length)
-        count = 0
-        for arr in _distinct_perms(padded):
-            residual = []
-            for want, got in zip(lam.parts, arr):
-                if got > want:
-                    break
-                if want > got:
-                    residual.append(want - got)
-            else:
-                residual.sort(reverse=True)
-                if tuple(residual) == nu.parts:
-                    count += 1
-        if count:
-            out.append((lam, count))
-    return tuple(out)
+    left, right = _transition(mu.size), _transition(nu.size)
+    total = _transition(mu.size + nu.size)
+    acc = [0] * len(total.parts)
+    for r, a in left.inverse[left.index[mu]]:
+        for s, b in right.inverse[right.index[nu]]:
+            union = Partition(left.parts[r].parts + right.parts[s].parts)
+            for k, c in total.rows[total.index[union]]:
+                acc[k] += a * b * c
+    scaled = zip(total.parts, acc)
+    return tuple(_exact_counts(scaled, left.scale * right.scale, f"m{mu}·m{nu}"))
 
 
 def multiply(f: SymFunc, g: SymFunc, strict: bool = False) -> SymFunc:
@@ -393,62 +443,16 @@ def coproduct_add(f: SymFunc) -> TensorSymFunc:
     return TensorSymFunc(out, f.degree_bound)
 
 
-def _power_sum_rows(parts: tuple[Partition, ...]) -> list[list[tuple[int, int]]]:
-    """Sparse rows of L, the power-sum-to-monomial transition matrix on the
-    partitions of one size, indexed by position in ``parts``.
-
-    Row ρ lists (μ, L[ρ][μ]) for each nonzero coefficient of m_μ in p_ρ.
-    That coefficient counts the maps from the parts of ρ to the positions
-    of μ under which each position receives parts summing to its own
-    value.  It vanishes unless μ dominates ρ, so with ``parts`` in
-    ``partitions_of`` order every row ends at its diagonal entry
-    L[ρ][ρ] = Π m_i(ρ)!, and L is lower triangular.
-    """
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-
-    def count(rho: tuple[int, ...], mu: tuple[int, ...]) -> int:
-        # send the last part of ρ to each position of μ that can take it
-        if not rho:
-            return 0 if mu else 1
-        key = (rho, mu)
-        if key not in memo:
-            r, rest = rho[-1], rho[:-1]
-            total = 0
-            for i, v in enumerate(mu):
-                if v == r:
-                    total += count(rest, mu[:i] + mu[i + 1:])
-                elif v > r:
-                    smaller = sorted(mu[:i] + (v - r,) + mu[i + 1:], reverse=True)
-                    total += count(rest, tuple(smaller))
-            memo[key] = total
-        return memo[key]
-
-    return [
-        [(m, c) for m in range(r + 1) if (c := count(rho.parts, parts[m].parts))]
-        for r, rho in enumerate(parts)
-    ]
-
-
-def _divide_exactly(num: int, den: int) -> int:
-    q, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"{num} is not divisible by {den}")
-    return q
-
-
 @cache
 def _comult_table(
     n: int,
 ) -> dict[Partition, tuple[tuple[tuple[Partition, Partition], int], ...]]:
     """Multiplicative-coproduct coefficients of every m_λ with |λ| = n.
 
-    Power sums are the ghost coordinates: Δ×(p_ρ) = p_ρ ⊗ p_ρ (Macdonald,
-    *Symmetric Functions and Hall Polynomials*, ch. I §2, §7).  With
-    p_ρ = Σ_μ L[ρ][μ] m_μ and A = L⁻¹, the coefficient of m_μ ⊗ m_ν in
-    Δ×(m_λ) is Σ_ρ A[λ][ρ]·L[ρ][μ]·L[ρ][ν].  A is lower triangular like L
-    and n!·A is integral, so the sum runs on integers scaled by n! over the
-    nonzero entries of each row of L and is divided exactly at the end.  A
-    remainder or a negative count would mean a wrong table and raises.
+    Δ×(p_ρ) = p_ρ ⊗ p_ρ, so with A = L⁻¹ from :func:`_transition` the
+    coefficient of m_μ ⊗ m_ν in Δ×(m_λ) is
+    Σ_ρ A[λ][ρ]·L[ρ][μ]·L[ρ][ν], summed on integers scaled by n! and divided
+    exactly.
 
     Each λ maps to its ((μ, ν), c) entries with c > 0, ordered by μ and
     then ν in ``partitions_of`` order.  Expanding m_λ at the doubled
@@ -457,40 +461,19 @@ def _comult_table(
     keeps that count as the reference route.  Both factors always have
     degree exactly |λ|.
     """
-    parts = partitions_of(n)
-    size = len(parts)
-    rows = _power_sum_rows(parts)
-    diagonal = [row[-1][1] for row in rows]
-    # the off-diagonal columns of L, to solve A·L = I one row of A at a time
-    columns: list[list[tuple[int, int]]] = [[] for _ in parts]
-    for r, row in enumerate(rows):
-        for m, c in row[:-1]:
-            columns[m].append((r, c))
+    t = _transition(n)
+    parts, size = t.parts, len(t.parts)
     # row ρ of L ⊗ L, flattened to (size·μ + ν, L[ρ][μ]·L[ρ][ν])
-    squares = [[(size * i + j, a * b) for i, a in row for j, b in row] for row in rows]
-    scale = factorial(n)
+    squares = [[(size * i + j, a * b) for i, a in row for j, b in row] for row in t.rows]
+    pairs = list(iter_product(parts, repeat=2))
     table = {}
-    for l, lam in enumerate(parts):
-        inverse = [0] * size  # row λ of n!·A, zero right of the diagonal
-        inverse[l] = _divide_exactly(scale, diagonal[l])
-        for m in range(l - 1, -1, -1):
-            inverse[m] = _divide_exactly(
-                -sum(inverse[r] * c for r, c in columns[m]), diagonal[m]
-            )
+    for lam, inverse in zip(parts, t.inverse):
         acc = [0] * (size * size)
-        for r in range(l + 1):
-            a = inverse[r]
-            if a:
-                for k, w in squares[r]:
-                    acc[k] += a * w
-        entries = []
-        for k, v in enumerate(acc):
-            if v:
-                c = _divide_exactly(v, scale)
-                if c < 0:
-                    raise ArithmeticError(f"negative coproduct coefficient {c} in m{lam}")
-                entries.append(((parts[k // size], parts[k % size]), c))
-        table[lam] = tuple(entries)
+        for r, a in inverse:
+            for k, w in squares[r]:
+                acc[k] += a * w
+        scaled = zip(pairs, acc)
+        table[lam] = tuple(_exact_counts(scaled, t.scale, f"Δ×(m{lam})"))
     return table
 
 
@@ -547,11 +530,18 @@ def tensor_counit_right(t: TensorSymFunc, kind: str) -> SymFunc:
 @cache
 def _expand_monomial(lam: Partition, k: int) -> tuple[tuple[int, ...], ...]:
     """All distinct exponent vectors of m_λ in k variables (empty if λ has
-    more parts than there are variables)."""
+    more parts than there are variables), in lexicographic order."""
     if lam.length > k:
         return ()
-    padded = lam.parts + (0,) * (k - lam.length)
-    return tuple(_distinct_perms(padded))
+    if k == 0:
+        return ((),)
+    # the first variable takes exponent 0 or one of the distinct parts of λ
+    out = [(0,) + rest for rest in _expand_monomial(lam, k - 1)]
+    for v in sorted(set(lam.parts)):
+        rest_parts = list(lam.parts)
+        rest_parts.remove(v)
+        out.extend((v,) + rest for rest in _expand_monomial(Partition(rest_parts), k - 1))
+    return tuple(out)
 
 
 def expand_in_vars(f: SymFunc, k: int) -> Poly:
@@ -617,12 +607,14 @@ def from_polynomial(p: Poly, k: int, degree_bound: int | None = None) -> SymFunc
 
 
 def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
-    """Composition f ∘ g: substitute the monomials of g for f's variables.
+    """Composition f ∘ g, through the power sums.
 
-    g is expanded in degree_bound variables and its monomials, with
-    multiplicity equal to their coefficients, become the alphabet at which
-    f is evaluated.  Exact whenever deg f · deg g fits under the bound,
-    which is enforced.
+    p_k ∘ g sends each m_μ of g to m_{kμ}, and p_ρ ∘ g is the product of
+    the p_{ρ_i} ∘ g (Loehr–Remmel, *A computational and combinatorial
+    exposé of plethystic calculus*, 2011).  So f ∘ g = Σ_λ f_λ Σ_ρ
+    A[λ][ρ]·(p_ρ ∘ g) with A = L⁻¹, summed on integers scaled by
+    (deg f)! and divided exactly.  Exact whenever deg f · deg g fits
+    under the bound, which is enforced.
     """
     _check_bounds(f, g)
     bound = f.degree_bound
@@ -632,21 +624,25 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
         raise DegreeOverflowError(
             f"composition degree {f.degree()}·{g.degree()} exceeds bound {bound}"
         )
-    alphabet: list[tuple[int, ...]] = []
-    for expo, c in sorted(expand_in_vars(g, bound).items()):
-        alphabet.extend([expo] * c)
-    slots = len(alphabet)
-    out: Poly = {}
+    powers = {EMPTY: SymFunc.one(bound)}
+
+    def power(rho: Partition) -> SymFunc:
+        # p_ρ ∘ g, one part of ρ at a time
+        if rho not in powers:
+            k = rho.parts[-1]
+            pk = {Partition(k * v for v in mu): c for mu, c in g._coeffs.items()}
+            powers[rho] = multiply(power(Partition(rho.parts[:-1])), SymFunc(pk, bound))
+        return powers[rho]
+
+    scale = factorial(f.degree())
+    acc: dict[Partition, int] = {}
     for lam, c in f._coeffs.items():
-        for choice in _expand_monomial(lam, slots):
-            combined = [0] * bound
-            for power, mono in zip(choice, alphabet):
-                if power:
-                    for j, e in enumerate(mono):
-                        combined[j] += power * e
-            key = tuple(combined)
-            out[key] = out.get(key, 0) + c
-    return from_polynomial(out, bound, bound)
+        t = _transition(lam.size)
+        for r, a in t.inverse[t.index[lam]]:
+            weight = c * a * (scale // t.scale)
+            for nu, b in power(t.parts[r])._coeffs.items():
+                acc[nu] = acc.get(nu, 0) + weight * b
+    return SymFunc(dict(_exact_counts(acc.items(), scale, "f ∘ g")), bound)
 
 
 def _is_natural(x) -> bool:

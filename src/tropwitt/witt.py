@@ -199,7 +199,8 @@ class WittElem:
             raise FormatError("WittElem JSON needs 'degree_bound' and 'values'")
         bound = data["degree_bound"]
         raw = data["values"]
-        if not isinstance(bound, int) or bound < 1 or not isinstance(raw, dict):
+        bad_bound = not isinstance(bound, int) or isinstance(bound, bool) or bound < 1
+        if bad_bound or not isinstance(raw, dict):
             raise FormatError("bad WittElem JSON")
         values = {}
         for key, v in raw.items():

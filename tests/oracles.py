@@ -11,6 +11,7 @@ from functools import cache
 from itertools import combinations, permutations
 
 from tropwitt.partitions import Partition, partitions_of
+from tropwitt.symfunc import SymFunc, expand_in_vars, from_polynomial
 
 
 def partitions_brute(n: int, max_part: int | None = None) -> list[tuple[int, ...]]:
@@ -159,6 +160,68 @@ def _matrix_count(lam: Partition, mu: Partition, nu: Partition) -> int:
 
     fill_row(0)
     return count
+
+
+def product_by_alignment_count(
+    mu: Partition, nu: Partition
+) -> tuple[tuple[Partition, int], ...]:
+    """m_μ · m_ν in the monomial basis, by counting exponent vectors: the
+    coefficient at λ is the number of ways to write λ as a componentwise
+    sum a + b, where a arranges the parts of μ over the positions of λ and
+    b the parts of ν.
+
+    Enumerates every distinct arrangement of μ, so the cost grows
+    factorially with the length of λ; entries come in ``partitions_of``
+    order, as the library's table does.
+    """
+    if mu.is_empty():
+        return ((nu, 1),)
+    if nu.is_empty():
+        return ((mu, 1),)
+    out = []
+    for lam in partitions_of(mu.size + nu.size):
+        length = lam.length
+        if length > mu.length + nu.length or length < max(mu.length, nu.length):
+            continue
+        count = 0
+        for arr in expand_in_vars(SymFunc({mu: 1}, mu.size), length):
+            residual = []
+            for want, got in zip(lam.parts, arr):
+                if got > want:
+                    break
+                if want > got:
+                    residual.append(want - got)
+            else:
+                residual.sort(reverse=True)
+                if tuple(residual) == nu.parts:
+                    count += 1
+        if count:
+            out.append((lam, count))
+    return tuple(out)
+
+
+def plethysm_by_substitution(f: SymFunc, g: SymFunc) -> SymFunc:
+    """f ∘ g by evaluating f at an alphabet: g is expanded in degree_bound
+    variables, each of its monomials enters the alphabet as often as its
+    coefficient says, and the expansion of f there is peeled back into the
+    monomial basis.  Assumes g has no constant term and
+    deg f · deg g ≤ degree_bound.
+    """
+    bound = f.degree_bound
+    alphabet: list[tuple[int, ...]] = []
+    for expo, c in sorted(expand_in_vars(g, bound).items()):
+        alphabet.extend([expo] * c)
+    out: dict[tuple[int, ...], int] = {}
+    for lam, c in f.items():
+        for choice in expand_in_vars(SymFunc({lam: 1}, lam.size), len(alphabet)):
+            combined = [0] * bound
+            for power, mono in zip(choice, alphabet):
+                if power:
+                    for j, e in enumerate(mono):
+                        combined[j] += power * e
+            key = tuple(combined)
+            out[key] = out.get(key, 0) + c
+    return from_polynomial(out, bound, bound)
 
 
 def _orbit(vec: tuple[int, ...]) -> set[tuple[int, ...]]:

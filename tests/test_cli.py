@@ -273,6 +273,18 @@ def test_malformed_inputs_exit_two(runner, tmp_path):
     assert result.exit_code == 2
     assert json.loads(result.output)["error"]["kind"] == "format"
 
+    bool_bound = write(tmp_path, "bool.json", {"degree_bound": True, "values": {"1": "0"}})
+    unhashable = write(tmp_path, "points.json", {"points": [["a"]], "dist": {"a|a": "0"}})
+    for args in [
+        ["witt", "validate", "--input", bool_bound],
+        ["witt", "add", "--input", bool_bound, "--other", bool_bound],
+        ["cat", "validate", "--input", unhashable],
+        ["cat", "theta", "--input", unhashable],
+    ]:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, args
+        assert json.loads(result.output)["error"]["kind"] == "format", args
+
 
 def cli_inputs(tmp_path):
     space, metric = metric_fixture(tmp_path)

@@ -346,6 +346,8 @@ def test_space_json_errors():
         MetricSpace.from_json({"points": ["a"], "dist": {"a": "0"}})
     with pytest.raises(FormatError):
         MetricSpace.from_json({"points": ["a", "b"], "dist": {"a|a": "0"}})
+    with pytest.raises(FormatError):  # an unhashable point name
+        MetricSpace.from_json({"points": [["a"]], "dist": {"a|a": "0"}})
 
 
 def test_point_names_cannot_contain_separator():

@@ -81,6 +81,23 @@ def test_json_accepts_integers_and_strings():
     assert LValue.from_json(3) == LValue(3)
     assert LValue.from_json("3/2") == LValue(Fraction(3, 2))
     assert LValue.from_json("inf") == INF
+    # strings are trimmed, then read as "inf"/"infinity"/"∞" in any case or
+    # as a fractions.Fraction literal: "p/q", an integer, a decimal, an exponent
+    for text, want in [
+        ("6/4", Fraction(3, 2)),
+        ("+2", 2),
+        (" 2 ", 2),
+        ("\t3\n", 3),
+        ("1.5", Fraction(3, 2)),
+        (".5", Fraction(1, 2)),
+        ("2.", 2),
+        ("1e3", 1000),
+        ("1E-2", Fraction(1, 100)),
+        ("-0", 0),
+    ]:
+        assert LValue.from_json(text) == LValue(want), text
+    for text in ["INF", " inf ", "Infinity", "∞"]:
+        assert LValue.from_json(text) == INF, text
 
 
 def test_json_rejects_floats_and_negatives():
@@ -92,6 +109,9 @@ def test_json_rejects_floats_and_negatives():
         LValue.from_json("-2/3")
     with pytest.raises(FormatError):
         LValue.from_json(True)
+    for text in ["", " ", "1 / 2", "1/0", "0x10", "nan", "-1e-2", "-inf"]:
+        with pytest.raises(FormatError):
+            LValue.from_json(text)
 
 
 def test_constructor_rejects_junk():

@@ -23,6 +23,7 @@ from tropwitt.symfunc import (
     poly_mul,
     tensor_counit_left,
     tensor_counit_right,
+    _basis_product,
     _comult_table,
 )
 
@@ -30,6 +31,8 @@ from oracles import (
     comult_by_matrix_count,
     naive_comult,
     nat_combination_exists,
+    plethysm_by_substitution,
+    product_by_alignment_count,
     three_way_splittings,
 )
 
@@ -118,6 +121,25 @@ def test_product_examples():
     assert m(1) * m(2) == m(3) + m(2, 1)
     assert m(1) * m(1) == m(2) + 2 * m(1, 1)
     assert m() * m(2, 1) == m(2, 1)
+
+
+def test_basis_product_matches_alignment_count_oracle():
+    for total in range(0, 10):
+        for a in range(total + 1):
+            for mu in partitions_of(a):
+                for nu in partitions_of(total - a):
+                    assert _basis_product(mu, nu) == product_by_alignment_count(mu, nu), (mu, nu)
+
+
+def test_basis_product_matches_polynomial_route_at_degree_twelve():
+    mu, nu = Partition([4, 2, 1]), Partition([3, 1, 1])
+    k = mu.length + nu.length  # enough variables to see every m_λ of the product
+    want = from_polynomial(
+        poly_mul(expand_in_vars(monomial(mu, 12), k), expand_in_vars(monomial(nu, 12), k)),
+        k,
+        12,
+    )
+    assert SymFunc(dict(_basis_product(mu, nu)), 12) == want
 
 
 def test_product_row_times_row():
@@ -346,6 +368,36 @@ def test_plethysm_is_rig_hom_in_left_argument():
             f1, f2 = monomial(mu, 8), monomial(nu, 8)
             assert plethysm(f1 + f2, g) == plethysm(f1, g) + plethysm(f2, g)
             assert plethysm(f1 * f2, g) == plethysm(f1, g) * plethysm(f2, g)
+
+
+PLETHYSM_OUTER = [
+    m(),
+    m(1),
+    m(2),
+    m(1, 1),
+    m(3),
+    m(2, 1),
+    m(1, 1, 1),
+    m() + 2 * m(1) + m(1, 1),  # a constant term
+    complete(2, N),
+]
+PLETHYSM_INNER = [
+    SymFunc.zero(N),
+    m(1),
+    3 * m(1),
+    m(2),
+    m(1, 1),
+    m(1) + m(2),  # mixed degrees
+    2 * m(1) + m(1, 1),
+    m(1) + m(2, 1),
+]
+
+
+@pytest.mark.parametrize("g", PLETHYSM_INNER, ids=repr)
+def test_plethysm_matches_substitution_oracle(g):
+    for f in PLETHYSM_OUTER:
+        if f.degree() * g.degree() <= N:
+            assert plethysm(f, g) == plethysm_by_substitution(f, g), (f, g)
 
 
 def test_plethysm_rejects_constant_term():

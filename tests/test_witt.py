@@ -359,6 +359,9 @@ def test_json_rejects_bad_documents():
         WittElem.from_json({"degree_bound": 2, "values": {"1": 0.5}})
     with pytest.raises(FormatError):
         WittElem.from_json({"degree_bound": 2, "values": {"5": "1"}})
+    for bound in [True, False, 0, "2", 2.0]:
+        with pytest.raises(FormatError):
+            WittElem.from_json({"degree_bound": bound, "values": {}})
 
 
 def test_degree_bound_mismatch_raises():
