@@ -19,7 +19,7 @@ from math import factorial
 
 from .enriched import DistTable, WittSpace, slice_table
 from .errors import DegreeOverflowError, FormatError
-from .partitions import Partition, covers, hook_dimension, partitions_of
+from .partitions import Partition, _conjugate, covers, hook_dimension, partitions_of
 from .quantale import ZERO
 
 _MAX_MEASURE_N = 20
@@ -38,9 +38,29 @@ def plancherel_measure(n: int) -> dict[Partition, Fraction]:
 
 @cache
 def growth_step(lam: Partition) -> dict[Partition, Fraction]:
-    """Transition probabilities to the covers of lam; zero elsewhere."""
-    scale = (lam.size + 1) * hook_dimension(lam)
-    return {mu: Fraction(hook_dimension(mu), scale) for mu in covers(lam)}
+    """Transition probabilities to the covers of lam; zero elsewhere.
+
+    dim(μ)/((n+1)·dim(λ)) is H(λ)/H(μ), where H is the product of the hook
+    lengths.  Adding the box (r, c) lengthens by one only the hooks of the
+    boxes left of it in row r and above it in column c, so the ratio is
+    Π h/(h + 1) over those boxes' hook lengths h in λ.
+    """
+    parts = lam.parts
+    conj = _conjugate(parts) if parts else ()
+    out = {}
+    for mu in covers(lam):
+        # the added box sits at row r, column c (0-based)
+        r = next(i for i, v in enumerate(mu.parts) if i >= len(parts) or v != parts[i])
+        c = mu.parts[r] - 1
+        num = den = 1
+        for j in range(c):  # row r: λ_r − j + λ'_j − r − 1
+            h = parts[r] - j + conj[j] - r - 1
+            num, den = num * h, den * (h + 1)
+        for i in range(r):  # column c: λ_i − c + λ'_c − i − 1, λ'_c = r
+            h = parts[i] - c + r - i - 1
+            num, den = num * h, den * (h + 1)
+        out[mu] = Fraction(num, den)
+    return out
 
 
 @dataclass(frozen=True)

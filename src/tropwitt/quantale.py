@@ -147,6 +147,10 @@ def _parse_token(s: str) -> Fraction | None:
     s = s.strip()
     if s.lower() in (_INF_TOKEN, "infinity", "∞"):
         return None
+    # Fraction accepts digit separators from Python 3.11 on; refuse them on
+    # every version, so the grammar does not depend on the interpreter
+    if "_" in s:
+        raise ValueError(f"bad LValue {s!r}: underscores are not accepted")
     return Fraction(s)
 
 

@@ -9,6 +9,7 @@ the witness that broke.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -45,6 +46,7 @@ class SuiteResult:
     passed: int = 0
     failed: int = 0
     failures: list[str] = field(default_factory=list)
+    seconds: float = 0.0  # wall time of the run
 
     @property
     def ok(self) -> bool:
@@ -65,6 +67,7 @@ class SuiteResult:
             "passed": self.passed,
             "failed": self.failed,
             "failures": self.failures,
+            "seconds": self.seconds,
         }
 
 
@@ -79,7 +82,9 @@ class _Suite:
 
     def __call__(self, seed: int = DEFAULT_SEED, **sizes) -> SuiteResult:
         res = SuiteResult(self.name, self.module)
+        start = time.perf_counter()
         self.law(res, seed, **sizes)
+        res.seconds = time.perf_counter() - start
         return res
 
 

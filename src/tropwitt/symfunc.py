@@ -371,14 +371,12 @@ def _transition(n: int) -> _Transition:
 # -- product ------------------------------------------------------------------
 
 
-@cache
-def _basis_product(mu: Partition, nu: Partition) -> tuple[tuple[Partition, int], ...]:
-    """Structure constants of m_μ · m_ν in the monomial basis, as (λ, c)
-    entries with c > 0 in ``partitions_of`` order.
+def _product_scaled(mu: Partition, nu: Partition) -> list[int]:
+    """|μ|!·|ν|! times the coefficients of m_μ · m_ν, one per partition of
+    |μ| + |ν| in ``partitions_of`` order.
 
     p_ρ·p_σ = p_{ρ∪σ}, so with A = L⁻¹ the coefficient at λ is
-    Σ_{ρ,σ} A[μ][ρ]·A[ν][σ]·L[ρ∪σ][λ], summed on integers scaled by
-    |μ|!·|ν|! and divided exactly.
+    Σ_{ρ,σ} A[μ][ρ]·A[ν][σ]·L[ρ∪σ][λ].
     """
     left, right = _transition(mu.size), _transition(nu.size)
     total = _transition(mu.size + nu.size)
@@ -388,8 +386,17 @@ def _basis_product(mu: Partition, nu: Partition) -> tuple[tuple[Partition, int],
             union = Partition(left.parts[r].parts + right.parts[s].parts)
             for k, c in total.rows[total.index[union]]:
                 acc[k] += a * b * c
-    scaled = zip(total.parts, acc)
-    return tuple(_exact_counts(scaled, left.scale * right.scale, f"m{mu}·m{nu}"))
+    return acc
+
+
+@cache
+def _basis_product(mu: Partition, nu: Partition) -> tuple[tuple[Partition, int], ...]:
+    """Structure constants of m_μ · m_ν in the monomial basis, as (λ, c)
+    entries with c > 0 in ``partitions_of`` order: :func:`_product_scaled`
+    divided exactly."""
+    scaled = zip(partitions_of(mu.size + nu.size), _product_scaled(mu, nu))
+    scale = factorial(mu.size) * factorial(nu.size)
+    return tuple(_exact_counts(scaled, scale, f"m{mu}·m{nu}"))
 
 
 def multiply(f: SymFunc, g: SymFunc, strict: bool = False) -> SymFunc:
@@ -443,16 +450,32 @@ def coproduct_add(f: SymFunc) -> TensorSymFunc:
     return TensorSymFunc(out, f.degree_bound)
 
 
+def _comult_scaled(n: int) -> Iterator[list[int]]:
+    """n! times the multiplicative coproduct Δ×(m_λ) of each λ of size n, in
+    ``partitions_of`` order, each flattened so that the coefficient of
+    m_μ ⊗ m_ν sits at size·μ + ν (positions in ``partitions_of(n)``).
+
+    Δ×(p_ρ) = p_ρ ⊗ p_ρ, so with A = L⁻¹ from :func:`_transition` that
+    coefficient is Σ_ρ A[λ][ρ]·L[ρ][μ]·L[ρ][ν].
+    """
+    t = _transition(n)
+    size = len(t.parts)
+    # row ρ of L ⊗ L, flattened to (size·μ + ν, L[ρ][μ]·L[ρ][ν])
+    squares = [[(size * i + j, a * b) for i, a in row for j, b in row] for row in t.rows]
+    for inverse in t.inverse:
+        acc = [0] * (size * size)
+        for r, a in inverse:
+            for k, w in squares[r]:
+                acc[k] += a * w
+        yield acc
+
+
 @cache
 def _comult_table(
     n: int,
 ) -> dict[Partition, tuple[tuple[tuple[Partition, Partition], int], ...]]:
-    """Multiplicative-coproduct coefficients of every m_λ with |λ| = n.
-
-    Δ×(p_ρ) = p_ρ ⊗ p_ρ, so with A = L⁻¹ from :func:`_transition` the
-    coefficient of m_μ ⊗ m_ν in Δ×(m_λ) is
-    Σ_ρ A[λ][ρ]·L[ρ][μ]·L[ρ][ν], summed on integers scaled by n! and divided
-    exactly.
+    """Multiplicative-coproduct coefficients of every m_λ with |λ| = n:
+    :func:`_comult_scaled` divided exactly by n!.
 
     Each λ maps to its ((μ, ν), c) entries with c > 0, ordered by μ and
     then ν in ``partitions_of`` order.  Expanding m_λ at the doubled
@@ -461,20 +484,13 @@ def _comult_table(
     keeps that count as the reference route.  Both factors always have
     degree exactly |λ|.
     """
-    t = _transition(n)
-    parts, size = t.parts, len(t.parts)
-    # row ρ of L ⊗ L, flattened to (size·μ + ν, L[ρ][μ]·L[ρ][ν])
-    squares = [[(size * i + j, a * b) for i, a in row for j, b in row] for row in t.rows]
+    parts = partitions_of(n)
     pairs = list(iter_product(parts, repeat=2))
-    table = {}
-    for lam, inverse in zip(parts, t.inverse):
-        acc = [0] * (size * size)
-        for r, a in inverse:
-            for k, w in squares[r]:
-                acc[k] += a * w
-        scaled = zip(pairs, acc)
-        table[lam] = tuple(_exact_counts(scaled, t.scale, f"Δ×(m{lam})"))
-    return table
+    scale = factorial(n)
+    return {
+        lam: tuple(_exact_counts(zip(pairs, acc), scale, f"Δ×(m{lam})"))
+        for lam, acc in zip(parts, _comult_scaled(n))
+    }
 
 
 def coproduct_mult(f: SymFunc) -> TensorSymFunc:

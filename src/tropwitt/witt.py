@@ -1,7 +1,8 @@
 """The Witt rig over the min-plus quantale, truncated at a degree bound.
 
-A ``WittElem`` stores one extended-rational value per partition of size
-1..N (the empty partition is forced to 0).  Storing values on the monomial
+A ``WittElem`` is a candidate rig homomorphism from the symmetric
+functions to [0, ∞], given by its values on the monomial basis m_λ for
+1 ≤ |λ| ≤ N (the empty partition is forced to 0).  Storing values on that
 basis is lossless: additivity of a rig homomorphism into an idempotent rig
 forces evaluation on a general element to be the minimum over its support,
 which is exactly :meth:`WittElem.eval`.  The multiplicativity half of the
@@ -12,28 +13,172 @@ Addition and multiplication come from the two coproducts of the symmetric
 functions: a splitting of λ into two sub-multisets for addition, a pair of
 equal-degree partitions from the doubled-alphabet coproduct for
 multiplication.  Both are degree-local, so truncation never loses terms.
+
+The values are stored densely.  :class:`_Basis` fixes, once per degree
+bound, the nonempty partitions up to N in ``partitions_up_to`` order and
+the supports of both coproducts and of the products m_μ·m_ν as index
+tables.  An element keeps a shared denominator D, the lcm of the reduced
+denominators of its finite values, and one integer numerator per basis
+partition, ``None`` for ∞; the form is canonical, so equality is tuple
+equality.  Every rig operation is then a min over integer sums on those
+index tables.  ``LValue`` appears only at the API and JSON boundary.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import cache, cached_property
+from itertools import compress
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import DegreeOverflowError, FormatError
 from .partitions import Partition, partitions_of, partitions_up_to
-from .quantale import INF, ZERO, LValue, leq as leq_q
+from .quantale import INF, ZERO, LValue, _make
 from .report import Report
-from .symfunc import SymFunc, _basis_product, _comult_table, _splittings, plethysm
+from .symfunc import SymFunc, _comult_scaled, _product_scaled, _splittings, plethysm
+
+
+class _Basis:
+    """The nonempty partitions up to a degree bound N, in ``partitions_up_to``
+    order, and the structure tables of the Witt rig as tables of positions
+    in that order.  Each table is built on first use."""
+
+    def __init__(self, bound: int):
+        if bound < 1:
+            raise ValueError("degree bound must be ≥ 1")
+        self.bound = bound
+        self.parts: tuple[Partition, ...] = partitions_up_to(bound)[1:]
+        self.index = {lam: i for i, lam in enumerate(self.parts)}
+        self.keys = tuple(lam.key() for lam in self.parts)
+        # position of the row (n) at rows[n - 1]
+        self.rows = tuple(self.index[Partition([n])] for n in range(1, bound + 1))
+
+    @cached_property
+    def coproduct(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+        """Per λ, the support of Δ×(m_λ) grouped by the left factor:
+        (i, (j, …)) with m_μᵢ ⊗ m_νⱼ in the support."""
+        out: list = [None] * len(self.parts)
+        for n in range(1, self.bound + 1):
+            pos = self._positions(n)
+            size = len(pos)
+            for lam, acc in zip(pos, _comult_scaled(n)):
+                groups = []
+                for m, i in enumerate(pos):
+                    # the nonzero entries of row μ_m of the flattened table
+                    js = tuple(compress(pos, acc[m * size:(m + 1) * size]))
+                    if js:
+                        groups.append((i, js))
+                out[lam] = tuple(groups)
+        return tuple(out)
+
+    @cached_property
+    def splittings(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per λ, the multiset splittings λ = μ ⊎ ν as (i, j); the empty
+        partition sits at position len(parts), one past the last."""
+        index = self.index
+        empty = len(self.parts)
+        return tuple(
+            tuple(
+                (index.get(mu, empty), index.get(nu, empty)) for mu, nu in _splittings(lam)
+            )
+            for lam in self.parts
+        )
+
+    @cached_property
+    def checks(self) -> tuple[tuple[Partition, Partition, int, int, tuple[int, ...]], ...]:
+        """The multiplicativity checks in report order: (μ, ν, i, j, support
+        of m_μ·m_ν) for every pair with |μ| ≤ |ν| and |μ| + |ν| ≤ N."""
+        index = self.index
+        out = []
+        for a in range(1, self.bound):
+            for b in range(a, self.bound - a + 1):
+                pos = self._positions(a + b)
+                for mu in partitions_of(a):
+                    for nu in partitions_of(b):
+                        if b == a and nu < mu:
+                            continue
+                        support = tuple(compress(pos, _product_scaled(mu, nu)))
+                        out.append((mu, nu, index[mu], index[nu], support))
+        return tuple(out)
+
+    def _positions(self, n: int) -> list[int]:
+        """The position of each partition of n, in ``partitions_of`` order."""
+        return [self.index[lam] for lam in partitions_of(n)]
+
+
+@cache
+def _basis(bound: int) -> _Basis:
+    return _Basis(bound)
+
+
+def _text(n: int | None, den: int) -> str:
+    """The JSON text of the value n/den: str of the reduced fraction."""
+    if n is None:
+        return str(INF)
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
+def _value(n: int | None, den: int) -> LValue:
+    return INF if n is None else _make(Fraction(n, den))
+
+
+def _lifted(f: "WittElem", den: int, inf: int) -> list[int]:
+    """f's numerators over den, a multiple of f's own denominator, with ∞
+    written as inf."""
+    k = den // f._den
+    return [inf if n is None else n * k for n in f._nums]
+
+
+def _common(f: "WittElem", g: "WittElem") -> tuple[int, list[int], list[int], int]:
+    """Both numerator lists over one denominator, with ∞ written as an int
+    above every sum of two finite values, so that a sum reads as ∞ exactly
+    when it reaches that int."""
+    den = lcm(f._den, g._den)
+    top = max(
+        max((n for n in f._nums if n is not None), default=0) * (den // f._den),
+        max((n for n in g._nums if n is not None), default=0) * (den // g._den),
+    )
+    inf = 2 * top + 1
+    return den, _lifted(f, den, inf), _lifted(g, den, inf), inf
+
+
+def _min_plus(f: "WittElem", g: "WittElem") -> tuple[int, list[int], int]:
+    """The numerators of f·g over a common denominator, with the ∞ mark:
+    each is the min over the Δ×(m_λ) support of f(μ) + g(ν)."""
+    den, xs, ys, inf = _common(f, g)
+    y = ys.__getitem__
+    out = []
+    for groups in _basis(f._degree_bound).coproduct:
+        best = inf
+        for i, js in groups:
+            x = xs[i]
+            if x < inf:
+                v = x + min(map(y, js))
+                if v < best:
+                    best = v
+        out.append(best)
+    return den, out, inf
+
+
+def _reduced(bound: int, den: int, nums: list[int | None]) -> "WittElem":
+    """The canonical element with values nums/den."""
+    g = gcd(den, *(n for n in nums if n is not None))
+    if g > 1:
+        den //= g
+        nums = [None if n is None else n // g for n in nums]
+    return WittElem._dense(bound, den, tuple(nums))
 
 
 class WittElem:
     """A candidate rig homomorphism from symmetric functions to [0, ∞]."""
 
-    __slots__ = ("_degree_bound", "_values")
+    __slots__ = ("_degree_bound", "_den", "_nums")
 
     def __init__(self, degree_bound: int, values: Mapping[Partition, LValue]):
-        if degree_bound < 1:
-            raise ValueError("degree bound must be ≥ 1")
-        table: dict[Partition, LValue] = {}
+        basis = _basis(degree_bound)
+        fracs: list[Fraction | None] = [None] * len(basis.parts)
         for lam, v in values.items():
             if lam.is_empty():
                 if v != ZERO:
@@ -43,12 +188,23 @@ class WittElem:
                 raise DegreeOverflowError(
                     f"partition {lam} exceeds degree bound {degree_bound}"
                 )
-            table[lam] = LValue(v)
-        for lam in partitions_up_to(degree_bound):
-            if not lam.is_empty():
-                table.setdefault(lam, INF)
+            v = LValue(v)
+            fracs[basis.index[lam]] = None if v.is_infinite else v.as_fraction()
+        den = lcm(*(q.denominator for q in fracs if q is not None))
         self._degree_bound = degree_bound
-        self._values = table
+        self._den = den
+        self._nums = tuple(
+            None if q is None else q.numerator * (den // q.denominator) for q in fracs
+        )
+
+    @classmethod
+    def _dense(cls, degree_bound: int, den: int, nums: tuple) -> "WittElem":
+        """Wrap an already canonical stored form without rechecking it."""
+        out = object.__new__(cls)
+        out._degree_bound = degree_bound
+        out._den = den
+        out._nums = nums
+        return out
 
     @property
     def degree_bound(self) -> int:
@@ -58,12 +214,12 @@ class WittElem:
         """The value on m_λ; 0 on the empty partition."""
         if lam.is_empty():
             return ZERO
-        try:
-            return self._values[lam]
-        except KeyError:
+        i = _basis(self._degree_bound).index.get(lam)
+        if i is None:
             raise DegreeOverflowError(
                 f"partition {lam} exceeds degree bound {self._degree_bound}"
-            ) from None
+            )
+        return _value(self._nums[i], self._den)
 
     def eval(self, f: SymFunc) -> LValue:
         """Evaluate on a general element: min over the support of f."""
@@ -71,51 +227,35 @@ class WittElem:
             raise DegreeOverflowError(
                 f"element of degree {f.degree()} exceeds bound {self._degree_bound}"
             )
-        best = INF
-        for lam, _ in f.items():
-            v = self.value(lam)
-            if v < best:
-                best = v
-        return best
+        index = _basis(self._degree_bound).index
+        nums = [0 if lam.is_empty() else self._nums[index[lam]] for lam in f.support()]
+        return _value(min((n for n in nums if n is not None), default=None), self._den)
 
     # -- rig structure -----------------------------------------------------
 
     def add(self, other: "WittElem") -> "WittElem":
         """Addition: minimum over multiset splittings of each partition."""
         self._check_bound(other)
-        mine, theirs = self._values, other._values
-        out = {}
-        for lam in mine:
-            best = INF
-            for mu, nu in _splittings(lam):
-                # a missing key is the empty partition, pinned to 0
-                v = mine.get(mu, ZERO) + theirs.get(nu, ZERO)
-                if v < best:
-                    best = v
-            out[lam] = best
-        return WittElem(self._degree_bound, out)
+        den, xs, ys, inf = _common(self, other)
+        xs.append(0)  # the empty partition, pinned to 0
+        ys.append(0)
+        sums = [
+            min([xs[i] + ys[j] for i, j in pairs])
+            for pairs in _basis(self._degree_bound).splittings
+        ]
+        return _reduced(self._degree_bound, den, [None if n >= inf else n for n in sums])
 
     def mul(self, other: "WittElem") -> "WittElem":
         """Multiplication: minimum over doubled-alphabet coproduct pairs."""
         self._check_bound(other)
-        mine, theirs = self._values, other._values
-        out = {}
-        for n in range(1, self._degree_bound + 1):
-            for lam, pairs in _comult_table(n).items():
-                best = INF
-                for (mu, nu), _ in pairs:
-                    v = mine[mu] + theirs[nu]
-                    if v < best:
-                        best = v
-                out[lam] = best
-        return WittElem(self._degree_bound, out)
+        den, sums, inf = _min_plus(self, other)
+        return _reduced(self._degree_bound, den, [None if n >= inf else n for n in sums])
 
     def leq(self, other: "WittElem") -> bool:
         """Pointwise rig order (∞ everywhere is the bottom element)."""
         self._check_bound(other)
-        return all(
-            leq_q(self._values[lam], other._values[lam]) for lam in self._values
-        )
+        _, xs, ys, _ = _common(self, other)
+        return all(y <= x for x, y in zip(xs, ys))
 
     def _check_bound(self, other: "WittElem") -> None:
         if self._degree_bound != other._degree_bound:
@@ -132,26 +272,21 @@ class WittElem:
         support of m_μ·m_ν differs from value(μ) + value(ν).
         """
         report = Report("witt-elem")
-        bound = self._degree_bound
-        for a in range(1, bound):
-            for b in range(a, bound - a + 1):
-                for mu in partitions_of(a):
-                    for nu in partitions_of(b):
-                        if b == a and nu < mu:
-                            continue
-                        expected = self.value(mu) + self.value(nu)
-                        got = INF
-                        for lam, _ in _basis_product(mu, nu):
-                            v = self.value(lam)
-                            if v < got:
-                                got = v
-                        if got != expected:
-                            report.add(
-                                "multiplicativity",
-                                (mu, nu),
-                                f"min over m{mu}·m{nu} support is {got}, "
-                                f"but value{mu} + value{nu} = {expected}",
-                            )
+        den = self._den
+        inf = 2 * max((n for n in self._nums if n is not None), default=0) + 1
+        vs = [inf if n is None else n for n in self._nums]
+        v = vs.__getitem__
+        for mu, nu, i, j, support in _basis(self._degree_bound).checks:
+            expected = vs[i] + vs[j]
+            got = min(map(v, support))
+            if got != expected and (got < inf or expected < inf):
+                got, expected = (_text(n if n < inf else None, den) for n in (got, expected))
+                report.add(
+                    "multiplicativity",
+                    (mu, nu),
+                    f"min over m{mu}·m{nu} support is {got}, "
+                    f"but value{mu} + value{nu} = {expected}",
+                )
         return report
 
     def is_lipschitz(self) -> bool:
@@ -161,10 +296,10 @@ class WittElem:
         Members form the sub-poset on which the scalar embedding θ is left
         adjoint to the initial-value map τ.
         """
-        base = self.value(Partition([1]))
-        return all(
-            self.value(Partition([n])) <= n * base
-            for n in range(1, self._degree_bound + 1)
+        rows = [self._nums[i] for i in _basis(self._degree_bound).rows]
+        base = rows[0]
+        return base is None or all(
+            v is not None and v <= n * base for n, v in enumerate(rows, 1)
         )
 
     # -- comparison / repr --------------------------------------------------------
@@ -173,23 +308,27 @@ class WittElem:
         return (
             isinstance(other, WittElem)
             and self._degree_bound == other._degree_bound
-            and self._values == other._values
+            and self._den == other._den
+            and self._nums == other._nums
         )
 
     def __repr__(self) -> str:
+        basis = _basis(self._degree_bound)
         shown = ", ".join(
-            f"{lam}:{v}" for lam, v in sorted(self._values.items())[:6]
+            f"{lam}:{_text(n, self._den)}" for lam, n in zip(basis.parts[:6], self._nums)
         )
-        more = "" if len(self._values) <= 6 else ", …"
+        more = "" if len(self._nums) <= 6 else ", …"
         return f"WittElem<N={self._degree_bound}, {shown}{more}>"
 
     # -- serialization ---------------------------------------------------------------
 
     def to_json(self) -> dict:
+        den = self._den
         return {
             "degree_bound": self._degree_bound,
             "values": {
-                lam.key(): v.to_json() for lam, v in sorted(self._values.items())
+                key: _text(n, den)
+                for key, n in zip(_basis(self._degree_bound).keys, self._nums)
             },
         }
 
@@ -253,20 +392,18 @@ def from_points(points: Iterable[LValue], degree_bound: int) -> WittElem:
     points.  The result is always a valid homomorphism: supports of
     products add without cancellation, so evaluation commutes with min.
     """
-    pts = sorted((LValue(p) for p in points))
-    values: dict[Partition, LValue] = {}
-    for lam in partitions_up_to(degree_bound):
-        if lam.is_empty():
-            continue
-        if lam.length > len(pts):
-            values[lam] = INF
-        else:
-            # largest exponents on the smallest points minimizes the sum
-            total = ZERO
-            for part, pt in zip(lam.parts, pts):
-                total = total + part * pt
-            values[lam] = total
-    return WittElem(degree_bound, values)
+    pts = sorted(LValue(p) for p in points)
+    basis = _basis(degree_bound)
+    fracs = [p.as_fraction() for p in pts if p.is_finite]
+    den = lcm(*(q.denominator for q in fracs))
+    # ∞ sorts last, so a λ reaching past the finite points is ∞
+    ints = [q.numerator * (den // q.denominator) for q in fracs]
+    nums = [
+        # largest exponents on the smallest points minimizes the sum
+        sum(part * pt for part, pt in zip(lam.parts, ints)) if lam.length <= len(ints) else None
+        for lam in basis.parts
+    ]
+    return _reduced(degree_bound, den, nums)
 
 
 def coaction(f: WittElem, inner: SymFunc, outer: SymFunc) -> LValue:

@@ -10,8 +10,19 @@ from collections import Counter
 from functools import cache
 from itertools import combinations, permutations
 
-from tropwitt.partitions import Partition, partitions_of
-from tropwitt.symfunc import SymFunc, expand_in_vars, from_polynomial
+from tropwitt.enriched import WittSpace
+from tropwitt.partitions import Partition, partitions_of, partitions_up_to
+from tropwitt.quantale import INF, ZERO, LValue, leq
+from tropwitt.report import Report, Violation
+from tropwitt.symfunc import (
+    SymFunc,
+    _basis_product,
+    _comult_table,
+    _splittings,
+    expand_in_vars,
+    from_polynomial,
+)
+from tropwitt.witt import WittElem
 
 
 def partitions_brute(n: int, max_part: int | None = None) -> list[tuple[int, ...]]:
@@ -277,3 +288,125 @@ def nat_combination_exists(
         return False
 
     return rec(0, dict(target))
+
+
+# -- the Witt rig on partition-keyed LValue tables ------------------------------------------
+
+
+def _value_table(f: WittElem) -> dict[Partition, LValue]:
+    return {lam: f.value(lam) for lam in partitions_up_to(f.degree_bound) if not lam.is_empty()}
+
+
+def from_points_by_lvalues(points: list[LValue], degree_bound: int) -> WittElem:
+    """Tropical point evaluation, one LValue sum per partition: the largest
+    parts of λ on the smallest points, ∞ past the number of points."""
+    pts = sorted(LValue(p) for p in points)
+    values = {}
+    for lam in partitions_up_to(degree_bound):
+        if lam.is_empty():
+            continue
+        if lam.length > len(pts):
+            values[lam] = INF
+        else:
+            total = ZERO
+            for part, pt in zip(lam.parts, pts):
+                total = total + part * pt
+            values[lam] = total
+    return WittElem(degree_bound, values)
+
+
+def add_by_partitions(f: WittElem, g: WittElem) -> WittElem:
+    """f + g, one LValue min over the multiset splittings of each λ."""
+    mine, theirs = _value_table(f), _value_table(g)
+    out = {}
+    for lam in mine:
+        best = INF
+        for mu, nu in _splittings(lam):
+            # a missing key is the empty partition, pinned to 0
+            v = mine.get(mu, ZERO) + theirs.get(nu, ZERO)
+            if v < best:
+                best = v
+        out[lam] = best
+    return WittElem(f.degree_bound, out)
+
+
+def mul_by_partitions(f: WittElem, g: WittElem) -> WittElem:
+    """f · g, one LValue min over the Δ×(m_λ) pairs of each λ."""
+    mine, theirs = _value_table(f), _value_table(g)
+    out = {}
+    for n in range(1, f.degree_bound + 1):
+        for lam, pairs in _comult_table(n).items():
+            best = INF
+            for (mu, nu), _ in pairs:
+                v = mine[mu] + theirs[nu]
+                if v < best:
+                    best = v
+            out[lam] = best
+    return WittElem(f.degree_bound, out)
+
+
+def leq_by_partitions(f: WittElem, g: WittElem) -> bool:
+    """The pointwise rig order, one LValue comparison per partition."""
+    mine, theirs = _value_table(f), _value_table(g)
+    return all(leq(mine[lam], theirs[lam]) for lam in mine)
+
+
+def validate_by_partitions(f: WittElem) -> Report:
+    """Multiplicativity on every pair under the bound, in report order."""
+    report = Report("witt-elem")
+    bound = f.degree_bound
+    for a in range(1, bound):
+        for b in range(a, bound - a + 1):
+            for mu in partitions_of(a):
+                for nu in partitions_of(b):
+                    if b == a and nu < mu:
+                        continue
+                    expected = f.value(mu) + f.value(nu)
+                    got = INF
+                    for lam, _ in _basis_product(mu, nu):
+                        v = f.value(lam)
+                        if v < got:
+                            got = v
+                    if got != expected:
+                        report.add(
+                            "multiplicativity",
+                            (mu, nu),
+                            f"min over m{mu}·m{nu} support is {got}, "
+                            f"but value{mu} + value{nu} = {expected}",
+                        )
+    return report
+
+
+def validate_space_by_partitions(space: WittSpace) -> Report:
+    """Entry checks, identity and composition, in report order, with every
+    product and comparison made by the routes above."""
+    report = Report("witt-space")
+    points, bound = space.points, space.degree_bound
+    for x, y in sorted((x, y) for x in points for y in points):
+        for v in validate_by_partitions(space.dist(x, y)).violations:
+            report.add("hom", (x, y) + v.witness, f"d({x},{y}): {v.detail}")
+    for x in points:
+        dxx = space.dist(x, x)
+        for n in range(1, bound + 1):
+            row = Partition([n])
+            if dxx.value(row) != ZERO:
+                report.add("identity", (x, row), f"d({x},{x})(m{row}) = {dxx.value(row)} ≠ 0")
+    for x in points:
+        for y in points:
+            for z in points:
+                through = mul_by_partitions(space.dist(x, y), space.dist(y, z))
+                direct = space.dist(x, z)
+                if not leq_by_partitions(through, direct):
+                    bad = next(
+                        lam
+                        for lam in partitions_up_to(bound)
+                        if not lam.is_empty() and not direct.value(lam) <= through.value(lam)
+                    )
+                    report.violations.append(
+                        Violation(
+                            "composition",
+                            (x, y, z, bad),
+                            f"d({x},{z})(m{bad}) = {direct.value(bad)} > {through.value(bad)}",
+                        )
+                    )
+    return report

@@ -4,9 +4,9 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from tropwitt.cli import MAX_STEPS, main
+from tropwitt.cli import MAX_POINTS, MAX_STEPS, main
 from tropwitt.enriched import MetricSpace, WittSpace, theta_space
-from tropwitt.generate import random_point_eval_space
+from tropwitt.generate import random_metric_space, random_point_eval_space
 from tropwitt.partitions import Partition
 from tropwitt.quantale import ZERO, LValue
 from tropwitt.symfunc import SymFunc, monomial
@@ -256,6 +256,18 @@ def test_suite_run_module_filter(runner):
     assert result.exit_code == 2
 
 
+def test_suite_run_report_times_each_suite(runner, tmp_path):
+    out = tmp_path / "suites.json"
+    result = runner.invoke(main, ["suite", "run", "--module", "quantale", "--output", str(out)])
+    assert result.exit_code == 0
+    report = json.loads(out.read_text())
+    lines = result.output.splitlines()
+    assert len(lines) == len(report["suites"])
+    for line, res in zip(lines, report["suites"]):
+        assert line == f"PASS {res['name']}: {res['passed']} passed, 0 failed"
+        assert isinstance(res["seconds"], float) and res["seconds"] >= 0
+
+
 def test_malformed_inputs_exit_two(runner, tmp_path):
     garbled = tmp_path / "bad.json"
     garbled.write_text("{not json")
@@ -444,6 +456,26 @@ def test_degree_bound_above_ceiling_in_any_input_is_refused(runner, tmp_path):
     nested = write(tmp_path, "space.json", data)
     result = runner.invoke(main, ["cat", "validate", "--input", nested])
     assert error_of(result, 2)["kind"] == "format"
+
+
+def test_space_above_the_point_cap_is_refused(runner, tmp_path):
+    rng = random.Random(3)
+    names = tuple(f"p{i}" for i in range(MAX_POINTS + 1))
+    at_cap = random_metric_space(rng, names[:MAX_POINTS])
+    above = random_metric_space(rng, names)
+    for space in (at_cap, above):
+        metric = write(tmp_path, "metric.json", space.to_json())
+        witt = write(tmp_path, "witt.json", theta_space(space, 2).to_json())
+        for args in (
+            ["cat", "validate", "--input", metric],
+            ["cat", "validate", "--input", witt],
+            ["cat", "theta", "--input", metric, "--degree", "2"],
+        ):
+            result = runner.invoke(main, args)
+            if space is at_cap:
+                assert result.exit_code == 0, result.output
+            else:
+                assert "points exceed the maximum" in error_of(result, 2)["detail"]
 
 
 def test_non_positive_partition_key_is_a_format_error(runner, tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -6,7 +8,7 @@ import pytest
 from tropwitt.enriched import theta_space
 from tropwitt.errors import DegreeOverflowError, FormatError
 from tropwitt.generate import random_metric_space, random_point_eval_space
-from tropwitt.partitions import Partition, covers, partitions_up_to
+from tropwitt.partitions import Partition, covers, hook_dimension, partitions_up_to
 from tropwitt.plancherel import (
     GrowthPath,
     growth_step,
@@ -54,6 +56,14 @@ def test_growth_step_sums_to_one():
         assert sum(growth_step(lam).values()) == 1
 
 
+def test_growth_step_matches_hook_dimension_ratio():
+    # dim(μ)/((|λ|+1)·dim(λ)) from the hook-length formula, cover by cover
+    for lam in partitions_up_to(10):
+        scale = (lam.size + 1) * hook_dimension(lam)
+        want = {mu: Fraction(hook_dimension(mu), scale) for mu in covers(lam)}
+        assert list(growth_step(lam).items()) == list(want.items()), lam
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_pushforward_is_next_measure(n):
     pushed = {}
@@ -71,6 +81,13 @@ def test_sample_path_reproducible_and_valid():
     assert [lam.size for lam in a.steps] == list(range(1, 9))
     for cur, nxt in zip(a.steps, a.steps[1:]):
         assert nxt in covers(cur)
+
+
+def test_sample_path_pinned_at_the_step_cap():
+    # the JSON of a 500-step path, as sampled with hook_dimension ratios
+    text = json.dumps(sample_path(500, 2026).to_json())
+    digest = "0ff64c2f230a67162f6abb4545df7a997885bb465430ad342095722b5bb18094"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_different_seeds_differ_eventually():
