@@ -13,7 +13,6 @@ exhibit.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DegreeOverflowError, FormatError
@@ -21,7 +20,7 @@ from .partitions import Partition
 from .quantale import ZERO, LValue
 from .report import Report, Violation
 from .symfunc import SymFunc, complete, plethysm
-from .witt import WittElem, _basis, _min_plus, tau, theta
+from .witt import WittElem, _exceeds_product, tau, theta
 
 DistTable = dict[tuple[str, str], LValue]
 
@@ -155,36 +154,26 @@ class WittSpace:
     def axiom_violations(self) -> Iterator[Violation]:
         """The identity and composition violations, lazily and in report
         order, without the entry homomorphism checks; the first one is found
-        without looking at the rest.
-
-        Composition compares the numerators of d(x,y)·d(y,z) with those of
-        d(x,z) by cross-multiplication; the witness is the first partition,
-        in ``partitions_up_to`` order, where d(x,z) is numerically larger."""
-        basis = _basis(self._degree_bound)
+        without looking at the rest."""
         for x in self._points:
             dxx = self.dist(x, x)
-            for i in basis.rows:
-                if dxx._nums[i] != 0:
-                    row = basis.parts[i]
+            for n in range(1, self._degree_bound + 1):
+                row = Partition([n])
+                if dxx.value(row) != ZERO:
                     yield Violation(
                         "identity", (x, row), f"d({x},{x})(m{row}) = {dxx.value(row)} ≠ 0"
                     )
         for x in self._points:
             for y in self._points:
                 for z in self._points:
-                    den, through, inf = _min_plus(self.dist(x, y), self.dist(y, z))
-                    direct = self.dist(x, z)
-                    dd = direct._den
-                    for k, (d, t) in enumerate(zip(direct._nums, through)):
-                        if t < inf and (d is None or d * den > t * dd):
-                            bad = basis.parts[k]
-                            yield Violation(
-                                "composition",
-                                (x, y, z, bad),
-                                f"d({x},{z})(m{bad}) = {direct.value(bad)} > "
-                                f"{Fraction(t, den)}",
-                            )
-                            break
+                    excess = _exceeds_product(self.dist(x, z), self.dist(x, y), self.dist(y, z))
+                    if excess is not None:
+                        bad, direct, through = excess
+                        yield Violation(
+                            "composition",
+                            (x, y, z, bad),
+                            f"d({x},{z})(m{bad}) = {direct} > {through}",
+                        )
 
     def __eq__(self, other) -> bool:
         return (

@@ -162,6 +162,21 @@ def _min_plus(f: "WittElem", g: "WittElem") -> tuple[int, list[int], int]:
     return den, out, inf
 
 
+def _exceeds_product(
+    direct: "WittElem", f: "WittElem", g: "WittElem"
+) -> tuple[Partition, LValue, LValue] | None:
+    """The first partition, in ``partitions_up_to`` order, where direct is
+    numerically above f·g, with both values there; None when f·g ≼ direct.
+    Compares numerators by cross-multiplication, without building f·g."""
+    den, through, inf = _min_plus(f, g)
+    dd = direct._den
+    for k, (d, t) in enumerate(zip(direct._nums, through)):
+        if t < inf and (d is None or d * den > t * dd):
+            lam = _basis(direct._degree_bound).parts[k]
+            return lam, direct.value(lam), _value(t, den)
+    return None
+
+
 def _reduced(bound: int, den: int, nums: list[int | None]) -> "WittElem":
     """The canonical element with values nums/den."""
     g = gcd(den, *(n for n in nums if n is not None))
