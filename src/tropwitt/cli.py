@@ -50,9 +50,10 @@ DEFAULT_DEGREE = 8
 # 2.5-fold per degree.
 MAX_DEGREE = 12
 # Largest point count of a space in an input file.  Validation multiplies
-# every composable pair of entries, k³ products: a cold `cat validate` of a
-# valid space at degree 12 took 2.1 s at 6 points, 3.6 s at 8 and 7.3 s at 10
-# (2-vCPU Xeon).
+# every composable pair of entries, k³ products, though each entry's inner
+# minima are taken once: a cold `cat validate` of a valid space at degree 12
+# took 0.76 s at 6 points and 0.98 s at 8, and a cold in-process validation
+# 1.2 s at 10 (2-vCPU Xeon, median of 3).
 MAX_POINTS = 8
 # Largest --steps of a growth path.  Sampling takes 0.27 s cold at 500 steps;
 # in-process, 0.46 s at 1,000 and 1.4 s at 2,000 (2-vCPU Xeon).

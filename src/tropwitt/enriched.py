@@ -20,7 +20,7 @@ from .partitions import Partition
 from .quantale import ZERO, LValue
 from .report import Report, Violation
 from .symfunc import SymFunc, complete, plethysm
-from .witt import WittElem, _exceeds_product, tau, theta
+from .witt import WittElem, _column, _composition_excesses, tau, theta
 
 DistTable = dict[tuple[str, str], LValue]
 
@@ -163,17 +163,10 @@ class WittSpace:
                     yield Violation(
                         "identity", (x, row), f"d({x},{x})(m{row}) = {dxx.value(row)} ≠ 0"
                     )
-        for x in self._points:
-            for y in self._points:
-                for z in self._points:
-                    excess = _exceeds_product(self.dist(x, z), self.dist(x, y), self.dist(y, z))
-                    if excess is not None:
-                        bad, direct, through = excess
-                        yield Violation(
-                            "composition",
-                            (x, y, z, bad),
-                            f"d({x},{z})(m{bad}) = {direct} > {through}",
-                        )
+        for x, y, z, bad, direct, through in _composition_excesses(self._points, self._dist):
+            yield Violation(
+                "composition", (x, y, z, bad), f"d({x},{z})(m{bad}) = {direct} > {through}"
+            )
 
     def __eq__(self, other) -> bool:
         return (
@@ -226,7 +219,8 @@ def slice_table(space: WittSpace, lam: Partition) -> DistTable:
         raise DegreeOverflowError(
             f"partition {lam} exceeds degree bound {space.degree_bound}"
         )
-    return {pair: entry.value(lam) for pair, entry in space._dist.items()}
+    dist = space._dist
+    return dict(zip(dist, _column(space.degree_bound, dist.values(), lam)))
 
 
 def slice_complete(space: WittSpace, n: int) -> DistTable:

@@ -30,6 +30,14 @@ class Partition:
             raise ValueError(f"partition parts must be positive, got {ps}")
         self._parts = tuple(ps)
 
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        """Wrap a tuple of positive ints that is already weakly decreasing,
+        without sorting or checking it."""
+        out = object.__new__(cls)
+        out._parts = parts
+        return out
+
     @property
     def parts(self) -> tuple[int, ...]:
         return self._parts
@@ -130,7 +138,7 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     out: list[Partition] = []
     cur = [n]
     while True:
-        out.append(Partition(cur))
+        out.append(Partition._trusted(tuple(cur)))
         # find rightmost part > 1 to decrement, then redistribute remainder
         i = len(cur) - 1
         while i >= 0 and cur[i] == 1:
@@ -166,8 +174,8 @@ def covers(p: Partition) -> tuple[Partition, ...]:
     parts = p.parts
     for i, v in enumerate(parts):
         if i == 0 or parts[i - 1] > v:
-            out.append(Partition(parts[:i] + (v + 1,) + parts[i + 1:]))
-    out.append(Partition(parts + (1,)))
+            out.append(Partition._trusted(parts[:i] + (v + 1,) + parts[i + 1:]))
+    out.append(Partition._trusted(parts + (1,)))
     return tuple(out)
 
 

@@ -129,18 +129,28 @@ class LValue:
 
     @classmethod
     def from_json(cls, data) -> "LValue":
-        if isinstance(data, bool) or isinstance(data, float):
-            raise FormatError(f"LValue must be an integer or string, got {data!r}")
-        if isinstance(data, int):
-            if data < 0:
-                raise FormatError(f"LValue must be nonnegative, got {data}")
-            return cls(data)
-        if isinstance(data, str):
-            try:
-                return cls(data)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise FormatError(f"bad LValue {data!r}") from exc
+        num = _json_number(data)
+        return INF if num is None else _make(num)
+
+
+def _json_number(data) -> Fraction | None:
+    """The value of a JSON token as a Fraction, None for ∞: a nonnegative
+    integer, or a string that ``LValue`` parses."""
+    if isinstance(data, bool) or isinstance(data, float):
         raise FormatError(f"LValue must be an integer or string, got {data!r}")
+    if isinstance(data, int):
+        if data < 0:
+            raise FormatError(f"LValue must be nonnegative, got {data}")
+        return Fraction(data)
+    if isinstance(data, str):
+        try:
+            num = _parse_token(data)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"bad LValue {data!r}") from exc
+        if num is not None and num < 0:
+            raise FormatError(f"bad LValue {data!r}")
+        return num
+    raise FormatError(f"LValue must be an integer or string, got {data!r}")
 
 
 def _parse_token(s: str) -> Fraction | None:

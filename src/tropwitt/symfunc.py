@@ -383,7 +383,9 @@ def _product_scaled(mu: Partition, nu: Partition) -> list[int]:
     acc = [0] * len(total.parts)
     for r, a in left.inverse[left.index[mu]]:
         for s, b in right.inverse[right.index[nu]]:
-            union = Partition(left.parts[r].parts + right.parts[s].parts)
+            union = Partition._trusted(
+                tuple(sorted(left.parts[r].parts + right.parts[s].parts, reverse=True))
+            )
             for k, c in total.rows[total.index[union]]:
                 acc[k] += a * b * c
     return acc

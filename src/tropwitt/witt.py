@@ -22,21 +22,40 @@ denominators of its finite values, and one integer numerator per basis
 partition, ``None`` for ∞; the form is canonical, so equality is tuple
 equality.  Every rig operation is then a min over integer sums on those
 index tables.  ``LValue`` appears only at the API and JSON boundary.
+
+The coproduct table is flat, one group per λ and left factor μᵢ, holding
+the right factors νⱼ of that group: (f·g)(λ) is the min over λ's groups of
+f(μᵢ) + min_j g(νⱼ), and the inner min depends on g alone.  The
+composition check of a space takes these right minima once per entry, so
+each of its k³ products is one pass of additions and one min per λ.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import compress
+from itertools import compress, count, repeat
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from operator import add, gt
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DegreeOverflowError, FormatError
 from .partitions import Partition, partitions_of, partitions_up_to
-from .quantale import INF, ZERO, LValue, _make
+from .quantale import INF, ZERO, LValue, _json_number, _make
 from .report import Report
 from .symfunc import SymFunc, _comult_scaled, _product_scaled, _splittings, plethysm
+
+
+class _Coproduct(NamedTuple):
+    """The support of Δ×(m_λ) for every λ, grouped by the left factor and
+    flattened.  Group k stands for the pairs m_μᵢ ⊗ m_νⱼ with i = lefts[k]
+    and j in rights[k], in the coproduct of the λ at position owners[k];
+    the groups of the λ at position p are those in slices[p]."""
+
+    lefts: tuple[int, ...]
+    rights: tuple[tuple[int, ...], ...]
+    owners: tuple[int, ...]
+    slices: tuple[slice, ...]
 
 
 class _Basis:
@@ -51,26 +70,30 @@ class _Basis:
         self.parts: tuple[Partition, ...] = partitions_up_to(bound)[1:]
         self.index = {lam: i for i, lam in enumerate(self.parts)}
         self.keys = tuple(lam.key() for lam in self.parts)
+        self.positions = {key: i for i, key in enumerate(self.keys)}
         # position of the row (n) at rows[n - 1]
         self.rows = tuple(self.index[Partition([n])] for n in range(1, bound + 1))
 
     @cached_property
-    def coproduct(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
-        """Per λ, the support of Δ×(m_λ) grouped by the left factor:
-        (i, (j, …)) with m_μᵢ ⊗ m_νⱼ in the support."""
-        out: list = [None] * len(self.parts)
+    def coproduct(self) -> _Coproduct:
+        lefts: list[int] = []
+        rights: list[tuple[int, ...]] = []
+        owners: list[int] = []
+        slices: list = [None] * len(self.parts)
         for n in range(1, self.bound + 1):
             pos = self._positions(n)
             size = len(pos)
             for lam, acc in zip(pos, _comult_scaled(n)):
-                groups = []
+                start = len(lefts)
                 for m, i in enumerate(pos):
                     # the nonzero entries of row μ_m of the flattened table
                     js = tuple(compress(pos, acc[m * size:(m + 1) * size]))
                     if js:
-                        groups.append((i, js))
-                out[lam] = tuple(groups)
-        return tuple(out)
+                        lefts.append(i)
+                        rights.append(js)
+                        owners.append(lam)
+                slices[lam] = slice(start, len(lefts))
+        return _Coproduct(tuple(lefts), tuple(rights), tuple(owners), tuple(slices))
 
     @cached_property
     def splittings(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -124,57 +147,59 @@ def _value(n: int | None, den: int) -> LValue:
     return INF if n is None else _make(Fraction(n, den))
 
 
-def _lifted(f: "WittElem", den: int, inf: int) -> list[int]:
-    """f's numerators over den, a multiple of f's own denominator, with ∞
-    written as inf."""
-    k = den // f._den
-    return [inf if n is None else n * k for n in f._nums]
-
-
-def _common(f: "WittElem", g: "WittElem") -> tuple[int, list[int], list[int], int]:
-    """Both numerator lists over one denominator, with ∞ written as an int
-    above every sum of two finite values, so that a sum reads as ∞ exactly
-    when it reaches that int."""
-    den = lcm(f._den, g._den)
-    top = max(
-        max((n for n in f._nums if n is not None), default=0) * (den // f._den),
-        max((n for n in g._nums if n is not None), default=0) * (den // g._den),
-    )
+def _lift(elems: Sequence["WittElem"]) -> tuple[int, int, list[list[int]]]:
+    """The numerator lists of elems over one denominator, with ∞ written as
+    one int above every sum of two finite values, so that a sum reads as ∞
+    exactly when it reaches that int: (denominator, ∞ mark, lists)."""
+    den = lcm(*(f._den for f in elems))
+    scaled = [(den // f._den, f._nums) for f in elems]
+    top = max(max((n for n in nums if n is not None), default=0) * k for k, nums in scaled)
     inf = 2 * top + 1
-    return den, _lifted(f, den, inf), _lifted(g, den, inf), inf
+    return den, inf, [[inf if n is None else n * k for n in nums] for k, nums in scaled]
 
 
-def _min_plus(f: "WittElem", g: "WittElem") -> tuple[int, list[int], int]:
-    """The numerators of f·g over a common denominator, with the ∞ mark:
-    each is the min over the Δ×(m_λ) support of f(μ) + g(ν)."""
-    den, xs, ys, inf = _common(f, g)
-    y = ys.__getitem__
-    out = []
-    for groups in _basis(f._degree_bound).coproduct:
-        best = inf
-        for i, js in groups:
-            x = xs[i]
-            if x < inf:
-                v = x + min(map(y, js))
-                if v < best:
-                    best = v
-        out.append(best)
-    return den, out, inf
+def _composition_excesses(
+    points: Sequence, dist: Mapping[tuple, "WittElem"]
+) -> Iterator[tuple]:
+    """For each triple (x, y, z) of points, in order, where d(x, z) is
+    numerically above the product d(x, y)·d(y, z): x, y, z, the first
+    partition in ``partitions_up_to`` order where it is, and both values
+    there.
+
+    dist maps every pair of points to an element of one degree bound.  The
+    entries are lifted to one denominator and one ∞ mark, and the right
+    minima of each entry are taken once, so a triple costs one min-plus
+    pass and one comparison."""
+    pairs = [(x, y) for x in points for y in points]
+    den, inf, lifted = _lift([dist[pair] for pair in pairs])
+    basis = _basis(dist[pairs[0]]._degree_bound)
+    cop = basis.coproduct
+    entries = dict(zip(pairs, lifted))
+    left = {pair: list(map(xs.__getitem__, cop.lefts)) for pair, xs in entries.items()}
+    # per group, the min of the right factor over the group's right positions
+    right = {
+        pair: list(map(min, map(map, repeat(ys.__getitem__), cop.rights)))
+        for pair, ys in entries.items()
+    }
+    for x in points:
+        for y in points:
+            xy = left[x, y]
+            for z in points:
+                sums = list(map(add, xy, right[y, z]))
+                through = list(map(min, map(sums.__getitem__, cop.slices)))
+                # with one ∞ mark, d > t exactly when t is finite and d is
+                # ∞ or numerically above t
+                k = next(compress(count(), map(gt, entries[x, z], through)), None)
+                if k is not None:
+                    lam = basis.parts[k]
+                    yield x, y, z, lam, dist[x, z].value(lam), _value(through[k], den)
 
 
-def _exceeds_product(
-    direct: "WittElem", f: "WittElem", g: "WittElem"
-) -> tuple[Partition, LValue, LValue] | None:
-    """The first partition, in ``partitions_up_to`` order, where direct is
-    numerically above f·g, with both values there; None when f·g ≼ direct.
-    Compares numerators by cross-multiplication, without building f·g."""
-    den, through, inf = _min_plus(f, g)
-    dd = direct._den
-    for k, (d, t) in enumerate(zip(direct._nums, through)):
-        if t < inf and (d is None or d * den > t * dd):
-            lam = _basis(direct._degree_bound).parts[k]
-            return lam, direct.value(lam), _value(t, den)
-    return None
+def _stored(fracs: list[Fraction | None]) -> tuple[int, tuple[int | None, ...]]:
+    """The canonical stored form of one value per basis partition, None for
+    ∞: the lcm of the reduced denominators, and the numerators over it."""
+    den = lcm(*(q.denominator for q in fracs if q is not None))
+    return den, tuple(None if q is None else q.numerator * (den // q.denominator) for q in fracs)
 
 
 def _reduced(bound: int, den: int, nums: list[int | None]) -> "WittElem":
@@ -205,12 +230,8 @@ class WittElem:
                 )
             v = LValue(v)
             fracs[basis.index[lam]] = None if v.is_infinite else v.as_fraction()
-        den = lcm(*(q.denominator for q in fracs if q is not None))
         self._degree_bound = degree_bound
-        self._den = den
-        self._nums = tuple(
-            None if q is None else q.numerator * (den // q.denominator) for q in fracs
-        )
+        self._den, self._nums = _stored(fracs)
 
     @classmethod
     def _dense(cls, degree_bound: int, den: int, nums: tuple) -> "WittElem":
@@ -227,14 +248,7 @@ class WittElem:
 
     def value(self, lam: Partition) -> LValue:
         """The value on m_λ; 0 on the empty partition."""
-        if lam.is_empty():
-            return ZERO
-        i = _basis(self._degree_bound).index.get(lam)
-        if i is None:
-            raise DegreeOverflowError(
-                f"partition {lam} exceeds degree bound {self._degree_bound}"
-            )
-        return _value(self._nums[i], self._den)
+        return _column(self._degree_bound, (self,), lam)[0]
 
     def eval(self, f: SymFunc) -> LValue:
         """Evaluate on a general element: min over the support of f."""
@@ -251,7 +265,7 @@ class WittElem:
     def add(self, other: "WittElem") -> "WittElem":
         """Addition: minimum over multiset splittings of each partition."""
         self._check_bound(other)
-        den, xs, ys, inf = _common(self, other)
+        den, inf, (xs, ys) = _lift((self, other))
         xs.append(0)  # the empty partition, pinned to 0
         ys.append(0)
         sums = [
@@ -263,13 +277,22 @@ class WittElem:
     def mul(self, other: "WittElem") -> "WittElem":
         """Multiplication: minimum over doubled-alphabet coproduct pairs."""
         self._check_bound(other)
-        den, sums, inf = _min_plus(self, other)
-        return _reduced(self._degree_bound, den, [None if n >= inf else n for n in sums])
+        den, inf, (xs, ys) = _lift((self, other))
+        cop = _basis(self._degree_bound).coproduct
+        y = ys.__getitem__
+        out = [inf] * len(cop.slices)
+        for lam, i, js in zip(cop.owners, cop.lefts, cop.rights):
+            x = xs[i]
+            if x < inf:  # a group whose left value is ∞ adds only ∞
+                v = x + min(map(y, js))
+                if v < out[lam]:
+                    out[lam] = v
+        return _reduced(self._degree_bound, den, [None if n >= inf else n for n in out])
 
     def leq(self, other: "WittElem") -> bool:
         """Pointwise rig order (∞ everywhere is the bottom element)."""
         self._check_bound(other)
-        _, xs, ys, _ = _common(self, other)
+        _, _, (xs, ys) = _lift((self, other))
         return all(y <= x for x, y in zip(xs, ys))
 
     def _check_bound(self, other: "WittElem") -> None:
@@ -356,16 +379,38 @@ class WittElem:
         bad_bound = not isinstance(bound, int) or isinstance(bound, bool) or bound < 1
         if bad_bound or not isinstance(raw, dict):
             raise FormatError("bad WittElem JSON")
-        values = {}
+        basis = _basis(bound)
+        fracs: list[Fraction | None] = [None] * len(basis.parts)
+        oversized = None
         for key, v in raw.items():
-            lam = Partition.from_key(key)
-            if lam.is_empty():
-                raise FormatError("the empty partition must be omitted")
-            values[lam] = LValue.from_json(v)
-        try:
-            return cls(bound, values)
-        except (ValueError, DegreeOverflowError) as exc:
-            raise FormatError(str(exc)) from exc
+            i = basis.positions.get(key)
+            if i is None:  # a key that is not canonical, or not under the bound
+                lam = Partition.from_key(key)
+                if lam.is_empty():
+                    raise FormatError("the empty partition must be omitted")
+                i = basis.index.get(lam)
+                if i is None:
+                    # reported after every value has parsed, as the first
+                    # oversized partition the constructor would meet
+                    if oversized is None:
+                        oversized = lam
+                    _json_number(v)
+                    continue
+            fracs[i] = _json_number(v)
+        if oversized is not None:
+            raise FormatError(f"partition {oversized} exceeds degree bound {bound}")
+        return cls._dense(bound, *_stored(fracs))
+
+
+def _column(bound: int, elems: Iterable[WittElem], lam: Partition) -> list[LValue]:
+    """The values on m_λ of elems of degree bound ``bound``, λ's position
+    looked up once; 0 on the empty partition."""
+    if lam.is_empty():
+        return [ZERO for _ in elems]
+    i = _basis(bound).index.get(lam)
+    if i is None:
+        raise DegreeOverflowError(f"partition {lam} exceeds degree bound {bound}")
+    return [_value(f._nums[i], f._den) for f in elems]
 
 
 # -- distinguished elements and functors -----------------------------------------

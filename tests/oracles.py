@@ -11,6 +11,7 @@ from functools import cache
 from itertools import combinations, permutations
 
 from tropwitt.enriched import WittSpace
+from tropwitt.errors import DegreeOverflowError, FormatError
 from tropwitt.partitions import Partition, partitions_of, partitions_up_to
 from tropwitt.quantale import INF, ZERO, LValue, leq
 from tropwitt.report import Report, Violation
@@ -313,6 +314,44 @@ def from_points_by_lvalues(points: list[LValue], degree_bound: int) -> WittElem:
                 total = total + part * pt
             values[lam] = total
     return WittElem(degree_bound, values)
+
+
+def _lvalue_from_json(data) -> LValue:
+    """A JSON value token through the ``LValue`` constructor."""
+    if isinstance(data, (bool, float)) or not isinstance(data, (int, str)):
+        raise FormatError(f"LValue must be an integer or string, got {data!r}")
+    if isinstance(data, int):
+        if data < 0:
+            raise FormatError(f"LValue must be nonnegative, got {data}")
+        return LValue(data)
+    try:
+        return LValue(data)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"bad LValue {data!r}") from exc
+
+
+def witt_from_json_by_partitions(data) -> WittElem:
+    """``WittElem.from_json`` by way of a Partition-keyed table: every key
+    through ``Partition.from_key``, every value through the ``LValue``
+    constructor, then the public constructor, whose errors become format
+    errors."""
+    if not isinstance(data, dict) or "degree_bound" not in data or "values" not in data:
+        raise FormatError("WittElem JSON needs 'degree_bound' and 'values'")
+    bound = data["degree_bound"]
+    raw = data["values"]
+    bad_bound = not isinstance(bound, int) or isinstance(bound, bool) or bound < 1
+    if bad_bound or not isinstance(raw, dict):
+        raise FormatError("bad WittElem JSON")
+    values = {}
+    for key, v in raw.items():
+        lam = Partition.from_key(key)
+        if lam.is_empty():
+            raise FormatError("the empty partition must be omitted")
+        values[lam] = _lvalue_from_json(v)
+    try:
+        return WittElem(bound, values)
+    except (ValueError, DegreeOverflowError) as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def add_by_partitions(f: WittElem, g: WittElem) -> WittElem:

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from tropwitt.enriched import WittSpace
 from tropwitt.generate import random_point_eval_space
-from tropwitt.partitions import partitions_up_to
+from tropwitt.partitions import partitions_of, partitions_up_to
 from tropwitt.quantale import INF, ZERO, LValue
 from tropwitt.witt import WittElem, from_points, theta
 
@@ -27,6 +27,7 @@ from oracles import (
     mul_by_partitions,
     validate_by_partitions,
     validate_space_by_partitions,
+    witt_from_json_by_partitions,
 )
 
 lvalues = st.one_of(
@@ -111,20 +112,101 @@ def test_stored_form_is_canonical(f):
 
 
 @st.composite
-def witt_spaces(draw) -> WittSpace:
-    bound = draw(st.integers(2, 5))
-    points = ("a", "b", "c")[: draw(st.integers(1, 3))]
+def witt_spaces(draw, bounds=st.sampled_from(range(2, 7)), sizes=st.sampled_from(range(1, 6))):
+    bound = draw(bounds)
+    points = ("a", "b", "c", "d", "e")[: draw(sizes)]
     space = random_point_eval_space(random.Random(draw(st.integers(0, 10**6))), points, bound)
     dist = {(x, y): space.dist(x, y) for x in points for y in points}
-    for pair in draw(st.lists(st.sampled_from(sorted(dist)), max_size=2)):
+    pairs = sorted(dist)
+    # a point evaluation in place of an entry is still a homomorphism, but
+    # usually breaks composition at several triples through that pair
+    for pair in draw(st.lists(st.sampled_from(pairs), max_size=4)):
+        dist[pair] = from_points(draw(st.lists(lvalues, min_size=1, max_size=bound)), bound)
+    for pair in draw(st.lists(st.sampled_from(pairs), max_size=2)):
         dist[pair] = draw(witt_elems(bound))
     return WittSpace(points, dist)
 
 
-@settings(max_examples=30)
-@given(witt_spaces())
-def test_space_report_matches_partition_route(space):
+def _same_space_reports(space: WittSpace) -> None:
     got = space.validate()
     want = validate_space_by_partitions(space)
     assert got.to_json() == want.to_json()
     assert got.violations == want.violations
+    axioms = [v for v in want.violations if v.kind != "hom"]
+    assert next(space.axiom_violations(), None) == (axioms[0] if axioms else None)
+
+
+@settings(max_examples=40)
+@given(witt_spaces())
+def test_space_report_matches_partition_route(space):
+    _same_space_reports(space)
+
+
+@settings(max_examples=3)
+@given(witt_spaces(bounds=st.just(8), sizes=st.sampled_from(range(1, 4))))
+def test_space_report_matches_partition_route_at_degree_eight(space):
+    _same_space_reports(space)
+
+
+def test_space_broken_at_several_triples():
+    points = ("a", "b", "c")
+    space = random_point_eval_space(random.Random(5), points, 4)
+    dist = {(x, y): space.dist(x, y) for x in points for y in points}
+    dist["a", "c"] = from_points([LValue(30), LValue(31)], 4)
+    dist["b", "a"] = from_points([LValue(20)], 4)
+    broken = WittSpace(points, dist)
+    composition = [v for v in broken.validate().violations if v.kind == "composition"]
+    assert len({v.witness[:3] for v in composition}) >= 3
+    _same_space_reports(broken)
+
+
+# -- WittElem.from_json against the Partition-keyed loader ---------------------------------
+
+good_tokens = st.one_of(
+    st.integers(0, 50),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(0, 40), st.integers(1, 12)),
+    st.sampled_from(["inf", "∞", "INF", "infinity", " 7/2 ", "1e3", "1.5", "5/10", "3"]),
+)
+odd_tokens = st.sampled_from(
+    ["1_000", "1_0/3", "-1/2", "1/0", "x", "", -1, -3, 1.5, 0.0, True, False, None, [1], {"a": 1}]
+)
+
+
+@st.composite
+def value_keys(draw, bound: int) -> str:
+    size = draw(st.sampled_from([*range(1, bound + 1)] * 3 + [bound + 1, bound + 2]))
+    lam = draw(st.sampled_from(partitions_of(size)))
+    kind = draw(st.sampled_from(["canonical"] * 5 + ["permuted"] * 2 + ["bad"]))
+    if kind == "canonical":
+        return lam.key()
+    if kind == "permuted":
+        return ",".join(map(str, draw(st.permutations(lam.parts))))
+    return draw(st.sampled_from(["", "a", "0", "-1", "1,,2", "1, 2", " 1", "01", "2,0", "1.0"]))
+
+
+@st.composite
+def elem_documents(draw) -> dict:
+    """WittElem documents with canonical, permuted, duplicate, empty,
+    oversized and bad keys, and good and bad value tokens."""
+    bound = draw(st.integers(1, 6))
+    tokens = st.one_of(good_tokens, good_tokens, good_tokens, odd_tokens)
+    items = draw(st.lists(st.tuples(value_keys(bound), tokens), max_size=12))
+    doc = {"degree_bound": bound, "values": dict(items)}
+    bad_bound = draw(st.sampled_from([None] * 45 + [0, -1, True, "3", 2.0]))
+    if bad_bound is not None:
+        doc["degree_bound"] = bad_bound
+    return doc
+
+
+def _loaded(loader, data):
+    try:
+        f = loader(data)
+    except Exception as exc:  # the kind and the message must agree
+        return type(exc), str(exc)
+    return f, f.to_json(), repr(f)
+
+
+@given(elem_documents())
+def test_from_json_matches_partition_keyed_loader(data):
+    assert _loaded(WittElem.from_json, data) == _loaded(witt_from_json_by_partitions, data)
+
