@@ -215,10 +215,6 @@ def _parse_space_json(data, parse_entry):
 
 def slice_table(space: WittSpace, lam: Partition) -> DistTable:
     """The distance table at one partition: d_λ(x, y) = d(x, y)(m_λ)."""
-    if lam.size > space.degree_bound:
-        raise DegreeOverflowError(
-            f"partition {lam} exceeds degree bound {space.degree_bound}"
-        )
     dist = space._dist
     return dict(zip(dist, _column(space.degree_bound, dist.values(), lam)))
 

@@ -48,13 +48,11 @@ from .symfunc import SymFunc, _comult_scaled, _product_scaled, _splittings, plet
 
 class _Coproduct(NamedTuple):
     """The support of Δ×(m_λ) for every λ, grouped by the left factor and
-    flattened.  Group k stands for the pairs m_μᵢ ⊗ m_νⱼ with i = lefts[k]
-    and j in rights[k], in the coproduct of the λ at position owners[k];
-    the groups of the λ at position p are those in slices[p]."""
+    flattened.  A group (p, i, js) stands for the pairs m_μᵢ ⊗ m_νⱼ, j in
+    js, of the coproduct of the λ at position p; the groups of the λ at
+    position p are those in slices[p]."""
 
-    lefts: tuple[int, ...]
-    rights: tuple[tuple[int, ...], ...]
-    owners: tuple[int, ...]
+    groups: tuple[tuple[int, int, tuple[int, ...]], ...]
     slices: tuple[slice, ...]
 
 
@@ -76,24 +74,20 @@ class _Basis:
 
     @cached_property
     def coproduct(self) -> _Coproduct:
-        lefts: list[int] = []
-        rights: list[tuple[int, ...]] = []
-        owners: list[int] = []
+        groups: list[tuple[int, int, tuple[int, ...]]] = []
         slices: list = [None] * len(self.parts)
         for n in range(1, self.bound + 1):
             pos = self._positions(n)
             size = len(pos)
             for lam, acc in zip(pos, _comult_scaled(n)):
-                start = len(lefts)
+                start = len(groups)
                 for m, i in enumerate(pos):
                     # the nonzero entries of row μ_m of the flattened table
                     js = tuple(compress(pos, acc[m * size:(m + 1) * size]))
                     if js:
-                        lefts.append(i)
-                        rights.append(js)
-                        owners.append(lam)
-                slices[lam] = slice(start, len(lefts))
-        return _Coproduct(tuple(lefts), tuple(rights), tuple(owners), tuple(slices))
+                        groups.append((lam, i, js))
+                slices[lam] = slice(start, len(groups))
+        return _Coproduct(tuple(groups), tuple(slices))
 
     @cached_property
     def splittings(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -151,9 +145,13 @@ def _lift(elems: Sequence["WittElem"]) -> tuple[int, int, list[list[int]]]:
     """The numerator lists of elems over one denominator, with ∞ written as
     one int above every sum of two finite values, so that a sum reads as ∞
     exactly when it reaches that int: (denominator, ∞ mark, lists)."""
-    den = lcm(*(f._den for f in elems))
+    den = lcm(*[f._den for f in elems])
     scaled = [(den // f._den, f._nums) for f in elems]
-    top = max(max((n for n in nums if n is not None), default=0) * k for k, nums in scaled)
+    top = 0
+    for k, nums in scaled:
+        finite = [n for n in nums if n is not None]
+        if finite:
+            top = max(top, max(finite) * k)
     inf = 2 * top + 1
     return den, inf, [[inf if n is None else n * k for n in nums] for k, nums in scaled]
 
@@ -171,14 +169,16 @@ def _composition_excesses(
     minima of each entry are taken once, so a triple costs one min-plus
     pass and one comparison."""
     pairs = [(x, y) for x in points for y in points]
-    den, inf, lifted = _lift([dist[pair] for pair in pairs])
+    den, _, lifted = _lift([dist[pair] for pair in pairs])
     basis = _basis(dist[pairs[0]]._degree_bound)
-    cop = basis.coproduct
+    groups, slices = basis.coproduct
+    lefts = [i for _, i, _ in groups]
+    rights = [js for _, _, js in groups]
     entries = dict(zip(pairs, lifted))
-    left = {pair: list(map(xs.__getitem__, cop.lefts)) for pair, xs in entries.items()}
+    left = {pair: list(map(xs.__getitem__, lefts)) for pair, xs in entries.items()}
     # per group, the min of the right factor over the group's right positions
     right = {
-        pair: list(map(min, map(map, repeat(ys.__getitem__), cop.rights)))
+        pair: list(map(min, map(map, repeat(ys.__getitem__), rights)))
         for pair, ys in entries.items()
     }
     for x in points:
@@ -186,7 +186,7 @@ def _composition_excesses(
             xy = left[x, y]
             for z in points:
                 sums = list(map(add, xy, right[y, z]))
-                through = list(map(min, map(sums.__getitem__, cop.slices)))
+                through = list(map(min, map(sums.__getitem__, slices)))
                 # with one ∞ mark, d > t exactly when t is finite and d is
                 # ∞ or numerically above t
                 k = next(compress(count(), map(gt, entries[x, z], through)), None)
@@ -278,10 +278,10 @@ class WittElem:
         """Multiplication: minimum over doubled-alphabet coproduct pairs."""
         self._check_bound(other)
         den, inf, (xs, ys) = _lift((self, other))
-        cop = _basis(self._degree_bound).coproduct
+        groups, slices = _basis(self._degree_bound).coproduct
         y = ys.__getitem__
-        out = [inf] * len(cop.slices)
-        for lam, i, js in zip(cop.owners, cop.lefts, cop.rights):
+        out = [inf] * len(slices)
+        for lam, i, js in groups:
             x = xs[i]
             if x < inf:  # a group whose left value is ∞ adds only ∞
                 v = x + min(map(y, js))

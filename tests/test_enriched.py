@@ -15,7 +15,7 @@ from tropwitt.enriched import (
     tau_space,
     theta_space,
 )
-from tropwitt.errors import FormatError
+from tropwitt.errors import DegreeOverflowError, FormatError
 from tropwitt.generate import (
     random_metric_space,
     random_point_eval_space,
@@ -134,6 +134,13 @@ def test_slice_at_one_is_tau():
     rng = random.Random(3)
     w = random_point_eval_space(rng, ("a", "b", "c"), N)
     assert slice_table(w, P(1)) == tau_space(w).table()
+
+
+def test_slice_at_empty_is_zero_and_above_the_bound_fails():
+    w = random_point_eval_space(random.Random(4), ("a", "b"), N)
+    assert slice_table(w, P()) == {(x, y): ZERO for x in w.points for y in w.points}
+    with pytest.raises(DegreeOverflowError, match=rf"partition \({N + 1}\) exceeds degree bound"):
+        slice_table(w, P(N + 1))
 
 
 def test_complete_slice_is_min_over_size():
