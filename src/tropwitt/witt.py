@@ -390,8 +390,8 @@ class WittElem:
                     raise FormatError("the empty partition must be omitted")
                 i = basis.index.get(lam)
                 if i is None:
-                    # reported after every value has parsed, as the first
-                    # oversized partition the constructor would meet
+                    # value errors come first: the first oversized
+                    # partition is reported once every value has parsed
                     if oversized is None:
                         oversized = lam
                     _json_number(v)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tropwitt.enriched import WittSpace
 from tropwitt.generate import random_point_eval_space
@@ -206,7 +206,19 @@ def _loaded(loader, data):
     return f, f.to_json(), repr(f)
 
 
+def _doc(values: dict, bound: int = 4) -> dict:
+    return {"degree_bound": bound, "values": values}
+
+
 @given(elem_documents())
+@example(_doc({"2,1": "1", "1,2": "2/3", "3": 4}))
+@example(_doc({"1,2": "1", "2,1": "2/3"}))
+@example(_doc({"5": "1", "1": "bad", "6": 2}))
+@example(_doc({"1": 1, "": "0"}))
+@example(_doc({"1": "1_000"}))
+@example(_doc({"1": 1.5, "2": True}))
+@example(_doc({"1": -1}))
+@example(_doc({"1": "inf", "2": "∞", "1,1": " 7/2 "}))
 def test_from_json_matches_partition_keyed_loader(data):
     assert _loaded(WittElem.from_json, data) == _loaded(witt_from_json_by_partitions, data)
 
