@@ -13,34 +13,20 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from typing import TYPE_CHECKING
 
 import click
 
-from .enriched import (
-    MetricSpace,
-    WittSpace,
-    lambda_action,
-    slice_complete,
-    slice_table,
-    tau_space,
-    theta_space,
-)
+# every command needs these; a command imports the modules it computes with
+# in its body, so a cold process loads only what it runs
 from .errors import FormatError, TropwittError
-from .partitions import Partition
-from .plancherel import _MAX_MEASURE_N, observe, plancherel_measure, sample_path
+from .partitions import MAX_MEASURE_N, Partition
 from .quantale import LValue
-from .report import Report
-from .symfunc import (
-    SymFunc,
-    complete,
-    coproduct_add,
-    coproduct_mult,
-    elementary,
-    multiply,
-    plethysm,
-)
-from .witt import WittElem, tau, theta
-from . import suites as suites_mod
+from .report import DEFAULT_SEED, Report
+
+if TYPE_CHECKING:
+    from .enriched import WittSpace
+    from .witt import WittElem
 
 DEFAULT_DEGREE = 8
 # Largest degree bound accepted from options and input files.  A cold process
@@ -55,8 +41,9 @@ MAX_DEGREE = 12
 # took 0.76 s at 6 points and 0.98 s at 8, and a cold in-process validation
 # 1.2 s at 10 (2-vCPU Xeon, median of 3).
 MAX_POINTS = 8
-# Largest --steps of a growth path.  Sampling takes 0.27 s cold at 500 steps;
-# in-process, 0.46 s at 1,000 and 1.4 s at 2,000 (2-vCPU Xeon).
+# Largest --steps of a growth path.  A cold `plancherel sample` takes 0.28 s
+# at 500 steps; in-process, sampling takes 0.49 s at 1,000 and 1.6 s at 2,000
+# (2-vCPU Xeon).
 MAX_STEPS = 500
 
 
@@ -174,10 +161,14 @@ def _checked(value, unchecked: bool):
 
 
 def _load_witt(path: str, unchecked: bool) -> WittElem:
+    from .witt import WittElem
+
     return _checked(_load(WittElem, path), unchecked)
 
 
 def _load_witt_space(path: str, unchecked: bool) -> WittSpace:
+    from .enriched import WittSpace
+
     space = _load(WittSpace, path)
     if not unchecked:
         bad = [
@@ -232,16 +223,22 @@ def sym() -> None:
     click.option("--strict", is_flag=True, help="reject terms beyond the degree bound"),
 )
 def sym_mul(input_, other, strict):
+    from .symfunc import SymFunc, multiply
+
     return multiply(_load(SymFunc, input_), _load(SymFunc, other), strict=strict)
 
 
 @command(sym, "coprod-add", INPUT)
 def sym_coprod_add(input_):
+    from .symfunc import SymFunc, coproduct_add
+
     return coproduct_add(_load(SymFunc, input_))
 
 
 @command(sym, "coprod-mult", INPUT)
 def sym_coprod_mult(input_):
+    from .symfunc import SymFunc, coproduct_mult
+
     return coproduct_mult(_load(SymFunc, input_))
 
 
@@ -252,6 +249,8 @@ def sym_coprod_mult(input_):
     _path("--other", help="inner factor"),
 )
 def sym_plethysm(input_, other):
+    from .symfunc import SymFunc, plethysm
+
     return plethysm(_load(SymFunc, input_), _load(SymFunc, other))
 
 
@@ -262,6 +261,8 @@ def sym_plethysm(input_, other):
     DEGREE,
 )
 def sym_bases(n, degree):
+    from .symfunc import complete, elementary
+
     return {
         "elementary": elementary(n, degree).to_json(),
         "complete": complete(n, degree).to_json(),
@@ -288,6 +289,8 @@ def witt_mul(input_, other, unchecked):
 
 @command(witt, "validate", INPUT)
 def witt_validate(input_):
+    from .witt import WittElem
+
     return _load(WittElem, input_).validate()
 
 
@@ -298,16 +301,22 @@ def witt_validate(input_):
     DEGREE,
 )
 def witt_theta(r, degree):
+    from .witt import theta
+
     return theta(LValue(r), degree)
 
 
 @command(witt, "tau", INPUT, UNCHECKED)
 def witt_tau(input_, unchecked):
+    from .witt import tau
+
     return {"value": tau(_load_witt(input_, unchecked)).to_json()}
 
 
 @command(witt, "eval", INPUT, _path("--sym", "sym_path"), UNCHECKED)
 def witt_eval(input_, sym_path, unchecked):
+    from .symfunc import SymFunc
+
     f = _load_witt(input_, unchecked)
     return {"value": f.eval(_load(SymFunc, sym_path)).to_json()}
 
@@ -326,6 +335,8 @@ def cat() -> None:
 
 
 def _detect_space(data):
+    from .enriched import MetricSpace, WittSpace
+
     if not isinstance(data, dict) or not isinstance(data.get("dist"), dict):
         raise FormatError("space JSON needs a 'dist' object")
     kinds = {isinstance(v, dict) for v in data["dist"].values()}
@@ -352,6 +363,8 @@ def cat_validate(input_):
     UNCHECKED,
 )
 def cat_slice(input_, lam, h_n, unchecked):
+    from .enriched import slice_complete, slice_table
+
     if (lam is None) == (h_n is None):
         raise FormatError("exactly one of --lambda and --h is required")
     space = _load_witt_space(input_, unchecked)
@@ -368,11 +381,15 @@ def cat_slice(input_, lam, h_n, unchecked):
 
 @command(cat, "theta", INPUT, DEGREE, UNCHECKED)
 def cat_theta(input_, degree, unchecked):
+    from .enriched import MetricSpace, theta_space
+
     return theta_space(_checked(_load(MetricSpace, input_), unchecked), degree)
 
 
 @command(cat, "tau", INPUT, UNCHECKED)
 def cat_tau(input_, unchecked):
+    from .enriched import tau_space
+
     return tau_space(_load_witt_space(input_, unchecked))
 
 
@@ -385,6 +402,9 @@ def cat_tau(input_, unchecked):
     UNCHECKED,
 )
 def cat_act(input_, g_path, f_path, unchecked):
+    from .enriched import lambda_action
+    from .symfunc import SymFunc
+
     space = _load_witt_space(input_, unchecked)
     g, f = _load(SymFunc, g_path), _load(SymFunc, f_path)
     return _table_json(space.points, lambda_action(space, g, f))
@@ -401,20 +421,26 @@ def plancherel() -> None:
 @command(
     plancherel,
     "measure",
-    click.option("--n", required=True, type=click.IntRange(min=1, max=_MAX_MEASURE_N)),
+    click.option("--n", required=True, type=click.IntRange(min=1, max=MAX_MEASURE_N)),
 )
 def plancherel_measure_cmd(n):
+    from .plancherel import plancherel_measure
+
     measure = plancherel_measure(n)
     return {"n": n, "measure": {lam.key(): str(p) for lam, p in sorted(measure.items())}}
 
 
 @command(plancherel, "sample", *STEPS_SEED)
 def plancherel_sample(steps, seed):
+    from .plancherel import sample_path
+
     return sample_path(steps, seed)
 
 
 @command(plancherel, "observe", _path("--cat", "cat_path"), *STEPS_SEED, UNCHECKED)
 def plancherel_observe(cat_path, steps, seed, unchecked):
+    from .plancherel import observe, sample_path
+
     space = _load_witt_space(cat_path, unchecked)
     steps_json = []
     for step in observe(space, sample_path(steps, seed)):
@@ -435,11 +461,13 @@ def suite() -> None:
 # hand-written: it prints one text line per suite, and JSON only to --output
 @suite.command("run")
 @click.option("--module", "module", type=str, help="only suites tagged with this module")
-@click.option("--seed", default=suites_mod.DEFAULT_SEED, type=int, show_default=True)
+@click.option("--seed", default=DEFAULT_SEED, type=int, show_default=True)
 @click.option("--output", type=click.Path(), help="write the JSON report here")
 @handle_errors
 def suite_run(module, seed, output):
-    results = suites_mod.run_all(module=module, seed=seed)
+    from .suites import run_all
+
+    results = run_all(module=module, seed=seed)
     if not results:
         raise FormatError(f"no suites tagged with module {module!r}")
     for res in results:

@@ -179,6 +179,11 @@ def covers(p: Partition) -> tuple[Partition, ...]:
     return tuple(out)
 
 
+# Largest n whose whole Plancherel measure, hook_dimension(λ)²/n! over the
+# partitions of n (627 at n = 20), is built (`plancherel measure --n`).
+MAX_MEASURE_N = 20
+
+
 @cache
 def hook_dimension(p: Partition) -> int:
     """Number of standard Young tableaux of shape p (hook-length formula)."""

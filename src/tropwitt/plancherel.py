@@ -12,31 +12,40 @@ the whole path.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from typing import TYPE_CHECKING
 
-from .enriched import DistTable, WittSpace, slice_table
 from .errors import DegreeOverflowError, FormatError
-from .partitions import Partition, _conjugate, covers, hook_dimension, partitions_of
+from .partitions import (
+    MAX_MEASURE_N,
+    Partition,
+    _conjugate,
+    covers,
+    hook_dimension,
+    partitions_of,
+)
 from .quantale import ZERO
 
-_MAX_MEASURE_N = 20
+if TYPE_CHECKING:
+    from .enriched import DistTable, WittSpace
+
 _DRAW_BITS = 64
 
 
 def plancherel_measure(n: int) -> dict[Partition, Fraction]:
     """The hook-squared measure on partitions of n; sums to exactly 1."""
-    if not 1 <= n <= _MAX_MEASURE_N:
-        raise ValueError(f"n must be in 1..{_MAX_MEASURE_N}")
+    if not 1 <= n <= MAX_MEASURE_N:
+        raise ValueError(f"n must be in 1..{MAX_MEASURE_N}")
     denom = factorial(n)
     return {
         lam: Fraction(hook_dimension(lam) ** 2, denom) for lam in partitions_of(n)
     }
 
 
-@cache
 def growth_step(lam: Partition) -> dict[Partition, Fraction]:
     """Transition probabilities to the covers of lam; zero elsewhere.
 
@@ -61,6 +70,25 @@ def growth_step(lam: Partition) -> dict[Partition, Fraction]:
             num, den = num * h, den * (h + 1)
         out[mu] = Fraction(num, den)
     return out
+
+
+@cache
+def _thresholds(lam: Partition) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
+    """The covers of lam and, for each, ⌈C·2⁶⁴⌉ for the cumulative
+    probability C up to and including it; the last threshold is 2⁶⁴.
+
+    A draw d of 64 bits takes the first cover with d/2⁶⁴ < C, that is with
+    d < ⌈C·2⁶⁴⌉, since d is an integer.  C is kept as an unreduced integer
+    pair an/ad.
+    """
+    mus, thresholds = [], []
+    an, ad = 0, 1
+    for mu, p in growth_step(lam).items():
+        n, d = p.numerator, p.denominator
+        an, ad = an * d + n * ad, ad * d
+        mus.append(mu)
+        thresholds.append(-((-an << _DRAW_BITS) // ad))
+    return tuple(mus), tuple(thresholds)
 
 
 @dataclass(frozen=True)
@@ -95,19 +123,12 @@ def sample_path(steps: int, seed: int) -> GrowthPath:
     """Draw a growth trajectory of the given length starting at (1)."""
     if steps < 1:
         raise ValueError("steps must be ≥ 1")
-    rng = random.Random(seed)
+    draw = random.Random(seed).getrandbits
     lam = Partition([1])
     out = [lam]
     for _ in range(steps - 1):
-        draw = Fraction(rng.getrandbits(_DRAW_BITS), 2**_DRAW_BITS)
-        acc = Fraction(0)
-        for mu, p in growth_step(lam).items():
-            acc += p
-            if draw < acc:
-                lam = mu
-                break
-        else:  # unreachable: probabilities sum to 1 and draw < 1
-            lam = mu
+        mus, thresholds = _thresholds(lam)
+        lam = mus[bisect_right(thresholds, draw(_DRAW_BITS))]
         out.append(lam)
     return GrowthPath(seed, tuple(out))
 
@@ -124,6 +145,8 @@ class ObservedStep:
 
 def observe(space: WittSpace, path: GrowthPath) -> list[ObservedStep]:
     """Slice the space at every step of the path."""
+    from .enriched import slice_table
+
     out = []
     for lam in path.steps:
         if lam.size > space.degree_bound:

@@ -85,30 +85,33 @@ class LValue:
 
     __rmul__ = __mul__
 
+    # the comparisons coerce only a non-LValue operand
+
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, LValue):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._num == other._num
 
     def __hash__(self) -> int:
         return hash(self._num)
 
     def __lt__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self._num is None:
-            return False
-        if other._num is None:
-            return True
-        return self._num < other._num
+        if not isinstance(other, LValue):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self._num, other._num
+        return a is not None and (b is None or a < b)
 
     def __le__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self == other or self < other
+        if not isinstance(other, LValue):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self._num, other._num
+        return b is None or (a is not None and a <= b)
 
     def __gt__(self, other) -> bool:
         return not self <= other

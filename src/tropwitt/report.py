@@ -9,6 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# Seed of the law suites' random samples (`suite run --seed`).  It lives here
+# so that the CLI can show it without loading the suites.
+DEFAULT_SEED = 20260811
+
 
 @dataclass(frozen=True)
 class Violation:

@@ -6,13 +6,16 @@ the most literal route available, so the tests can compare the two.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
+from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
 
 from tropwitt.enriched import WittSpace
 from tropwitt.errors import DegreeOverflowError, FormatError
 from tropwitt.partitions import Partition, partitions_of, partitions_up_to
+from tropwitt.plancherel import GrowthPath, growth_step
 from tropwitt.quantale import INF, ZERO, LValue, leq
 from tropwitt.report import Report, Violation
 from tropwitt.symfunc import (
@@ -449,3 +452,28 @@ def validate_space_by_partitions(space: WittSpace) -> Report:
                         )
                     )
     return report
+
+
+# -- the growth chain by exact cumulative sums ------------------------------------------------
+
+
+def sample_path_by_fractions(steps: int, seed: int, rng=None) -> GrowthPath:
+    """``sample_path`` by reduced Fraction sums: each 64-bit draw, over 2⁶⁴,
+    takes the first cover whose cumulative probability exceeds it.  `rng`
+    stands in for ``random.Random(seed)`` when given."""
+    if steps < 1:
+        raise ValueError("steps must be ≥ 1")
+    if rng is None:
+        rng = random.Random(seed)
+    lam = Partition([1])
+    out = [lam]
+    for _ in range(steps - 1):
+        draw = Fraction(rng.getrandbits(64), 2**64)
+        acc = Fraction(0)
+        for mu, p in growth_step(lam).items():
+            acc += p
+            if draw < acc:
+                lam = mu
+                break
+        out.append(lam)
+    return GrowthPath(seed, tuple(out))

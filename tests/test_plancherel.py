@@ -1,16 +1,23 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import sample_path_by_fractions
+from tropwitt import plancherel
 from tropwitt.enriched import theta_space
 from tropwitt.errors import DegreeOverflowError, FormatError
 from tropwitt.generate import random_metric_space, random_point_eval_space
 from tropwitt.partitions import Partition, covers, hook_dimension, partitions_up_to
 from tropwitt.plancherel import (
     GrowthPath,
+    _thresholds,
     growth_step,
     observe,
     plancherel_measure,
@@ -88,6 +95,44 @@ def test_sample_path_pinned_at_the_step_cap():
     text = json.dumps(sample_path(500, 2026).to_json())
     digest = "0ff64c2f230a67162f6abb4545df7a997885bb465430ad342095722b5bb18094"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@given(st.integers(min_value=-(2**70), max_value=2**70), st.integers(min_value=1, max_value=80))
+def test_sample_path_matches_the_fraction_walk(seed, steps):
+    assert sample_path(steps, seed) == sample_path_by_fractions(steps, seed)
+
+
+def test_thresholds_are_the_ceilings_of_the_cumulative_sums():
+    for lam in partitions_up_to(10):
+        mus, thresholds = _thresholds(lam)
+        step = growth_step(lam)
+        assert mus == tuple(step)
+        acc = Fraction(0)
+        for mu, t in zip(mus, thresholds):
+            acc += step[mu]
+            assert t == math.ceil(acc * 2**64), (lam, mu)
+        assert thresholds[-1] == 2**64
+
+
+class _Draws:
+    """Stands in for ``random.Random``: hands out the given draws in turn."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def getrandbits(self, k):
+        assert k == 64
+        return next(self._draws)
+
+
+@pytest.mark.parametrize("draw, cover", [(0, P(2)), (2**63 - 1, P(2)), (2**63, P(1, 1)), (2**64 - 1, P(1, 1))])
+def test_sample_path_at_the_one_half_threshold(monkeypatch, draw, cover):
+    # both covers of (1) have probability 1/2, so the first threshold is 2⁶³
+    assert list(growth_step(P(1)).items()) == [(P(2), Fraction(1, 2)), (P(1, 1), Fraction(1, 2))]
+    assert _thresholds(P(1)) == ((P(2), P(1, 1)), (2**63, 2**64))
+    assert sample_path_by_fractions(2, 0, _Draws([draw])).steps == (P(1), cover)
+    monkeypatch.setattr(plancherel, "random", SimpleNamespace(Random=lambda seed: _Draws([draw])))
+    assert sample_path(2, 0).steps == (P(1), cover)
 
 
 def test_different_seeds_differ_eventually():

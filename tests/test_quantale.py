@@ -132,3 +132,59 @@ def test_scalar_multiple():
 
 def test_min_builtin_works():
     assert min(LValue(3), LValue(2), INF) == LValue(2)
+
+
+# -- comparisons with LValue, int and Fraction operands ----------------------------------
+
+numbers = st.one_of(
+    st.integers(min_value=0, max_value=12),
+    st.fractions(min_value=0, max_value=12, max_denominator=6),
+)
+
+
+def _key(v):
+    """The numeric order as (is_infinite, value): ∞ above every finite value."""
+    if isinstance(v, LValue):
+        return (1, 0) if v.is_infinite else (0, v.as_fraction())
+    return (0, Fraction(v))
+
+
+@given(lvalues, st.one_of(lvalues, numbers))
+def test_comparisons_match_a_fraction_or_infinity_oracle(a, b):
+    ka, kb = _key(a), _key(b)
+    assert (a == b) == (ka == kb) and (b == a) == (ka == kb)
+    assert (a != b) == (ka != kb) and (b != a) == (ka != kb)
+    assert (a < b) == (ka < kb) and (b > a) == (ka < kb)
+    assert (a <= b) == (ka <= kb) and (b >= a) == (ka <= kb)
+    assert (a > b) == (ka > kb) and (b < a) == (ka > kb)
+    assert (a >= b) == (ka >= kb) and (b <= a) == (ka >= kb)
+
+
+@pytest.mark.parametrize("other", [True, False, 1.0, 0.0, "1", "inf", None])
+def test_comparisons_with_other_types_are_unchanged(other):
+    for a in (ZERO, LValue(1), INF):
+        assert a != other and other != a
+        assert not a == other and not other == a
+        for compare in (
+            lambda: a < other,
+            lambda: a <= other,
+            lambda: a > other,
+            lambda: a >= other,
+            lambda: other < a,
+            lambda: other >= a,
+        ):
+            with pytest.raises(TypeError):
+                compare()
+
+
+def test_comparisons_with_negative_numbers_raise():
+    for other in (-1, Fraction(-1, 2)):
+        for compare in (
+            lambda: LValue(1) == other,
+            lambda: LValue(1) < other,
+            lambda: LValue(1) <= other,
+            lambda: LValue(1) > other,
+            lambda: INF >= other,
+        ):
+            with pytest.raises(ValueError):
+                compare()
