@@ -85,7 +85,8 @@ class LValue:
 
     __rmul__ = __mul__
 
-    # the comparisons coerce only a non-LValue operand
+    # an LValue operand skips the _coerce call: the law suites compare
+    # LValues with each other in their innermost loops
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LValue):
