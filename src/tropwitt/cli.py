@@ -35,11 +35,11 @@ DEFAULT_DEGREE = 8
 # and one warm WittElem.mul 2.5 ms (2-vCPU Xeon); the tables grow about
 # 2.5-fold per degree.
 MAX_DEGREE = 12
-# Largest point count of a space in an input file.  Validation multiplies
-# every composable pair of entries, k³ products, though each entry's inner
-# minima are taken once: a cold `cat validate` of a valid space at degree 12
-# took 0.76 s at 6 points and 0.98 s at 8, and a cold in-process validation
-# 1.2 s at 10 (2-vCPU Xeon, median of 3).
+# Largest point count of a space in an input file.  Validation tests every
+# triple of points, k³ fused passes over the coproduct groups, though each
+# entry's inner minima are taken once: a cold `cat validate` of a valid
+# space at degree 12 took 0.93 s at 6 points and 1.19 s at 8 (2-vCPU Xeon
+# in a slow phase, median of 5; 1.00 and 1.39 s before the fused check).
 MAX_POINTS = 8
 # Largest --steps of a growth path.  A cold `plancherel sample` takes 0.28 s
 # at 500 steps; in-process, sampling takes 0.49 s at 1,000 and 1.6 s at 2,000

@@ -20,7 +20,7 @@ from .partitions import Partition
 from .quantale import ZERO, LValue
 from .report import Report, Violation
 from .symfunc import SymFunc, complete, plethysm
-from .witt import WittElem, _column, _composition_excesses, tau, theta
+from .witt import WittElem, _basis, _column, _composition_excesses, tau, theta
 
 DistTable = dict[tuple[str, str], LValue]
 
@@ -155,11 +155,12 @@ class WittSpace:
         """The identity and composition violations, lazily and in report
         order, without the entry homomorphism checks; the first one is found
         without looking at the rest."""
+        basis = _basis(self._degree_bound)
         for x in self._points:
             dxx = self.dist(x, x)
-            for n in range(1, self._degree_bound + 1):
-                row = Partition([n])
-                if dxx.value(row) != ZERO:
+            for i in basis.rows:
+                if dxx._nums[i] != 0:
+                    row = basis.parts[i]
                     yield Violation(
                         "identity", (x, row), f"d({x},{x})(m{row}) = {dxx.value(row)} ≠ 0"
                     )

@@ -57,18 +57,19 @@ def growth_step(lam: Partition) -> dict[Partition, Fraction]:
     parts = lam.parts
     conj = _conjugate(parts) if parts else ()
     out = {}
-    for mu in covers(lam):
-        # the added box sits at row r, column c (0-based)
-        r = next(i for i, v in enumerate(mu.parts) if i >= len(parts) or v != parts[i])
-        c = mu.parts[r] - 1
+    # the added box sits at row r, column c (0-based): at the end of row r
+    # where r = 0 or λ_{r−1} > λ_r, or alone in a new row (c = 0)
+    for r, c in enumerate(parts + (0,)):
+        if r and parts[r - 1] == c:
+            continue
         num = den = 1
         for j in range(c):  # row r: λ_r − j + λ'_j − r − 1
-            h = parts[r] - j + conj[j] - r - 1
+            h = c - j + conj[j] - r - 1
             num, den = num * h, den * (h + 1)
         for i in range(r):  # column c: λ_i − c + λ'_c − i − 1, λ'_c = r
             h = parts[i] - c + r - i - 1
             num, den = num * h, den * (h + 1)
-        out[mu] = Fraction(num, den)
+        out[Partition._trusted(parts[:r] + (c + 1,) + parts[r + 1:])] = Fraction(num, den)
     return out
 
 

@@ -159,6 +159,11 @@ def _json_number(data) -> Fraction | None:
 
 def _parse_token(s: str) -> Fraction | None:
     s = s.strip()
+    # the common forms, ASCII digits with an optional denominator, without
+    # Fraction's regular expression; Fraction(s) reads every other form
+    a, slash, b = s.partition("/")
+    if s.isascii() and a.isdigit() and (b.isdigit() or not slash):
+        return Fraction(int(a), int(b) if slash else 1)
     if s.lower() in (_INF_TOKEN, "infinity", "∞"):
         return None
     # Fraction accepts digit separators from Python 3.11 on; refuse them on

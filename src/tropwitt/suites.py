@@ -14,27 +14,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .enriched import slice_complete, slice_table, table_space
+# the base modules, which the CLI loads anyway; each suite imports the
+# modules it computes with in its own body
 from .partitions import EMPTY, Partition, partitions_of, partitions_up_to
 from .quantale import INF, ZERO, LValue, leq, monus, tropical_add, tropical_mul
 from .report import DEFAULT_SEED
-from .symfunc import (
-    SymFunc,
-    complete,
-    coproduct_add,
-    coproduct_mult,
-    counit_add,
-    counit_mult,
-    expand_in_vars,
-    from_polynomial,
-    monomial,
-    multiply,
-    plethysm,
-    poly_mul,
-)
-from .witt import additive_unit, from_points, multiplicative_unit, tau, theta
-from . import generate
-from .plancherel import growth_step, plancherel_measure, sample_path
 
 _MAX_FAILURES = 12
 
@@ -103,6 +87,8 @@ def _suite(name: str, module: str):
 
 
 def _rationals_with_units(rng: random.Random, count: int) -> list[LValue]:
+    from . import generate
+
     values = [ZERO, INF]
     while len(values) < count:
         values.append(generate.random_rational(rng))
@@ -114,6 +100,17 @@ def _rationals_with_units(rng: random.Random, count: int) -> list[LValue]:
 
 @_suite("identities", "symfunc")
 def suite_identities(res: SuiteResult, seed: int) -> None:
+    from .symfunc import (
+        SymFunc,
+        complete,
+        coproduct_add,
+        coproduct_mult,
+        counit_add,
+        counit_mult,
+        monomial,
+        plethysm,
+    )
+
     N = 8
     m = lambda *parts: monomial(Partition(parts), N)
     one = SymFunc.one(N)
@@ -177,6 +174,9 @@ def suite_identities(res: SuiteResult, seed: int) -> None:
 
 @_suite("witt-rig-laws", "witt")
 def suite_witt_rig_laws(res: SuiteResult, seed: int, triples: int = 200) -> None:
+    from . import generate
+    from .witt import additive_unit, multiplicative_unit
+
     N = 6
     rng = random.Random(seed)
     zero = additive_unit(N)
@@ -201,6 +201,9 @@ def suite_witt_rig_laws(res: SuiteResult, seed: int, triples: int = 200) -> None
 
 @_suite("theta-functor", "witt")
 def suite_theta_functor(res: SuiteResult, seed: int, pairs: int = 200) -> None:
+    from . import generate
+    from .witt import multiplicative_unit, theta
+
     N = 8
     rng = random.Random(seed)
     values = _rationals_with_units(rng, pairs)
@@ -234,6 +237,9 @@ def suite_theta_functor(res: SuiteResult, seed: int, pairs: int = 200) -> None:
 
 @_suite("negative-results", "witt")
 def suite_negative_results(res: SuiteResult, seed: int, pairs: int = 50) -> None:
+    from . import generate
+    from .witt import multiplicative_unit, theta
+
     N = 6
     rng = random.Random(seed)
     lam = Partition([2, 1])
@@ -260,6 +266,9 @@ def suite_negative_results(res: SuiteResult, seed: int, pairs: int = 50) -> None
 
 @_suite("adjunction", "witt")
 def suite_adjunction(res: SuiteResult, seed: int, samples: int = 500) -> None:
+    from . import generate
+    from .witt import tau, theta
+
     N = 6
     rng = random.Random(seed)
     for i in range(samples):
@@ -286,6 +295,9 @@ def suite_adjunction(res: SuiteResult, seed: int, samples: int = 500) -> None:
 
 @_suite("enriched-axioms", "enriched")
 def suite_enriched(res: SuiteResult, seed: int, spaces: int = 50) -> None:
+    from . import generate
+    from .enriched import slice_complete, slice_table, table_space
+
     N = 6
     rng = random.Random(seed)
     labels = ("a", "b", "c", "d")
@@ -326,6 +338,9 @@ def suite_enriched(res: SuiteResult, seed: int, spaces: int = 50) -> None:
 
 @_suite("root-calculus", "witt")
 def suite_root_calculus(res: SuiteResult, seed: int, samples: int = 100) -> None:
+    from . import generate
+    from .witt import from_points
+
     N = 6
     rng = random.Random(seed)
     for i in range(samples):
@@ -369,6 +384,8 @@ def suite_residuation(res: SuiteResult, seed: int) -> None:
 
 @_suite("plancherel", "plancherel")
 def suite_plancherel(res: SuiteResult, seed: int, paths: int = 10_000) -> None:
+    from .plancherel import growth_step, plancherel_measure, sample_path
+
     for n in range(1, 13):
         total = sum(plancherel_measure(n).values())
         res.check(total == 1, f"measure on size {n} sums to 1")
@@ -409,6 +426,14 @@ def suite_plancherel(res: SuiteResult, seed: int, paths: int = 10_000) -> None:
 
 @_suite("oracle-coherence", "symfunc")
 def suite_oracle_coherence(res: SuiteResult, seed: int) -> None:
+    from .symfunc import (
+        coproduct_add,
+        expand_in_vars,
+        from_polynomial,
+        monomial,
+        multiply,
+        poly_mul,
+    )
 
     for lam in partitions_up_to(6):
         if lam.is_empty():

@@ -25,19 +25,25 @@ index tables.  ``LValue`` appears only at the API and JSON boundary.
 
 The coproduct table is flat, one group per λ and left factor μᵢ, holding
 the right factors νⱼ of that group: (f·g)(λ) is the min over λ's groups of
-f(μᵢ) + min_j g(νⱼ), and the inner min depends on g alone.  The
-composition check of a space takes these right minima once per entry, so
-each of its k³ products is one pass of additions and one min per λ.
+f(μᵢ) + min_j g(νⱼ), and the inner min depends on g alone.  A
+:class:`_SegmentMin` takes the minima of a fixed family of position sets
+at C level, one run of equal-size sets at a time; one serves the right
+sets of the groups, another the supports of the products m_μ·m_ν that
+:meth:`WittElem.validate` reads.  The composition check of a space takes
+each entry's right minima once.  Then d(x, z) ≤ d(x, y)·d(y, z) fails
+exactly when some group's d(x, y)(μᵢ) + min_j d(y, z)(νⱼ) is below
+d(x, z)(λ), so each of the k³ triples is one fused pass over the groups;
+only a failing triple takes the minima per λ for its witness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import compress, count, repeat
+from itertools import compress, count, groupby
 from math import gcd, lcm
-from operator import add, gt
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from operator import add, gt, itemgetter, lt, ne
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DegreeOverflowError, FormatError
 from .partitions import Partition, partitions_of, partitions_up_to
@@ -46,14 +52,66 @@ from .report import Report
 from .symfunc import SymFunc, _comult_scaled, _product_scaled, _splittings, plethysm
 
 
-class _Coproduct(NamedTuple):
-    """The support of Δ×(m_λ) for every λ, grouped by the left factor and
-    flattened.  A group (p, i, js) stands for the pairs m_μᵢ ⊗ m_νⱼ, j in
-    js, of the coproduct of the λ at position p; the groups of the λ at
-    position p are those in slices[p]."""
+def _getter(positions: Sequence[int]):
+    """Read the values at positions, in order, as a tuple: an
+    ``itemgetter``, which returns a bare value for one position."""
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda xs: (xs[p],)
+    return itemgetter(*positions) if positions else lambda xs: ()
 
-    groups: tuple[tuple[int, int, tuple[int, ...]], ...]
-    slices: tuple[slice, ...]
+
+class _SegmentMin:
+    """The minima of a fixed family of nonempty position sets over any list
+    of values, at C level.
+
+    The sets are taken in order of size, ``order`` holding the family
+    index of each; for each size m, one getter reads the concatenated
+    positions of all m-element sets, and ``map(min, *[iter(flat)] * m)``
+    takes their minima m values at a time."""
+
+    def __init__(self, sets: Sequence[Sequence[int]]):
+        self.order = sorted(range(len(sets)), key=lambda k: len(sets[k]))
+        self.runs = [
+            (m, _getter([p for k in run for p in sets[k]]))
+            for m, run in groupby(self.order, key=lambda k: len(sets[k]))
+        ]
+
+    def minima(self, xs: Sequence[int]) -> list[int]:
+        """The min of xs over each set, in ``order``."""
+        out: list[int] = []
+        for m, get in self.runs:
+            flat = get(xs)
+            out.extend(flat if m == 1 else map(min, *[iter(flat)] * m))
+        return out
+
+    def getter(self, positions: Sequence[int]):
+        """A getter of positions[k] for each family index k, in ``order``."""
+        return _getter([positions[k] for k in self.order])
+
+
+class _Groups(NamedTuple):
+    """The support of Δ×(m_λ) for every λ, grouped by the left factor: a
+    group stands for the pairs m_μᵢ ⊗ m_νⱼ, j in its right set, of the λ at
+    its position.  Each field reads the groups in the order of ``right``:
+    ``right`` takes the min over each right set, ``left`` reads each
+    group's value at μᵢ, and ``lams`` holds each group's λ position."""
+
+    right: _SegmentMin
+    left: Callable
+    lams: tuple[int, ...]
+
+
+class _Checks(NamedTuple):
+    """The multiplicativity checks in report order, as (μ, ν) pairs, and
+    their positions in the order of ``support``: ``support`` takes the min
+    over the support of each m_μ·m_ν, ``mu`` and ``nu`` read value(μ) and
+    value(ν)."""
+
+    pairs: tuple[tuple[Partition, Partition], ...]
+    support: _SegmentMin
+    mu: Callable
+    nu: Callable
 
 
 class _Basis:
@@ -73,21 +131,27 @@ class _Basis:
         self.rows = tuple(self.index[Partition([n])] for n in range(1, bound + 1))
 
     @cached_property
-    def coproduct(self) -> _Coproduct:
+    def coproduct(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """The groups (λ, i, js) of the multiplicative coproduct: Δ×(m_λ) is
+        the sum of m_μᵢ ⊗ m_νⱼ over the groups of λ and j in js."""
         groups: list[tuple[int, int, tuple[int, ...]]] = []
-        slices: list = [None] * len(self.parts)
         for n in range(1, self.bound + 1):
             pos = self._positions(n)
             size = len(pos)
             for lam, acc in zip(pos, _comult_scaled(n)):
-                start = len(groups)
                 for m, i in enumerate(pos):
                     # the nonzero entries of row μ_m of the flattened table
                     js = tuple(compress(pos, acc[m * size:(m + 1) * size]))
                     if js:
                         groups.append((lam, i, js))
-                slices[lam] = slice(start, len(groups))
-        return _Coproduct(tuple(groups), tuple(slices))
+        return tuple(groups)
+
+    @cached_property
+    def groups(self) -> _Groups:
+        groups = self.coproduct
+        right = _SegmentMin([js for _, _, js in groups])
+        left = right.getter([i for _, i, _ in groups])
+        return _Groups(right, left, tuple(groups[k][0] for k in right.order))
 
     @cached_property
     def splittings(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -103,11 +167,11 @@ class _Basis:
         )
 
     @cached_property
-    def checks(self) -> tuple[tuple[Partition, Partition, int, int, tuple[int, ...]], ...]:
-        """The multiplicativity checks in report order: (μ, ν, i, j, support
-        of m_μ·m_ν) for every pair with |μ| ≤ |ν| and |μ| + |ν| ≤ N."""
+    def checks(self) -> _Checks:
+        """The multiplicativity checks: every pair (μ, ν) with |μ| ≤ |ν| and
+        |μ| + |ν| ≤ N."""
         index = self.index
-        out = []
+        pairs, supports = [], []
         for a in range(1, self.bound):
             for b in range(a, self.bound - a + 1):
                 pos = self._positions(a + b)
@@ -115,9 +179,15 @@ class _Basis:
                     for nu in partitions_of(b):
                         if b == a and nu < mu:
                             continue
-                        support = tuple(compress(pos, _product_scaled(mu, nu)))
-                        out.append((mu, nu, index[mu], index[nu], support))
-        return tuple(out)
+                        pairs.append((mu, nu))
+                        supports.append(tuple(compress(pos, _product_scaled(mu, nu))))
+        support = _SegmentMin(supports)
+        return _Checks(
+            tuple(pairs),
+            support,
+            support.getter([index[mu] for mu, _ in pairs]),
+            support.getter([index[nu] for _, nu in pairs]),
+        )
 
     def _positions(self, n: int) -> list[int]:
         """The position of each partition of n, in ``partitions_of`` order."""
@@ -165,32 +235,33 @@ def _composition_excesses(
     there.
 
     dist maps every pair of points to an element of one degree bound.  The
-    entries are lifted to one denominator and one ∞ mark, and the right
-    minima of each entry are taken once, so a triple costs one min-plus
-    pass and one comparison."""
+    entries are lifted to one denominator and one ∞ mark.  Per coproduct
+    group of λ and left factor μᵢ, d(x, y)(μᵢ) + min_j d(y, z)(νⱼ) is the
+    group's share of the product at λ, so a triple fails exactly when some
+    group's share is below d(x, z)(λ): one fused pass over the groups, with
+    each entry's left values, right minima and values at each group's λ
+    read once."""
     pairs = [(x, y) for x in points for y in points]
-    den, _, lifted = _lift([dist[pair] for pair in pairs])
+    den, inf, lifted = _lift([dist[pair] for pair in pairs])
     basis = _basis(dist[pairs[0]]._degree_bound)
-    groups, slices = basis.coproduct
-    lefts = [i for _, i, _ in groups]
-    rights = [js for _, _, js in groups]
+    right_of, left_of, lams = basis.groups
+    cap_of = _getter(lams)
     entries = dict(zip(pairs, lifted))
-    left = {pair: list(map(xs.__getitem__, lefts)) for pair, xs in entries.items()}
-    # per group, the min of the right factor over the group's right positions
-    right = {
-        pair: list(map(min, map(map, repeat(ys.__getitem__), rights)))
-        for pair, ys in entries.items()
-    }
+    left = {pair: left_of(xs) for pair, xs in entries.items()}
+    right = {pair: right_of.minima(xs) for pair, xs in entries.items()}
+    # with one ∞ mark, a share is below d exactly when it is finite and d
+    # is ∞ or numerically above it
+    caps = {pair: cap_of(xs) for pair, xs in entries.items()}
     for x in points:
         for y in points:
             xy = left[x, y]
             for z in points:
-                sums = list(map(add, xy, right[y, z]))
-                through = list(map(min, map(sums.__getitem__, slices)))
-                # with one ∞ mark, d > t exactly when t is finite and d is
-                # ∞ or numerically above t
-                k = next(compress(count(), map(gt, entries[x, z], through)), None)
-                if k is not None:
+                if any(map(lt, map(add, xy, right[y, z]), caps[x, z])):
+                    through = [inf] * len(basis.parts)
+                    for lam, v in zip(lams, map(add, xy, right[y, z])):
+                        if v < through[lam]:
+                            through[lam] = v
+                    k = next(compress(count(), map(gt, entries[x, z], through)))
                     lam = basis.parts[k]
                     yield x, y, z, lam, dist[x, z].value(lam), _value(through[k], den)
 
@@ -278,10 +349,9 @@ class WittElem:
         """Multiplication: minimum over doubled-alphabet coproduct pairs."""
         self._check_bound(other)
         den, inf, (xs, ys) = _lift((self, other))
-        groups, slices = _basis(self._degree_bound).coproduct
         y = ys.__getitem__
-        out = [inf] * len(slices)
-        for lam, i, js in groups:
+        out = [inf] * len(xs)
+        for lam, i, js in _basis(self._degree_bound).coproduct:
             x = xs[i]
             if x < inf:  # a group whose left value is ∞ adds only ∞
                 v = x + min(map(y, js))
@@ -310,21 +380,28 @@ class WittElem:
         support of m_μ·m_ν differs from value(μ) + value(ν).
         """
         report = Report("witt-elem")
+        pairs, support, mu_of, nu_of = _basis(self._degree_bound).checks
         den = self._den
         inf = 2 * max((n for n in self._nums if n is not None), default=0) + 1
         vs = [inf if n is None else n for n in self._nums]
-        v = vs.__getitem__
-        for mu, nu, i, j, support in _basis(self._degree_bound).checks:
-            expected = vs[i] + vs[j]
-            got = min(map(v, support))
-            if got != expected and (got < inf or expected < inf):
-                got, expected = (_text(n if n < inf else None, den) for n in (got, expected))
-                report.add(
-                    "multiplicativity",
-                    (mu, nu),
-                    f"min over m{mu}·m{nu} support is {got}, "
-                    f"but value{mu} + value{nu} = {expected}",
-                )
+        expected = list(map(add, mu_of(vs), nu_of(vs)))
+        got = support.minima(vs)
+        # a sum at or above the ∞ mark is ∞, as a min over the support at
+        # the mark is, so unequal numbers are a mismatch unless both are
+        bad = sorted(
+            (support.order[t], got[t], expected[t])
+            for t in compress(count(), map(ne, got, expected))
+            if got[t] < inf or expected[t] < inf
+        )
+        for k, got, expected in bad:
+            mu, nu = pairs[k]
+            got, expected = (_text(n if n < inf else None, den) for n in (got, expected))
+            report.add(
+                "multiplicativity",
+                (mu, nu),
+                f"min over m{mu}·m{nu} support is {got}, "
+                f"but value{mu} + value{nu} = {expected}",
+            )
         return report
 
     def is_lipschitz(self) -> bool:

@@ -16,8 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from tropwitt.enriched import WittSpace
 from tropwitt.generate import random_point_eval_space
-from tropwitt.partitions import partitions_of, partitions_up_to
-from tropwitt.quantale import INF, ZERO, LValue
+from tropwitt.partitions import Partition, partitions_of, partitions_up_to
+from tropwitt.quantale import INF, ZERO, LValue, _parse_token
+from tropwitt.symfunc import coproduct_mult, monomial
 from tropwitt.witt import WittElem, from_points, theta
 
 from oracles import (
@@ -97,6 +98,12 @@ def test_validate_matches_partition_route(f):
     assert f.validate().to_json() == validate_by_partitions(f).to_json()
 
 
+@settings(max_examples=4)
+@given(st.sampled_from([10, 12]).flatmap(witt_elems))
+def test_validate_matches_partition_route_at_degrees_ten_and_twelve(f):
+    assert f.validate().to_json() == validate_by_partitions(f).to_json()
+
+
 @given(st.integers(1, 8), st.lists(lvalues, max_size=5))
 def test_from_points_matches_lvalue_route(bound, points):
     _same(from_points(points, bound), from_points_by_lvalues(points, bound))
@@ -112,7 +119,7 @@ def test_stored_form_is_canonical(f):
 
 
 @st.composite
-def witt_spaces(draw, bounds=st.sampled_from(range(2, 7)), sizes=st.sampled_from(range(1, 6))):
+def witt_spaces(draw, bounds=st.sampled_from(range(1, 7)), sizes=st.sampled_from(range(1, 6))):
     bound = draw(bounds)
     points = ("a", "b", "c", "d", "e")[: draw(sizes)]
     space = random_point_eval_space(random.Random(draw(st.integers(0, 10**6))), points, bound)
@@ -157,6 +164,41 @@ def test_space_broken_at_several_triples():
     broken = WittSpace(points, dist)
     composition = [v for v in broken.validate().violations if v.kind == "composition"]
     assert len({v.witness[:3] for v in composition}) >= 3
+    _same_space_reports(broken)
+
+
+def coproduct_groups(lam: Partition) -> list[tuple[Partition, list[Partition]]]:
+    """The support of Δ×(m_λ), grouped by the left factor."""
+    groups: dict[Partition, list[Partition]] = {}
+    for mu, nu in coproduct_mult(monomial(lam, lam.size)).support():
+        groups.setdefault(mu, []).append(nu)
+    return list(groups.items())
+
+
+def test_space_broken_in_different_size_runs():
+    # the product at the row (4) has one coproduct group, whose right set
+    # is {(4)}; at (1,1,1,1) the failing groups have right sets of several
+    # sizes, so the two raised entries fail in different runs of the
+    # segment-min table
+    points = ("a", "b", "c", "d", "e")
+    space = random_point_eval_space(random.Random(11), points, 4)
+    dist = {(x, y): space.dist(x, y) for x in points for y in points}
+    for pair, lam in ((("a", "e"), Partition([4])), (("b", "d"), Partition([1, 1, 1, 1]))):
+        values = {mu: dist[pair].value(mu) for mu in partitions_up_to(4)}
+        dist[pair] = WittElem(4, {**values, lam: LValue(10**6)})
+    broken = WittSpace(points, dist)
+    sizes = {}
+    for v in broken.validate().violations:
+        if v.kind == "composition":
+            x, y, z, lam = v.witness
+            cap = broken.dist(x, z).value(lam)
+            sizes.setdefault(lam, set()).update(
+                len(js)
+                for mu, js in coproduct_groups(lam)
+                if broken.dist(x, y).value(mu) + min(broken.dist(y, z).value(nu) for nu in js) < cap
+            )
+    assert sizes[Partition([4])] == {1}
+    assert len(sizes[Partition([1, 1, 1, 1])]) > 1
     _same_space_reports(broken)
 
 
@@ -222,3 +264,24 @@ def _doc(values: dict, bound: int = 4) -> dict:
 def test_from_json_matches_partition_keyed_loader(data):
     assert _loaded(WittElem.from_json, data) == _loaded(witt_from_json_by_partitions, data)
 
+
+
+def _parsed(parse, s: str):
+    try:
+        return parse(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@given(st.text(alphabet="0123456789/+-.e ", max_size=12))
+@example("007")
+@example("+3")
+@example("3/ 4")
+@example("0/0")
+@example("²")
+@example("٣")
+@example("4/06")
+def test_parse_token_agrees_with_fraction(s):
+    # digits and digits/digits take a path of their own; value or error
+    # class must be Fraction's
+    assert _parsed(_parse_token, s) == _parsed(Fraction, s)
