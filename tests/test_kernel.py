@@ -5,6 +5,7 @@ Elements mix denominators, ∞ entries and zeros; some are valid
 homomorphisms (tropical point evaluation), some are corrupted at a few
 partitions, and some are arbitrary value tables.  Values, equality, the
 JSON form and every report (order, witnesses and detail text) must agree.
+The JSON token parser is checked against ``Fraction`` itself.
 """
 
 from __future__ import annotations
@@ -263,7 +264,6 @@ def _doc(values: dict, bound: int = 4) -> dict:
 @example(_doc({"1": "inf", "2": "∞", "1,1": " 7/2 "}))
 def test_from_json_matches_partition_keyed_loader(data):
     assert _loaded(WittElem.from_json, data) == _loaded(witt_from_json_by_partitions, data)
-
 
 
 def _parsed(parse, s: str):
