@@ -20,7 +20,16 @@ from .partitions import Partition
 from .quantale import ZERO, LValue
 from .report import Report, Violation
 from .symfunc import SymFunc, complete, plethysm
-from .witt import WittElem, _basis, _column, _composition_excesses, tau, theta
+from .witt import (
+    WittElem,
+    _basis,
+    _column,
+    _composition_excesses,
+    _hom_failures,
+    _Packed,
+    tau,
+    theta,
+)
 
 DistTable = dict[tuple[str, str], LValue]
 
@@ -144,17 +153,28 @@ class WittSpace:
     def validate(self) -> Report:
         """Entry homomorphism checks, identity axiom, composition axiom."""
         report = Report("witt-space")
-        for (x, y), entry in sorted(self._dist.items()):
-            sub = entry.validate()
-            for v in sub.violations:
+        pairs, packed = self._packed()
+        # the entries are checked together; only a failing one is checked
+        # again on its own, for the text of its report
+        for x, y in sorted(pairs[e] for e in _hom_failures(packed)):
+            for v in self._dist[x, y].validate().violations:
                 report.add("hom", (x, y) + v.witness, f"d({x},{y}): {v.detail}")
-        report.violations.extend(self.axiom_violations())
+        report.violations.extend(self._axiom_violations(packed))
         return report
 
     def axiom_violations(self) -> Iterator[Violation]:
         """The identity and composition violations, lazily and in report
         order, without the entry homomorphism checks; the first one is found
-        without looking at the rest."""
+        without building the witnesses of the rest."""
+        return self._axiom_violations(None)
+
+    def _packed(self) -> tuple[list[tuple[str, str]], _Packed]:
+        """Every pair of points, x-major, and their entries packed in that
+        order."""
+        pairs = [(x, y) for x in self._points for y in self._points]
+        return pairs, _Packed([self._dist[pair] for pair in pairs])
+
+    def _axiom_violations(self, packed: _Packed | None) -> Iterator[Violation]:
         basis = _basis(self._degree_bound)
         for x in self._points:
             dxx = self.dist(x, x)
@@ -164,7 +184,9 @@ class WittSpace:
                     yield Violation(
                         "identity", (x, row), f"d({x},{x})(m{row}) = {dxx.value(row)} ≠ 0"
                     )
-        for x, y, z, bad, direct, through in _composition_excesses(self._points, self._dist):
+        if packed is None:
+            _, packed = self._packed()
+        for x, y, z, bad, direct, through in _composition_excesses(self._points, packed):
             yield Violation(
                 "composition", (x, y, z, bad), f"d({x},{z})(m{bad}) = {direct} > {through}"
             )

@@ -157,13 +157,34 @@ def _json_number(data) -> Fraction | None:
     raise FormatError(f"LValue must be an integer or string, got {data!r}")
 
 
-def _parse_token(s: str) -> Fraction | None:
-    s = s.strip()
-    # the common forms, ASCII digits with an optional denominator, without
-    # Fraction's regular expression; Fraction(s) reads every other form
+def _json_pair(data) -> tuple[int | None, int]:
+    """The value of a JSON token as a numerator and a nonzero denominator,
+    not necessarily coprime, (None, 1) for ∞: the forms that
+    ``_ascii_ratio`` reads go straight to integers, every other token
+    through ``_json_number``."""
+    if isinstance(data, str):
+        pair = _ascii_ratio(data)
+        if pair is not None and pair[1]:
+            return pair
+    num = _json_number(data)  # a zero denominator raises here
+    return (None, 1) if num is None else (num.numerator, num.denominator)
+
+
+def _ascii_ratio(s: str) -> tuple[int, int] | None:
+    """ASCII digits with an optional / and ASCII digits, the common forms,
+    as a numerator and a denominator, without Fraction's regular
+    expression; None for any other form."""
     a, slash, b = s.partition("/")
     if s.isascii() and a.isdigit() and (b.isdigit() or not slash):
-        return Fraction(int(a), int(b) if slash else 1)
+        return int(a), int(b) if slash else 1
+    return None
+
+
+def _parse_token(s: str) -> Fraction | None:
+    s = s.strip()
+    pair = _ascii_ratio(s)
+    if pair is not None:
+        return Fraction(*pair)
     if s.lower() in (_INF_TOKEN, "infinity", "∞"):
         return None
     # Fraction accepts digit separators from Python 3.11 on; refuse them on

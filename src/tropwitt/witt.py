@@ -25,29 +25,39 @@ index tables.  ``LValue`` appears only at the API and JSON boundary.
 
 The coproduct table is flat, one group per λ and left factor μᵢ, holding
 the right factors νⱼ of that group: (f·g)(λ) is the min over λ's groups of
-f(μᵢ) + min_j g(νⱼ), and the inner min depends on g alone.  A
-:class:`_SegmentMin` takes the minima of a fixed family of position sets
-at C level, one run of equal-size sets at a time; one serves the right
-sets of the groups, another the supports of the products m_μ·m_ν that
-:meth:`WittElem.validate` reads.  The composition check of a space takes
-each entry's right minima once.  Then d(x, z) ≤ d(x, y)·d(y, z) fails
-exactly when some group's d(x, y)(μᵢ) + min_j d(y, z)(νⱼ) is below
-d(x, z)(λ), so each of the k³ triples is one fused pass over the groups;
-only a failing triple takes the minima per λ for its witness.
+f(μᵢ) + min_j g(νⱼ), and the inner min depends on g alone.
+
+Validation runs on packed integers, many small sums, minima and
+comparisons in one integer operation (Lamport, "Multiple byte processing
+with full-word instructions", CACM 18(8), 1975).  :class:`_Packed` lifts
+a batch of elements to one denominator and one ∞ mark and lays out each
+basis position as one column, a field of whole bytes per element; the
+fields are wide enough that 2·∞ stays below each field's top bit, the
+guard bit, and Python integers make the word as wide as the batch.  A
+:class:`_Family` orders a fixed family of position sets by decreasing
+size, so round r reads the r-th member of a prefix of the sets, and one
+fieldwise min per round (guard-bit subtract, mask, select) takes the
+minima of every set for every element at once.  One family holds the
+product supports that :meth:`WittElem.validate` checks, another the right
+sets of the coproduct groups.  A space checks all k² entries in one
+packed pass, and d(x, z) ≤ d(x, y)·d(y, z) in one step per middle point
+y over the fields (group, x·k + z): d(x, y)(μᵢ) + min_j d(y, z)(νⱼ) below
+d(x, z)(λ) leaves a guard bit set.  Only a failing entry or triple is
+looked at again, for its report.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import compress, count, groupby
+from itertools import compress, count, repeat
 from math import gcd, lcm
-from operator import add, gt, itemgetter, lt, ne
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from operator import gt, itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegreeOverflowError, FormatError
 from .partitions import Partition, partitions_of, partitions_up_to
-from .quantale import INF, ZERO, LValue, _json_number, _make
+from .quantale import INF, ZERO, LValue, _json_pair, _make
 from .report import Report
 from .symfunc import SymFunc, _comult_scaled, _product_scaled, _splittings, plethysm
 
@@ -61,57 +71,23 @@ def _getter(positions: Sequence[int]):
     return itemgetter(*positions) if positions else lambda xs: ()
 
 
-class _SegmentMin:
-    """The minima of a fixed family of nonempty position sets over any list
-    of values, at C level.
+class _Family:
+    """A fixed family of nonempty position sets, in order of decreasing
+    size, ``order`` holding the family index of each, and getters of
+    further positions aligned with the sets, one per set in that order.
 
-    The sets are taken in order of size, ``order`` holding the family
-    index of each; for each size m, one getter reads the concatenated
-    positions of all m-element sets, and ``map(min, *[iter(flat)] * m)``
-    takes their minima m values at a time."""
+    Round r reads the r-th member of every set with more than r members,
+    a prefix of the order: ``rounds`` holds the length of that prefix and
+    a getter of those members."""
 
-    def __init__(self, sets: Sequence[Sequence[int]]):
-        self.order = sorted(range(len(sets)), key=lambda k: len(sets[k]))
-        self.runs = [
-            (m, _getter([p for k in run for p in sets[k]]))
-            for m, run in groupby(self.order, key=lambda k: len(sets[k]))
-        ]
-
-    def minima(self, xs: Sequence[int]) -> list[int]:
-        """The min of xs over each set, in ``order``."""
-        out: list[int] = []
-        for m, get in self.runs:
-            flat = get(xs)
-            out.extend(flat if m == 1 else map(min, *[iter(flat)] * m))
-        return out
-
-    def getter(self, positions: Sequence[int]):
-        """A getter of positions[k] for each family index k, in ``order``."""
-        return _getter([positions[k] for k in self.order])
-
-
-class _Groups(NamedTuple):
-    """The support of Δ×(m_λ) for every λ, grouped by the left factor: a
-    group stands for the pairs m_μᵢ ⊗ m_νⱼ, j in its right set, of the λ at
-    its position.  Each field reads the groups in the order of ``right``:
-    ``right`` takes the min over each right set, ``left`` reads each
-    group's value at μᵢ, and ``lams`` holds each group's λ position."""
-
-    right: _SegmentMin
-    left: Callable
-    lams: tuple[int, ...]
-
-
-class _Checks(NamedTuple):
-    """The multiplicativity checks in report order, as (μ, ν) pairs, and
-    their positions in the order of ``support``: ``support`` takes the min
-    over the support of each m_μ·m_ν, ``mu`` and ``nu`` read value(μ) and
-    value(ν)."""
-
-    pairs: tuple[tuple[Partition, Partition], ...]
-    support: _SegmentMin
-    mu: Callable
-    nu: Callable
+    def __init__(self, sets: Sequence[Sequence[int]], *aligned: Sequence[int]):
+        order = sorted(range(len(sets)), key=lambda k: -len(sets[k]))
+        self.order = tuple(order)
+        self.rounds = []
+        for r in range(len(sets[order[0]]) if sets else 0):
+            live = [sets[k] for k in order if len(sets[k]) > r]
+            self.rounds.append((len(live), _getter([s[r] for s in live])))
+        self.aligned = tuple(_getter([pos[k] for k in order]) for pos in aligned)
 
 
 class _Basis:
@@ -147,11 +123,13 @@ class _Basis:
         return tuple(groups)
 
     @cached_property
-    def groups(self) -> _Groups:
+    def groups(self) -> _Family:
+        """The right sets of the coproduct groups, with each group's left
+        position and λ aligned."""
         groups = self.coproduct
-        right = _SegmentMin([js for _, _, js in groups])
-        left = right.getter([i for _, i, _ in groups])
-        return _Groups(right, left, tuple(groups[k][0] for k in right.order))
+        return _Family(
+            [js for _, _, js in groups], [i for _, i, _ in groups], [lam for lam, _, _ in groups]
+        )
 
     @cached_property
     def splittings(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -167,26 +145,30 @@ class _Basis:
         )
 
     @cached_property
-    def checks(self) -> _Checks:
-        """The multiplicativity checks: every pair (μ, ν) with |μ| ≤ |ν| and
-        |μ| + |ν| ≤ N."""
+    def pairs(self) -> tuple[tuple[Partition, Partition], ...]:
+        """The multiplicativity checks in report order: every pair (μ, ν)
+        with |μ| ≤ |ν| and |μ| + |ν| ≤ N."""
+        return tuple(
+            (mu, nu)
+            for a in range(1, self.bound)
+            for b in range(a, self.bound - a + 1)
+            for mu in partitions_of(a)
+            for nu in partitions_of(b)
+            if b > a or not nu < mu
+        )
+
+    @cached_property
+    def checks(self) -> _Family:
+        """The support of each product m_μ·m_ν of ``pairs``, with the
+        positions of μ and ν aligned."""
         index = self.index
-        pairs, supports = [], []
-        for a in range(1, self.bound):
-            for b in range(a, self.bound - a + 1):
-                pos = self._positions(a + b)
-                for mu in partitions_of(a):
-                    for nu in partitions_of(b):
-                        if b == a and nu < mu:
-                            continue
-                        pairs.append((mu, nu))
-                        supports.append(tuple(compress(pos, _product_scaled(mu, nu))))
-        support = _SegmentMin(supports)
-        return _Checks(
-            tuple(pairs),
-            support,
-            support.getter([index[mu] for mu, _ in pairs]),
-            support.getter([index[nu] for _, nu in pairs]),
+        return _Family(
+            [
+                tuple(compress(self._positions(mu.size + nu.size), _product_scaled(mu, nu)))
+                for mu, nu in self.pairs
+            ],
+            [index[mu] for mu, _ in self.pairs],
+            [index[nu] for _, nu in self.pairs],
         )
 
     def _positions(self, n: int) -> list[int]:
@@ -226,44 +208,154 @@ def _lift(elems: Sequence["WittElem"]) -> tuple[int, int, list[list[int]]]:
     return den, inf, [[inf if n is None else n * k for n in nums] for k, nums in scaled]
 
 
-def _composition_excesses(
-    points: Sequence, dist: Mapping[tuple, "WittElem"]
-) -> Iterator[tuple]:
+class _Packed:
+    """Elements of one degree bound, lifted to one denominator and one ∞
+    mark, with each basis position laid out as one packed column: the
+    value of every element in turn, one field of ``size`` bytes each, the
+    first element lowest.
+
+    A field is wide enough that 2·∞ stays below its top bit, the guard
+    bit, so a sum of two values fits a field, and a field with its guard
+    bit set minus any value borrows from nothing outside it.  The
+    integers that the methods read and return are fields packed the same
+    way."""
+
+    def __init__(self, elems: Sequence["WittElem"]):
+        self.bound = elems[0]._degree_bound
+        self.den, self.inf, self.lists = _lift(elems)
+        self.count = len(elems)
+        self.size = size = (2 * self.inf).bit_length() // 8 + 1
+        self.bits = 8 * size
+        to_bytes = int.to_bytes
+        fields = [list(map(to_bytes, xs, repeat(size), repeat("little"))) for xs in self.lists]
+        self.cols = list(map(b"".join, zip(*fields)))
+
+    def repeat(self, pattern: bytes, n: int) -> int:
+        """The packed integer whose bytes are pattern, n times."""
+        return int.from_bytes(pattern * n, "little")
+
+    def guards(self, n: int) -> int:
+        """The guard bits of n fields."""
+        return self.repeat(bytes(self.size - 1) + b"\x80", n)
+
+    def gather(self, get: Callable) -> int:
+        """The columns that get reads, in its order."""
+        return int.from_bytes(b"".join(get(self.cols)), "little")
+
+    def min(self, a: int, b: int, h: int) -> int:
+        """The fieldwise min of a and b on the fields whose guard bit is set
+        in h, a on the others: a field of (a | H) − b keeps its guard bit
+        exactly where a ≥ b, and that bit, spread down the field, selects
+        b."""
+        t = ((a | h) - b) & h
+        return a ^ ((a ^ b) & (t - (t >> (self.bits - 1))))
+
+    def minima(self, family: _Family) -> int:
+        """The min over each set of family, fields ordered (set in family
+        order, element): one fieldwise min per round, over the fields of
+        its prefix."""
+        if not family.rounds:
+            return 0
+        (total, get), *rest = family.rounds
+        cols, span = self.cols, self.count * self.bits
+        h = self.guards(total * self.count)
+        acc = int.from_bytes(b"".join(get(cols)), "little")
+        for n, get in rest:
+            b = int.from_bytes(b"".join(get(cols)), "little")
+            acc = self.min(acc, b, h >> (total - n) * span)
+        return acc
+
+    def flagged(self, flags: int, chunks: int, fields: int) -> list[int]:
+        """The fields, numbered within a chunk, whose guard bit is set in
+        some chunk of flags, which has ``chunks`` chunks of ``fields``
+        fields: the chunks are folded together with | in halves."""
+        span = fields * self.bits
+        while chunks > 1:
+            half = (chunks + 1) // 2
+            flags = (flags & ((1 << half * span) - 1)) | (flags >> half * span)
+            chunks = half
+        size = self.size
+        return list(compress(count(), flags.to_bytes(fields * size, "little")[size - 1 :: size]))
+
+    def field(self, xs: int, t: int) -> int:
+        """Field t of xs."""
+        return (xs >> t * self.bits) & ((1 << self.bits) - 1)
+
+
+def _hom_checks(packed: _Packed) -> tuple[int, int, int]:
+    """The multiplicativity checks of every element, fields ordered (check
+    in ``checks`` order, element): the min over each product support, the
+    sum value(μ) + value(ν) clamped at the ∞ mark, and the guard bits of
+    the fields where the two differ."""
+    checks = _basis(packed.bound).checks
+    n = len(checks.order) * packed.count
+    h = packed.guards(n)
+    ones = h >> (packed.bits - 1)
+    got = packed.minima(checks)
+    mu, nu = checks.aligned
+    expected = packed.min(packed.gather(mu) + packed.gather(nu), ones * packed.inf, h)
+    # a nonzero field plus H − 1 carries into its guard bit
+    return got, expected, ((got ^ expected) + h - ones) & h
+
+
+def _hom_failures(packed: _Packed) -> list[int]:
+    """The indices of the elements that fail a multiplicativity check."""
+    *_, flags = _hom_checks(packed)
+    return packed.flagged(flags, len(_basis(packed.bound).checks.order), packed.count)
+
+
+def _composition_excesses(points: Sequence, packed: _Packed) -> Iterator[tuple]:
     """For each triple (x, y, z) of points, in order, where d(x, z) is
     numerically above the product d(x, y)·d(y, z): x, y, z, the first
     partition in ``partitions_up_to`` order where it is, and both values
     there.
 
-    dist maps every pair of points to an element of one degree bound.  The
-    entries are lifted to one denominator and one ∞ mark.  Per coproduct
-    group of λ and left factor μᵢ, d(x, y)(μᵢ) + min_j d(y, z)(νⱼ) is the
-    group's share of the product at λ, so a triple fails exactly when some
-    group's share is below d(x, z)(λ): one fused pass over the groups, with
-    each entry's left values, right minima and values at each group's λ
-    read once."""
-    pairs = [(x, y) for x in points for y in points]
-    den, inf, lifted = _lift([dist[pair] for pair in pairs])
-    basis = _basis(dist[pairs[0]]._degree_bound)
-    right_of, left_of, lams = basis.groups
-    cap_of = _getter(lams)
-    entries = dict(zip(pairs, lifted))
-    left = {pair: left_of(xs) for pair, xs in entries.items()}
-    right = {pair: right_of.minima(xs) for pair, xs in entries.items()}
-    # with one ∞ mark, a share is below d exactly when it is finite and d
-    # is ∞ or numerically above it
-    caps = {pair: cap_of(xs) for pair, xs in entries.items()}
-    for x in points:
-        for y in points:
-            xy = left[x, y]
-            for z in points:
-                if any(map(lt, map(add, xy, right[y, z]), caps[x, z])):
-                    through = [inf] * len(basis.parts)
-                    for lam, v in zip(lams, map(add, xy, right[y, z])):
-                        if v < through[lam]:
-                            through[lam] = v
-                    k = next(compress(count(), map(gt, entries[x, z], through)))
-                    lam = basis.parts[k]
-                    yield x, y, z, lam, dist[x, z].value(lam), _value(through[k], den)
+    packed holds d(x, y) for every pair of points at x·k + y.  Per
+    coproduct group of λ and left factor μᵢ, d(x, y)(μᵢ) + min_j d(y, z)(νⱼ)
+    is the group's share of the product at λ, so a triple fails exactly
+    when some group's share is below d(x, z)(λ).  With fields ordered
+    (group, x·k + z), one step per middle point y tests every group of
+    every (x, z): shifts and masks pick d(x, y)(μᵢ) and the right minima of
+    d(y, z), and a multiplication by a repeat constant copies each across
+    the index it lacks.  Only a failing triple takes the product per λ for
+    its witness."""
+    k = len(points)
+    basis = _basis(packed.bound)
+    groups = basis.groups
+    left_of, lam_of = groups.aligned
+    n = len(groups.order)
+    size, bits, inf, den = packed.size, packed.bits, packed.inf, packed.den
+    h = packed.guards(n * k * k)
+    right = packed.minima(groups)
+    left = packed.gather(left_of)
+    # d(x, z)(λ) + H − 1: less a share, a field keeps its guard bit exactly
+    # where the share is below d(x, z)(λ); with one ∞ mark, that is where
+    # the share is finite and d(x, z)(λ) is ∞ or numerically above it
+    caps = (packed.gather(lam_of) | h) - (h >> (bits - 1))
+    full, zeros = b"\xff" * size, bytes(size)
+    row = packed.repeat(full * k + zeros * (k * k - k), n)  # the fields (group, z)
+    column = packed.repeat(full + zeros * (k - 1), n * k)  # the fields (group, x·k)
+    over_x = packed.repeat(b"\x01" + bytes(k * size - 1), k)
+    over_z = packed.repeat(b"\x01" + zeros[1:], k)
+    failing = []
+    for y in range(k):
+        shares = ((right >> y * k * bits) & row) * over_x + ((left >> y * bits) & column) * over_z
+        fails = (caps - shares) & h
+        if fails:
+            failing.extend((e // k, y, e % k) for e in packed.flagged(fails, n, k * k))
+    lists = packed.lists
+    for x, y, z in sorted(failing):
+        xy, yz, xz = lists[x * k + y], lists[y * k + z], lists[x * k + z]
+        through = [inf] * len(xz)
+        for lam, i, js in basis.coproduct:
+            v = xy[i] + min([yz[j] for j in js])
+            if v < through[lam]:
+                through[lam] = v
+        p = next(compress(count(), map(gt, xz, through)))
+        direct = xz[p] if xz[p] < inf else None
+        yield points[x], points[y], points[z], basis.parts[p], _value(direct, den), _value(
+            through[p], den
+        )
 
 
 def _stored(fracs: list[Fraction | None]) -> tuple[int, tuple[int | None, ...]]:
@@ -380,27 +472,24 @@ class WittElem:
         support of m_μ·m_ν differs from value(μ) + value(ν).
         """
         report = Report("witt-elem")
-        pairs, support, mu_of, nu_of = _basis(self._degree_bound).checks
-        den = self._den
-        inf = 2 * max((n for n in self._nums if n is not None), default=0) + 1
-        vs = [inf if n is None else n for n in self._nums]
-        expected = list(map(add, mu_of(vs), nu_of(vs)))
-        got = support.minima(vs)
-        # a sum at or above the ∞ mark is ∞, as a min over the support at
-        # the mark is, so unequal numbers are a mismatch unless both are
-        bad = sorted(
-            (support.order[t], got[t], expected[t])
-            for t in compress(count(), map(ne, got, expected))
-            if got[t] < inf or expected[t] < inf
-        )
-        for k, got, expected in bad:
-            mu, nu = pairs[k]
-            got, expected = (_text(n if n < inf else None, den) for n in (got, expected))
+        packed = _Packed((self,))
+        got, expected, flags = _hom_checks(packed)
+        if not flags:
+            return report
+        basis = _basis(self._degree_bound)
+        order = basis.checks.order
+        inf, den = packed.inf, packed.den
+        for k, t in sorted((order[t], t) for t in packed.flagged(flags, 1, len(order))):
+            mu, nu = basis.pairs[k]
+            got_t, expected_t = (
+                _text(n if n < inf else None, den)
+                for n in (packed.field(got, t), packed.field(expected, t))
+            )
             report.add(
                 "multiplicativity",
                 (mu, nu),
-                f"min over m{mu}·m{nu} support is {got}, "
-                f"but value{mu} + value{nu} = {expected}",
+                f"min over m{mu}·m{nu} support is {got_t}, "
+                f"but value{mu} + value{nu} = {expected_t}",
             )
         return report
 
@@ -457,7 +546,8 @@ class WittElem:
         if bad_bound or not isinstance(raw, dict):
             raise FormatError("bad WittElem JSON")
         basis = _basis(bound)
-        fracs: list[Fraction | None] = [None] * len(basis.parts)
+        nums: list[int | None] = [None] * len(basis.parts)
+        dens = [1] * len(basis.parts)
         oversized = None
         for key, v in raw.items():
             i = basis.positions.get(key)
@@ -471,12 +561,18 @@ class WittElem:
                     # partition is reported once every value has parsed
                     if oversized is None:
                         oversized = lam
-                    _json_number(v)
+                    _json_pair(v)
                     continue
-            fracs[i] = _json_number(v)
+            nums[i], dens[i] = _json_pair(v)
         if oversized is not None:
             raise FormatError(f"partition {oversized} exceeds degree bound {bound}")
-        return cls._dense(bound, *_stored(fracs))
+        # over the lcm D of the raw denominators, the gcd of D and the
+        # numerators is D over the lcm of the reduced ones, so dividing by
+        # it gives the canonical form
+        den = lcm(*dens)
+        return _reduced(
+            bound, den, [None if n is None else n * (den // d) for n, d in zip(nums, dens)]
+        )
 
 
 def _column(bound: int, elems: Iterable[WittElem], lam: Partition) -> list[LValue]:

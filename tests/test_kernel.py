@@ -5,7 +5,10 @@ Elements mix denominators, ∞ entries and zeros; some are valid
 homomorphisms (tropical point evaluation), some are corrupted at a few
 partitions, and some are arbitrary value tables.  Values, equality, the
 JSON form and every report (order, witnesses and detail text) must agree.
-The JSON token parser is checked against ``Fraction`` itself.
+Entries with numerators up to 10³⁰ make packed fields wider than a
+machine word.  The JSON token parser is checked against ``Fraction``
+itself, and the loader against the Partition-keyed one, also on
+unreduced fractions.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tropwitt.enriched import WittSpace
@@ -20,7 +24,7 @@ from tropwitt.generate import random_point_eval_space
 from tropwitt.partitions import Partition, partitions_of, partitions_up_to
 from tropwitt.quantale import INF, ZERO, LValue, _parse_token
 from tropwitt.symfunc import coproduct_mult, monomial
-from tropwitt.witt import WittElem, from_points, theta
+from tropwitt.witt import WittElem, _basis, _Packed, additive_unit, from_points, theta
 
 from oracles import (
     add_by_partitions,
@@ -43,8 +47,15 @@ lvalues = st.one_of(
 )
 
 
+# numerators up to 10³⁰ over denominators up to 10⁹: the packed fields of
+# such entries are wider than 8 bytes
+huge_lvalues = st.builds(
+    lambda p, q: LValue(Fraction(p, q)), st.integers(0, 10**30), st.integers(1, 10**9)
+)
+
+
 @st.composite
-def witt_elems(draw, bound: int) -> WittElem:
+def witt_elems(draw, bound: int, lvalues=lvalues) -> WittElem:
     parts = [lam for lam in partitions_up_to(bound) if not lam.is_empty()]
     kind = draw(st.sampled_from(["points", "corrupted", "table", "sparse", "theta"]))
     if kind == "theta":
@@ -120,9 +131,14 @@ def test_stored_form_is_canonical(f):
 
 
 @st.composite
-def witt_spaces(draw, bounds=st.sampled_from(range(1, 7)), sizes=st.sampled_from(range(1, 6))):
+def witt_spaces(
+    draw,
+    bounds=st.sampled_from(range(1, 7)),
+    sizes=st.sampled_from(range(1, 6)),
+    lvalues=lvalues,
+):
     bound = draw(bounds)
-    points = ("a", "b", "c", "d", "e")[: draw(sizes)]
+    points = ("a", "b", "c", "d", "e", "f", "g", "h")[: draw(sizes)]
     space = random_point_eval_space(random.Random(draw(st.integers(0, 10**6))), points, bound)
     dist = {(x, y): space.dist(x, y) for x in points for y in points}
     pairs = sorted(dist)
@@ -131,7 +147,10 @@ def witt_spaces(draw, bounds=st.sampled_from(range(1, 7)), sizes=st.sampled_from
     for pair in draw(st.lists(st.sampled_from(pairs), max_size=4)):
         dist[pair] = from_points(draw(st.lists(lvalues, min_size=1, max_size=bound)), bound)
     for pair in draw(st.lists(st.sampled_from(pairs), max_size=2)):
-        dist[pair] = draw(witt_elems(bound))
+        dist[pair] = draw(witt_elems(bound, lvalues))
+    # an entry that is ∞ everywhere
+    for pair in draw(st.lists(st.sampled_from(pairs), max_size=1)):
+        dist[pair] = additive_unit(bound)
     return WittSpace(points, dist)
 
 
@@ -154,6 +173,118 @@ def test_space_report_matches_partition_route(space):
 @given(witt_spaces(bounds=st.just(8), sizes=st.sampled_from(range(1, 4))))
 def test_space_report_matches_partition_route_at_degree_eight(space):
     _same_space_reports(space)
+
+
+@settings(max_examples=3)
+@given(witt_spaces(bounds=st.just(10), sizes=st.sampled_from(range(1, 4))))
+def test_space_report_matches_partition_route_at_degree_ten(space):
+    _same_space_reports(space)
+
+
+@settings(max_examples=12)
+@given(witt_spaces(bounds=st.sampled_from([1, 2, 3]), sizes=st.sampled_from(range(1, 9))))
+def test_space_report_matches_partition_route_with_up_to_eight_points(space):
+    _same_space_reports(space)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_eight_point_space_with_broken_entries(bound):
+    points = tuple("abcdefgh")
+    space = random_point_eval_space(random.Random(bound), points, bound)
+    dist = {(x, y): space.dist(x, y) for x in points for y in points}
+    dist["h", "a"] = from_points([LValue(40)] * bound, bound)
+    dist["c", "h"] = additive_unit(bound)
+    dist["h", "h"] = WittElem(bound, {Partition([1]): LValue(Fraction(1, 3))})
+    _same_space_reports(WittSpace(points, dist))
+
+
+@settings(max_examples=15)
+@given(
+    witt_spaces(
+        bounds=st.sampled_from(range(1, 5)),
+        sizes=st.sampled_from(range(1, 5)),
+        lvalues=st.one_of(lvalues, huge_lvalues),
+    )
+)
+def test_space_report_matches_partition_route_with_wide_fields(space):
+    _same_space_reports(space)
+
+
+@given(st.integers(1, 6).flatmap(lambda bound: witt_elems(bound, huge_lvalues)))
+def test_validate_matches_partition_route_with_wide_fields(f):
+    assert f.validate().to_json() == validate_by_partitions(f).to_json()
+
+
+def test_wide_fields_are_wider_than_a_machine_word():
+    f = from_points([LValue(Fraction(10**30 - 1, 10**9 - 7)), LValue(Fraction(1, 3))], 4)
+    g = WittElem(4, {**{lam: f.value(lam) for lam in partitions_up_to(4)}, Partition([2, 1]): ZERO})
+    assert _Packed((f, g)).size > 8
+    assert f.validate().violations == []
+    assert g.validate().to_json() == validate_by_partitions(g).to_json()
+    space = WittSpace(("a", "b"), {("a", "a"): theta(ZERO, 4), ("a", "b"): f, ("b", "a"): g, ("b", "b"): g})
+    assert _Packed(list(space._dist.values())).size > 8
+    _same_space_reports(space)
+
+
+@pytest.mark.parametrize("top, size", [(31, 1), (32, 2), (8191, 2), (8192, 3)])
+def test_fields_at_a_byte_boundary(top, size):
+    # with integer values whose largest finite one is top, the ∞ mark is
+    # 2·top + 1, and 2·∞ = 4·top + 2 lies just below or just above a whole
+    # number of bytes less the guard bit
+    points = ("a", "b", "c")
+    base = {(x, y): theta(LValue(0 if x == y else 1 + (x < y)), 3) for x in points for y in points}
+    dist = dict(base)
+    parts = [lam for lam in partitions_up_to(3) if not lam.is_empty()]
+    dist["a", "b"] = WittElem(3, {lam: LValue(top - i) for i, lam in enumerate(parts)})
+    dist["c", "a"] = WittElem(3, {**{lam: base["c", "a"].value(lam) for lam in parts}, parts[-1]: LValue(top)})
+    space = WittSpace(points, dist)
+    assert _Packed(list(space._dist.values())).size == size
+    for entry in dist.values():
+        assert entry.validate().to_json() == validate_by_partitions(entry).to_json()
+    _same_space_reports(space)
+
+
+def test_violation_in_the_last_field_of_the_last_group():
+    # in family order the last coproduct group at degree 4 is λ = (1,1,1,1)
+    # with left factor (4) and right set {(1,1,1,1)}; d(b, a) is finite
+    # only at (4) and d(a, b) only at (1,1,1,1), so the triple (b, a, b) is
+    # broken by that group alone, in the last field (x, z) = (b, b)
+    basis = _basis(4)
+    lam, mu, js = basis.coproduct[basis.groups.order[-1]]
+    last = Partition([1, 1, 1, 1])
+    assert (basis.parts[lam], basis.parts[mu], [basis.parts[j] for j in js]) == (
+        last,
+        Partition([4]),
+        [last],
+    )
+    rows = {Partition([n]): ZERO for n in range(1, 5)}
+    dist = {
+        ("a", "a"): WittElem(4, rows),
+        ("a", "b"): WittElem(4, {last: ZERO}),
+        ("b", "a"): WittElem(4, {Partition([4]): ZERO}),
+        ("b", "b"): WittElem(4, {**rows, last: LValue(5)}),
+    }
+    space = WittSpace(("a", "b"), dist)
+    witnesses = [v.witness for v in space.validate().violations if v.kind == "composition"]
+    assert ("b", "a", "b", last) in witnesses
+    _same_space_reports(space)
+
+
+def test_hom_violation_in_the_last_check_of_the_last_entry():
+    # lowering value(1,1) breaks the last check in family order, (1,1)·(2),
+    # of the last entry only
+    basis = _basis(4)
+    assert basis.pairs[basis.checks.order[-1]] == (Partition([1, 1]), Partition([2]))
+    points = ("a", "b")
+    space = random_point_eval_space(random.Random(3), points, 4)
+    dist = {(x, y): space.dist(x, y) for x in points for y in points}
+    f = dist["b", "b"]
+    dist["b", "b"] = WittElem(4, {**{lam: f.value(lam) for lam in partitions_up_to(4)}, Partition([1, 1]): ZERO})
+    broken = WittSpace(points, dist)
+    hom = [v.witness for v in broken.validate().violations if v.kind == "hom"]
+    assert ("b", "b", Partition([1, 1]), Partition([2])) in hom
+    assert {w[:2] for w in hom} == {("b", "b")}
+    _same_space_reports(broken)
 
 
 def test_space_broken_at_several_triples():
@@ -263,6 +394,43 @@ def _doc(values: dict, bound: int = 4) -> dict:
 @example(_doc({"1": -1}))
 @example(_doc({"1": "inf", "2": "∞", "1,1": " 7/2 "}))
 def test_from_json_matches_partition_keyed_loader(data):
+    assert _loaded(WittElem.from_json, data) == _loaded(witt_from_json_by_partitions, data)
+
+
+unreduced_tokens = st.one_of(
+    st.builds(
+        lambda p, q, c: f"{p * c}/{q * c}",
+        st.integers(0, 40),
+        st.integers(1, 12),
+        st.integers(1, 30),
+    ),
+    st.builds(
+        lambda p, q, a, b: f"{'0' * a}{p}/{'0' * b}{q}",
+        st.integers(0, 40),
+        st.integers(1, 12),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    ),
+    st.builds(lambda p, a: "0" * a + str(p), st.integers(0, 10**20), st.integers(0, 3)),
+    st.sampled_from(["4/6", "0/5", "007/014", "3/0", "0/0", "00", "inf", "2/4 ", "+4/6"]),
+)
+
+
+@st.composite
+def unreduced_documents(draw) -> dict:
+    bound = draw(st.integers(1, 5))
+    keys = [lam.key() for lam in partitions_up_to(bound) if not lam.is_empty()]
+    return _doc(draw(st.dictionaries(st.sampled_from(keys), unreduced_tokens)), bound)
+
+
+@given(unreduced_documents())
+@example(_doc({"1": "4/6", "2": "0/5", "1,1": "007/014"}))
+@example(_doc({"1": "4/6", "2": "3/0"}))
+@example(_doc({"1": "0/5", "2": "0/7"}))
+@example(_doc({"1": "6/4", "2": "10/15", "3": "14/21"}))
+def test_from_json_reduces_unreduced_tokens(data):
+    # ASCII tokens are read to integer pairs and reduced once per element;
+    # the stored form must still be the canonical one
     assert _loaded(WittElem.from_json, data) == _loaded(witt_from_json_by_partitions, data)
 
 
