@@ -36,10 +36,10 @@ DEFAULT_DEGREE = 8
 # 2.5-fold per degree.
 MAX_DEGREE = 12
 # Largest point count of a space in an input file.  Validation tests every
-# triple of points, k³ fused passes over the coproduct groups, though each
-# entry's inner minima are taken once: a cold `cat validate` of a valid
-# space at degree 12 took 0.93 s at 6 points and 1.19 s at 8 (2-vCPU Xeon
-# in a slow phase, median of 5; 1.00 and 1.39 s before the fused check).
+# triple of points, one packed step per middle point over all coproduct
+# groups and all (x, z): a cold `cat validate` of a valid space at degree
+# 12 took 0.61 s at 6 points and 0.74 s at 8 (2-vCPU Xeon, median of 5;
+# 0.83 and 1.13 s before the packed kernel).
 MAX_POINTS = 8
 # Largest --steps of a growth path.  A cold `plancherel sample` takes 0.28 s
 # at 500 steps; in-process, sampling takes 0.49 s at 1,000 and 1.6 s at 2,000

@@ -83,10 +83,13 @@ class _Family:
     def __init__(self, sets: Sequence[Sequence[int]], *aligned: Sequence[int]):
         order = sorted(range(len(sets)), key=lambda k: -len(sets[k]))
         self.order = tuple(order)
+        ordered = [sets[k] for k in order]
         self.rounds = []
-        for r in range(len(sets[order[0]]) if sets else 0):
-            live = [sets[k] for k in order if len(sets[k]) > r]
-            self.rounds.append((len(live), _getter([s[r] for s in live])))
+        n = len(ordered)
+        for r in range(len(ordered[0]) if ordered else 0):
+            while len(ordered[n - 1]) <= r:
+                n -= 1
+            self.rounds.append((n, _getter([s[r] for s in ordered[:n]])))
         self.aligned = tuple(_getter([pos[k] for k in order]) for pos in aligned)
 
 
@@ -230,13 +233,13 @@ class _Packed:
         fields = [list(map(to_bytes, xs, repeat(size), repeat("little"))) for xs in self.lists]
         self.cols = list(map(b"".join, zip(*fields)))
 
-    def repeat(self, pattern: bytes, n: int) -> int:
+    def tiled(self, pattern: bytes, n: int) -> int:
         """The packed integer whose bytes are pattern, n times."""
         return int.from_bytes(pattern * n, "little")
 
     def guards(self, n: int) -> int:
         """The guard bits of n fields."""
-        return self.repeat(bytes(self.size - 1) + b"\x80", n)
+        return self.tiled(bytes(self.size - 1) + b"\x80", n)
 
     def gather(self, get: Callable) -> int:
         """The columns that get reads, in its order."""
@@ -333,10 +336,12 @@ def _composition_excesses(points: Sequence, packed: _Packed) -> Iterator[tuple]:
     # the share is finite and d(x, z)(λ) is ∞ or numerically above it
     caps = (packed.gather(lam_of) | h) - (h >> (bits - 1))
     full, zeros = b"\xff" * size, bytes(size)
-    row = packed.repeat(full * k + zeros * (k * k - k), n)  # the fields (group, z)
-    column = packed.repeat(full + zeros * (k - 1), n * k)  # the fields (group, x·k)
-    over_x = packed.repeat(b"\x01" + bytes(k * size - 1), k)
-    over_z = packed.repeat(b"\x01" + zeros[1:], k)
+    row = packed.tiled(full * k + zeros * (k * k - k), n)  # the fields (group, z)
+    column = packed.tiled(full + zeros * (k - 1), n * k)  # the fields (group, x·k)
+    # a 1 in each field x·k, and in each field z: the products copy a field
+    # (group, z) to every (group, x·k + z), and (group, x·k) likewise
+    over_x = packed.tiled(b"\x01" + bytes(k * size - 1), k)
+    over_z = packed.tiled(b"\x01" + zeros[1:], k)
     failing = []
     for y in range(k):
         shares = ((right >> y * k * bits) & row) * over_x + ((left >> y * bits) & column) * over_z

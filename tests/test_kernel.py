@@ -86,6 +86,12 @@ def _same(got: WittElem, want: WittElem) -> None:
     assert repr(got) == repr(want)
 
 
+def _with_value(f: WittElem, lam: Partition, v: LValue) -> WittElem:
+    """f with its value at λ replaced by v."""
+    values = {mu: f.value(mu) for mu in partitions_up_to(f.degree_bound)}
+    return WittElem(f.degree_bound, {**values, lam: v})
+
+
 @given(elem_pairs())
 def test_rig_operations_match_partition_route(pair):
     f, g = pair
@@ -217,11 +223,12 @@ def test_validate_matches_partition_route_with_wide_fields(f):
 
 def test_wide_fields_are_wider_than_a_machine_word():
     f = from_points([LValue(Fraction(10**30 - 1, 10**9 - 7)), LValue(Fraction(1, 3))], 4)
-    g = WittElem(4, {**{lam: f.value(lam) for lam in partitions_up_to(4)}, Partition([2, 1]): ZERO})
+    g = _with_value(f, Partition([2, 1]), ZERO)
     assert _Packed((f, g)).size > 8
     assert f.validate().violations == []
     assert g.validate().to_json() == validate_by_partitions(g).to_json()
-    space = WittSpace(("a", "b"), {("a", "a"): theta(ZERO, 4), ("a", "b"): f, ("b", "a"): g, ("b", "b"): g})
+    dist = {("a", "a"): theta(ZERO, 4), ("a", "b"): f, ("b", "a"): g, ("b", "b"): g}
+    space = WittSpace(("a", "b"), dist)
     assert _Packed(list(space._dist.values())).size > 8
     _same_space_reports(space)
 
@@ -236,7 +243,7 @@ def test_fields_at_a_byte_boundary(top, size):
     dist = dict(base)
     parts = [lam for lam in partitions_up_to(3) if not lam.is_empty()]
     dist["a", "b"] = WittElem(3, {lam: LValue(top - i) for i, lam in enumerate(parts)})
-    dist["c", "a"] = WittElem(3, {**{lam: base["c", "a"].value(lam) for lam in parts}, parts[-1]: LValue(top)})
+    dist["c", "a"] = _with_value(base["c", "a"], parts[-1], LValue(top))
     space = WittSpace(points, dist)
     assert _Packed(list(space._dist.values())).size == size
     for entry in dist.values():
@@ -278,8 +285,7 @@ def test_hom_violation_in_the_last_check_of_the_last_entry():
     points = ("a", "b")
     space = random_point_eval_space(random.Random(3), points, 4)
     dist = {(x, y): space.dist(x, y) for x in points for y in points}
-    f = dist["b", "b"]
-    dist["b", "b"] = WittElem(4, {**{lam: f.value(lam) for lam in partitions_up_to(4)}, Partition([1, 1]): ZERO})
+    dist["b", "b"] = _with_value(dist["b", "b"], Partition([1, 1]), ZERO)
     broken = WittSpace(points, dist)
     hom = [v.witness for v in broken.validate().violations if v.kind == "hom"]
     assert ("b", "b", Partition([1, 1]), Partition([2])) in hom
