@@ -30,10 +30,11 @@ if TYPE_CHECKING:
 
 DEFAULT_DEGREE = 8
 # Largest degree bound accepted from options and input files.  A cold process
-# at degree 12 spends about 0.3 s on the product table and 0.4 s on the
-# multiplicative-coproduct table, a cold `witt validate` takes about 0.4 s,
-# and one warm WittElem.mul 2.5 ms (2-vCPU Xeon); the tables grow about
-# 2.5-fold per degree.
+# at degree 12 spends about 0.1 s on the power-sum transitions that every
+# structure table reads, 0.1 s on the products that validation checks and
+# 0.15 s on the multiplicative coproduct; a cold `witt validate` takes about
+# 0.4 s, and one warm WittElem.mul 2.5 ms (2-vCPU Xeon); the tables grow
+# about 2.5-fold per degree.
 MAX_DEGREE = 12
 # Largest point count of a space in an input file.  Validation tests every
 # triple of points, one packed step per middle point over all coproduct

@@ -12,21 +12,27 @@ read off the power sums, the ghost coordinates (Macdonald, *Symmetric
 Functions and Hall Polynomials*, ch. I): p_ρ·p_σ = p_{ρ∪σ},
 Δ×(p_ρ) = p_ρ ⊗ p_ρ and p_k ∘ m_μ = m_{kμ}, through one cached p↔m
 transition per degree in exact integer arithmetic (:func:`_transition`).
-The brute-force polynomial route (:func:`expand_in_vars`, :func:`poly_mul`,
-:func:`from_polynomial`) is the reference that the ``oracle-coherence``
-suite and the tests check them against.
+One :class:`_Basis` per degree bound owns the partition index and every
+structure table, by basis position: the product rows, the
+multiplicative-coproduct groups with their counts and the multiset
+splittings.  This module's arithmetic and the Witt rig of
+:mod:`tropwitt.witt` both read them.  The brute-force polynomial route
+(:func:`expand_in_vars`, :func:`poly_mul`, :func:`from_polynomial`) is
+the reference that the ``oracle-coherence`` suite and the tests check
+them against.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
-from itertools import product as iter_product
-from math import factorial
+from functools import cache, cached_property
+from itertools import compress, islice, product as iter_product, repeat
+from math import factorial, gcd
+from operator import floordiv
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ConstantTermError, DegreeOverflowError, FormatError, NotSymmetricError
-from .partitions import EMPTY, Partition, partitions_of
+from .partitions import EMPTY, Partition, partitions_of, partitions_up_to
 
 Poly = dict[tuple[int, ...], int]
 
@@ -319,22 +325,15 @@ def _power_sum_rows(parts: tuple[Partition, ...]) -> list[list[tuple[int, int]]]
     ]
 
 
-def _divide_exactly(num: int, den: int) -> int:
-    q, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"{num} is not divisible by {den}")
-    return q
-
-
-def _exact_counts(scaled: Iterable[tuple], scale: int, what: str) -> Iterator[tuple]:
-    """Divide the (key, value) pairs exactly by ``scale``, keeping nonzero
-    counts.  A remainder or a negative count means a wrong table."""
-    for key, v in scaled:
-        if v:
-            c = _divide_exactly(v, scale)
-            if c < 0:
-                raise ArithmeticError(f"negative coefficient {c} in {what}")
-            yield key, c
+def _exact_counts(scaled: Iterable[int], scale: int, what: str) -> Iterator[int]:
+    """The nonzero scaled counts, in order, divided exactly by ``scale``.
+    A remainder or a negative count means a wrong table."""
+    values = list(filter(None, scaled))
+    if values and gcd(*values) % scale:
+        raise ArithmeticError(f"a coefficient of {what} is not divisible by {scale}")
+    if values and min(values) < 0:
+        raise ArithmeticError(f"negative coefficient {min(values) // scale} in {what}")
+    return map(floordiv, values, repeat(scale))
 
 
 class _Transition(NamedTuple):
@@ -344,7 +343,6 @@ class _Transition(NamedTuple):
     (column, entry) pairs."""
 
     parts: tuple[Partition, ...]
-    index: dict[Partition, int]
     rows: list[list[tuple[int, int]]]
     inverse: list[list[tuple[int, int]]]
     scale: int  # n!
@@ -363,93 +361,11 @@ def _transition(n: int) -> _Transition:
         for m, c in row[:-1]:
             for k, a in inverse[m]:
                 acc[k] -= c * a
-        inverse.append([(k, _divide_exactly(v, row[-1][1])) for k, v in enumerate(acc) if v])
-    index = {lam: i for i, lam in enumerate(parts)}
-    return _Transition(parts, index, rows, inverse, scale)
-
-
-# -- product ------------------------------------------------------------------
-
-
-def _product_scaled(mu: Partition, nu: Partition) -> list[int]:
-    """|μ|!·|ν|! times the coefficients of m_μ · m_ν, one per partition of
-    |μ| + |ν| in ``partitions_of`` order.
-
-    p_ρ·p_σ = p_{ρ∪σ}, so with A = L⁻¹ the coefficient at λ is
-    Σ_{ρ,σ} A[μ][ρ]·A[ν][σ]·L[ρ∪σ][λ].
-    """
-    left, right = _transition(mu.size), _transition(nu.size)
-    total = _transition(mu.size + nu.size)
-    acc = [0] * len(total.parts)
-    for r, a in left.inverse[left.index[mu]]:
-        for s, b in right.inverse[right.index[nu]]:
-            union = Partition._trusted(
-                tuple(sorted(left.parts[r].parts + right.parts[s].parts, reverse=True))
-            )
-            for k, c in total.rows[total.index[union]]:
-                acc[k] += a * b * c
-    return acc
-
-
-@cache
-def _basis_product(mu: Partition, nu: Partition) -> tuple[tuple[Partition, int], ...]:
-    """Structure constants of m_μ · m_ν in the monomial basis, as (λ, c)
-    entries with c > 0 in ``partitions_of`` order: :func:`_product_scaled`
-    divided exactly."""
-    scaled = zip(partitions_of(mu.size + nu.size), _product_scaled(mu, nu))
-    scale = factorial(mu.size) * factorial(nu.size)
-    return tuple(_exact_counts(scaled, scale, f"m{mu}·m{nu}"))
-
-
-def multiply(f: SymFunc, g: SymFunc, strict: bool = False) -> SymFunc:
-    """Product in the monomial basis, truncated at the degree bound.
-
-    Terms of degree above the bound are dropped silently; with
-    ``strict=True`` such a term raises instead.
-    """
-    _check_bounds(f, g)
-    bound = f.degree_bound
-    out: dict[Partition, int] = {}
-    for mu, a in f._coeffs.items():
-        for nu, b in g._coeffs.items():
-            if mu.size + nu.size > bound:
-                if strict:
-                    raise DegreeOverflowError(
-                        f"product term m{mu}·m{nu} exceeds degree bound {bound}"
-                    )
-                continue
-            for lam, c in _basis_product(mu, nu):
-                out[lam] = out.get(lam, 0) + a * b * c
-    return SymFunc(out, bound)
-
-
-# -- coproducts ----------------------------------------------------------------
-
-
-@cache
-def _splittings(lam: Partition) -> tuple[tuple[Partition, Partition], ...]:
-    """All ordered pairs (μ, ν) with μ ⊎ ν = λ as multisets, each once."""
-    counts = Counter(lam.parts)
-    values = sorted(counts)
-    pairs = []
-    for take in iter_product(*(range(counts[v] + 1) for v in values)):
-        left: list[int] = []
-        right: list[int] = []
-        for v, k in zip(values, take):
-            left.extend([v] * k)
-            right.extend([v] * (counts[v] - k))
-        pairs.append((Partition(left), Partition(right)))
-    return tuple(pairs)
-
-
-def coproduct_add(f: SymFunc) -> TensorSymFunc:
-    """Additive coproduct: on m_λ the sum of m_μ ⊗ m_ν over multiset
-    splittings λ = μ ⊎ ν, extended linearly."""
-    out: dict[tuple[Partition, Partition], int] = {}
-    for lam, c in f._coeffs.items():
-        for pair in _splittings(lam):
-            out[pair] = out.get(pair, 0) + c
-    return TensorSymFunc(out, f.degree_bound)
+        diagonal = row[-1][1]
+        if gcd(*acc) % diagonal:
+            raise ArithmeticError(f"row {r} of n!·L⁻¹ at n = {n} is not integral")
+        inverse.append([(k, v // diagonal) for k, v in enumerate(acc) if v])
+    return _Transition(parts, rows, inverse, scale)
 
 
 def _comult_scaled(n: int) -> Iterator[list[int]]:
@@ -472,35 +388,175 @@ def _comult_scaled(n: int) -> Iterator[list[int]]:
         yield acc
 
 
-@cache
-def _comult_table(
-    n: int,
-) -> dict[Partition, tuple[tuple[tuple[Partition, Partition], int], ...]]:
-    """Multiplicative-coproduct coefficients of every m_λ with |λ| = n:
-    :func:`_comult_scaled` divided exactly by n!.
+class _Basis:
+    """The partitions up to a degree bound N and the structure constants of
+    the monomial basis on them, all by position.
 
-    Each λ maps to its ((μ, ν), c) entries with c > 0, ordered by μ and
-    then ν in ``partitions_of`` order.  Expanding m_λ at the doubled
-    alphabet x_i·y_j, c also counts the matrices whose nonzero entries form
-    the multiset λ, with row sums μ and column sums ν; ``tests/oracles.py``
-    keeps that count as the reference route.  Both factors always have
-    degree exactly |λ|.
+    The nonempty partitions sit at positions 0, 1, … in ``partitions_up_to``
+    order, which lists each size in the reverse of ``partitions_of`` order,
+    and m_∅ at ``empty``, one past the last.  Each table is built on first
+    use: the multiplicative coproduct one size at a time, the products one
+    unordered pair at a time."""
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.parts: tuple[Partition, ...] = partitions_up_to(bound)[1:]
+        self.empty = len(self.parts)
+        self.labels = (*self.parts, EMPTY)  # the partition at each position
+        self.index = {lam: i for i, lam in enumerate(self.labels)}
+        self.keys = tuple(lam.key() for lam in self.parts)
+        self.positions = {key: i for i, key in enumerate(self.keys)}
+        # the position of the row (n) at rows[n], m_∅'s at rows[0]; the row
+        # comes first among the partitions of n in ``partitions_of`` order
+        self.rows = (self.empty, *(self.index[Partition([n])] for n in range(1, bound + 1)))
+        self._comult: dict[int, tuple] = {}
+        self._products: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+
+    def rank(self, lam: Partition) -> int:
+        """λ's place in ``partitions_of(|λ|)``."""
+        return self.rows[lam.size] - self.index[lam]
+
+    def comult(self, n: int) -> tuple[tuple[tuple, ...], ...]:
+        """Δ×(m_λ) of each λ of size n, in ``partitions_of`` order, as its
+        groups (i, js, cs): the sum of c·m_μᵢ ⊗ m_νⱼ over the groups and
+        (j, c) in zip(js, cs), ordered by μ and then ν in ``partitions_of``
+        order; :func:`_comult_scaled` divided exactly by n!.  c also counts
+        the matrices whose nonzero entries form the multiset λ, with row
+        sums μ and column sums ν, the reference route of the tests."""
+        if n not in self._comult:
+            pos = self._positions(n)
+            size, scale = len(pos), factorial(n)
+            table = []
+            for lam, acc in zip(partitions_of(n), _comult_scaled(n)):
+                counts, groups = _exact_counts(acc, scale, f"Δ×(m{lam})"), []
+                for m, i in enumerate(pos):
+                    if js := tuple(compress(pos, acc[m * size:(m + 1) * size])):
+                        groups.append((i, js, tuple(islice(counts, len(js)))))
+                table.append(tuple(groups))
+            self._comult[n] = tuple(table)
+        return self._comult[n]
+
+    @cached_property
+    def coproduct(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """The groups of :meth:`comult` of every nonempty λ, sizes in turn,
+        as flat (λ, i, js) without their counts."""
+        return tuple(
+            (lam, i, js)
+            for n in range(1, self.bound + 1)
+            for lam, groups in zip(self._positions(n), self.comult(n))
+            for i, js, _ in groups
+        )
+
+    def product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
+        """m_μ · m_ν for μ and ν at positions i and j, |μ| + |ν| ≤ N, as
+        (position, count) rows with count > 0 in ``partitions_of`` order:
+        :meth:`_product_scaled` divided exactly."""
+        key = (i, j) if i < j else (j, i)  # the product commutes
+        if key not in self._products:
+            mu, nu = self.labels[i], self.labels[j]
+            scaled = self._product_scaled(mu, nu)
+            counts = _exact_counts(scaled, factorial(mu.size) * factorial(nu.size), f"m{mu}·m{nu}")
+            positions = compress(self._positions(mu.size + nu.size), scaled)
+            self._products[key] = tuple(zip(positions, counts))
+        return self._products[key]
+
+    def _product_scaled(self, mu: Partition, nu: Partition) -> list[int]:
+        """|μ|!·|ν|! times the coefficients of m_μ · m_ν, one per partition of
+        |μ| + |ν| in ``partitions_of`` order.
+
+        p_ρ·p_σ = p_{ρ∪σ}, so with A = L⁻¹ the coefficient at λ is
+        Σ_{ρ,σ} A[μ][ρ]·A[ν][σ]·L[ρ∪σ][λ].
+        """
+        left, right = _transition(mu.size), _transition(nu.size)
+        total = _transition(mu.size + nu.size)
+        acc = [0] * len(total.parts)
+        for r, a in left.inverse[self.rank(mu)]:
+            for s, b in right.inverse[self.rank(nu)]:
+                union = Partition._trusted(
+                    tuple(sorted(left.parts[r].parts + right.parts[s].parts, reverse=True))
+                )
+                for k, c in total.rows[self.rank(union)]:
+                    acc[k] += a * b * c
+        return acc
+
+    @cached_property
+    def splittings(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per position, m_∅'s last, the multiset splittings λ = μ ⊎ ν as
+        position pairs (i, j), each once."""
+        out = []
+        for lam in self.labels:
+            counts = Counter(lam.parts)  # values in decreasing order
+            # μ takes t of the copies of each value; the choices run in
+            # lexicographic order, so the k-th from the end is the k-th's complement
+            takes = iter_product(*(range(k + 1) for k in counts.values()))
+            lefts = [tuple(v for v, t in zip(counts, take) for _ in range(t)) for take in takes]
+            at = [self.index[Partition._trusted(left)] for left in lefts]
+            out.append(tuple(zip(at, reversed(at))))
+        return tuple(out)
+
+    def _positions(self, n: int) -> range:
+        """The position of each partition of n, in ``partitions_of`` order."""
+        return range(self.rows[n], self.rows[n] - len(partitions_of(n)), -1)
+
+
+@cache
+def _basis(bound: int) -> _Basis:
+    return _Basis(bound)
+
+
+# -- product ------------------------------------------------------------------
+
+
+def multiply(f: SymFunc, g: SymFunc, strict: bool = False) -> SymFunc:
+    """Product in the monomial basis, truncated at the degree bound.
+
+    Terms of degree above the bound are dropped silently; with
+    ``strict=True`` such a term raises instead.
     """
-    parts = partitions_of(n)
-    pairs = list(iter_product(parts, repeat=2))
-    scale = factorial(n)
-    return {
-        lam: tuple(_exact_counts(zip(pairs, acc), scale, f"Δ×(m{lam})"))
-        for lam, acc in zip(parts, _comult_scaled(n))
-    }
+    _check_bounds(f, g)
+    bound = f.degree_bound
+    basis = _basis(bound)
+    index, labels = basis.index, basis.labels
+    out: dict[Partition, int] = {}
+    for mu, a in f._coeffs.items():
+        for nu, b in g._coeffs.items():
+            if mu.size + nu.size > bound:
+                if strict:
+                    raise DegreeOverflowError(
+                        f"product term m{mu}·m{nu} exceeds degree bound {bound}"
+                    )
+                continue
+            for p, c in basis.product(index[mu], index[nu]):
+                out[labels[p]] = out.get(labels[p], 0) + a * b * c
+    return SymFunc(out, bound)
+
+
+# -- coproducts ----------------------------------------------------------------
+
+
+def coproduct_add(f: SymFunc) -> TensorSymFunc:
+    """Additive coproduct: on m_λ the sum of m_μ ⊗ m_ν over multiset
+    splittings λ = μ ⊎ ν, extended linearly."""
+    basis = _basis(f.degree_bound)
+    labels = basis.labels
+    out: dict[tuple[Partition, Partition], int] = {}
+    for lam, c in f._coeffs.items():
+        for i, j in basis.splittings[basis.index[lam]]:
+            pair = (labels[i], labels[j])
+            out[pair] = out.get(pair, 0) + c
+    return TensorSymFunc(out, f.degree_bound)
 
 
 def coproduct_mult(f: SymFunc) -> TensorSymFunc:
     """Multiplicative coproduct, extended linearly from the basis."""
+    basis = _basis(f.degree_bound)
+    labels = basis.labels
     out: dict[tuple[Partition, Partition], int] = {}
     for lam, c in f._coeffs.items():
-        for pair, k in _comult_table(lam.size)[lam]:
-            out[pair] = out.get(pair, 0) + c * k
+        for i, js, ks in basis.comult(lam.size)[basis.rank(lam)]:
+            for j, k in zip(js, ks):
+                pair = (labels[i], labels[j])
+                out[pair] = out.get(pair, 0) + c * k
     return TensorSymFunc(out, f.degree_bound)
 
 
@@ -523,22 +579,20 @@ def counit_mult(f: SymFunc) -> int:
 
 def tensor_counit_left(t: TensorSymFunc, kind: str) -> SymFunc:
     """Apply a counit ('add' or 'mult') to the left tensor factor."""
-    eps = counit_add if kind == "add" else counit_mult
-    out: dict[Partition, int] = {}
-    for (mu, nu), c in t.items():
-        e = eps(monomial(mu, t.degree_bound))
-        if e:
-            out[nu] = out.get(nu, 0) + c * e
-    return SymFunc(out, t.degree_bound)
+    return _tensor_counit(t, kind, 0)
 
 
 def tensor_counit_right(t: TensorSymFunc, kind: str) -> SymFunc:
+    return _tensor_counit(t, kind, 1)
+
+
+def _tensor_counit(t: TensorSymFunc, kind: str, side: int) -> SymFunc:
     eps = counit_add if kind == "add" else counit_mult
     out: dict[Partition, int] = {}
-    for (mu, nu), c in t.items():
-        e = eps(monomial(nu, t.degree_bound))
+    for pair, c in t.items():
+        e = eps(monomial(pair[side], t.degree_bound))
         if e:
-            out[mu] = out.get(mu, 0) + c * e
+            out[pair[1 - side]] = out.get(pair[1 - side], 0) + c * e
     return SymFunc(out, t.degree_bound)
 
 
@@ -652,15 +706,17 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
             powers[rho] = multiply(power(Partition(rho.parts[:-1])), SymFunc(pk, bound))
         return powers[rho]
 
+    basis = _basis(bound)
     scale = factorial(f.degree())
     acc: dict[Partition, int] = {}
     for lam, c in f._coeffs.items():
         t = _transition(lam.size)
-        for r, a in t.inverse[t.index[lam]]:
+        for r, a in t.inverse[basis.rank(lam)]:
             weight = c * a * (scale // t.scale)
             for nu, b in power(t.parts[r])._coeffs.items():
                 acc[nu] = acc.get(nu, 0) + weight * b
-    return SymFunc(dict(_exact_counts(acc.items(), scale, "f ∘ g")), bound)
+    counts = _exact_counts(acc.values(), scale, "f ∘ g")
+    return SymFunc(dict(zip(compress(acc, acc.values()), counts)), bound)
 
 
 def _is_natural(x) -> bool:

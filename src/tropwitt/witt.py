@@ -14,16 +14,16 @@ functions: a splitting of λ into two sub-multisets for addition, a pair of
 equal-degree partitions from the doubled-alphabet coproduct for
 multiplication.  Both are degree-local, so truncation never loses terms.
 
-The values are stored densely.  :class:`_Basis` fixes, once per degree
-bound, the nonempty partitions up to N in ``partitions_up_to`` order and
-the supports of both coproducts and of the products m_μ·m_ν as index
-tables.  An element keeps a shared denominator D, the lcm of the reduced
-denominators of its finite values, and one integer numerator per basis
-partition, ``None`` for ∞; the form is canonical, so equality is tuple
-equality.  Every rig operation is then a min over integer sums on those
-index tables.  ``LValue`` appears only at the API and JSON boundary.
+The values are stored densely, by position in the basis of the degree
+bound: ``symfunc._basis(N)`` owns the partition index and the exact
+structure constants, and this module reads the supports of its rows.  An
+element keeps a shared denominator D, the lcm of the reduced denominators
+of its finite values, and one integer numerator per nonempty partition,
+``None`` for ∞; the form is canonical, so equality is tuple equality.
+Every rig operation is then a min over integer sums on position tables.
+``LValue`` appears only at the API and JSON boundary.
 
-The coproduct table is flat, one group per λ and left factor μᵢ, holding
+The coproduct is read flat, one group per λ and left factor μᵢ, holding
 the right factors νⱼ of that group: (f·g)(λ) is the min over λ's groups of
 f(μᵢ) + min_j g(νⱼ), and the inner min depends on g alone.
 
@@ -38,28 +38,29 @@ guard bit, and Python integers make the word as wide as the batch.  A
 size, so round r reads the r-th member of a prefix of the sets, and one
 fieldwise min per round (guard-bit subtract, mask, select) takes the
 minima of every set for every element at once.  One family holds the
-product supports that :meth:`WittElem.validate` checks, another the right
-sets of the coproduct groups.  A space checks all k² entries in one
-packed pass, and d(x, z) ≤ d(x, y)·d(y, z) in one step per middle point
-y over the fields (group, x·k + z): d(x, y)(μᵢ) + min_j d(y, z)(νⱼ) below
-d(x, z)(λ) leaves a guard bit set.  Only a failing entry or triple is
-looked at again, for its report.
+product supports that :meth:`WittElem.validate` checks (:func:`_checks`),
+another the right sets of the coproduct groups (:func:`_groups`).  A
+space checks all k² entries in one packed pass, and d(x, z) ≤
+d(x, y)·d(y, z) in one step per middle point y over the fields
+(group, x·k + z): d(x, y)(μᵢ) + min_j d(y, z)(νⱼ) below d(x, z)(λ)
+leaves a guard bit set.  Only a failing entry or triple is looked at
+again, for its report.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import compress, count, repeat
 from math import gcd, lcm
 from operator import gt, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegreeOverflowError, FormatError
-from .partitions import Partition, partitions_of, partitions_up_to
+from .partitions import Partition, partitions_of
 from .quantale import INF, ZERO, LValue, _json_pair, _make
 from .report import Report
-from .symfunc import SymFunc, _comult_scaled, _product_scaled, _splittings, plethysm
+from .symfunc import SymFunc, _basis, plethysm
 
 
 def _getter(positions: Sequence[int]):
@@ -93,95 +94,30 @@ class _Family:
         self.aligned = tuple(_getter([pos[k] for k in order]) for pos in aligned)
 
 
-class _Basis:
-    """The nonempty partitions up to a degree bound N, in ``partitions_up_to``
-    order, and the structure tables of the Witt rig as tables of positions
-    in that order.  Each table is built on first use."""
-
-    def __init__(self, bound: int):
-        if bound < 1:
-            raise ValueError("degree bound must be ≥ 1")
-        self.bound = bound
-        self.parts: tuple[Partition, ...] = partitions_up_to(bound)[1:]
-        self.index = {lam: i for i, lam in enumerate(self.parts)}
-        self.keys = tuple(lam.key() for lam in self.parts)
-        self.positions = {key: i for i, key in enumerate(self.keys)}
-        # position of the row (n) at rows[n - 1]
-        self.rows = tuple(self.index[Partition([n])] for n in range(1, bound + 1))
-
-    @cached_property
-    def coproduct(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-        """The groups (λ, i, js) of the multiplicative coproduct: Δ×(m_λ) is
-        the sum of m_μᵢ ⊗ m_νⱼ over the groups of λ and j in js."""
-        groups: list[tuple[int, int, tuple[int, ...]]] = []
-        for n in range(1, self.bound + 1):
-            pos = self._positions(n)
-            size = len(pos)
-            for lam, acc in zip(pos, _comult_scaled(n)):
-                for m, i in enumerate(pos):
-                    # the nonzero entries of row μ_m of the flattened table
-                    js = tuple(compress(pos, acc[m * size:(m + 1) * size]))
-                    if js:
-                        groups.append((lam, i, js))
-        return tuple(groups)
-
-    @cached_property
-    def groups(self) -> _Family:
-        """The right sets of the coproduct groups, with each group's left
-        position and λ aligned."""
-        groups = self.coproduct
-        return _Family(
-            [js for _, _, js in groups], [i for _, i, _ in groups], [lam for lam, _, _ in groups]
-        )
-
-    @cached_property
-    def splittings(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per λ, the multiset splittings λ = μ ⊎ ν as (i, j); the empty
-        partition sits at position len(parts), one past the last."""
-        index = self.index
-        empty = len(self.parts)
-        return tuple(
-            tuple(
-                (index.get(mu, empty), index.get(nu, empty)) for mu, nu in _splittings(lam)
-            )
-            for lam in self.parts
-        )
-
-    @cached_property
-    def pairs(self) -> tuple[tuple[Partition, Partition], ...]:
-        """The multiplicativity checks in report order: every pair (μ, ν)
-        with |μ| ≤ |ν| and |μ| + |ν| ≤ N."""
-        return tuple(
-            (mu, nu)
-            for a in range(1, self.bound)
-            for b in range(a, self.bound - a + 1)
-            for mu in partitions_of(a)
-            for nu in partitions_of(b)
-            if b > a or not nu < mu
-        )
-
-    @cached_property
-    def checks(self) -> _Family:
-        """The support of each product m_μ·m_ν of ``pairs``, with the
-        positions of μ and ν aligned."""
-        index = self.index
-        return _Family(
-            [
-                tuple(compress(self._positions(mu.size + nu.size), _product_scaled(mu, nu)))
-                for mu, nu in self.pairs
-            ],
-            [index[mu] for mu, _ in self.pairs],
-            [index[nu] for _, nu in self.pairs],
-        )
-
-    def _positions(self, n: int) -> list[int]:
-        """The position of each partition of n, in ``partitions_of`` order."""
-        return [self.index[lam] for lam in partitions_of(n)]
+@cache
+def _groups(bound: int) -> _Family:
+    """The right sets of the coproduct groups, with each group's left
+    position and λ aligned."""
+    lams, lefts, rights = zip(*_basis(bound).coproduct)
+    return _Family(rights, lefts, lams)
 
 
 @cache
-def _basis(bound: int) -> _Basis:
-    return _Basis(bound)
+def _checks(bound: int) -> tuple[tuple[tuple[int, int], ...], _Family]:
+    """The multiplicativity checks in report order, as the positions of
+    every pair (μ, ν) with |μ| ≤ |ν| and |μ| + |ν| ≤ N, and the supports
+    of their products m_μ·m_ν, with the positions of μ and ν aligned."""
+    basis = _basis(bound)
+    pairs = tuple(
+        (basis.index[mu], basis.index[nu])
+        for a in range(1, bound)
+        for b in range(a, bound - a + 1)
+        for mu in partitions_of(a)
+        for nu in partitions_of(b)
+        if b > a or not nu < mu
+    )
+    supports = [[p for p, _ in basis.product(i, j)] for i, j in pairs]
+    return pairs, _Family(supports, [i for i, _ in pairs], [j for _, j in pairs])
 
 
 def _text(n: int | None, den: int) -> str:
@@ -290,7 +226,7 @@ def _hom_checks(packed: _Packed) -> tuple[int, int, int]:
     in ``checks`` order, element): the min over each product support, the
     sum value(μ) + value(ν) clamped at the ∞ mark, and the guard bits of
     the fields where the two differ."""
-    checks = _basis(packed.bound).checks
+    _, checks = _checks(packed.bound)
     n = len(checks.order) * packed.count
     h = packed.guards(n)
     ones = h >> (packed.bits - 1)
@@ -304,7 +240,7 @@ def _hom_checks(packed: _Packed) -> tuple[int, int, int]:
 def _hom_failures(packed: _Packed) -> list[int]:
     """The indices of the elements that fail a multiplicativity check."""
     *_, flags = _hom_checks(packed)
-    return packed.flagged(flags, len(_basis(packed.bound).checks.order), packed.count)
+    return packed.flagged(flags, len(_checks(packed.bound)[0]), packed.count)
 
 
 def _composition_excesses(points: Sequence, packed: _Packed) -> Iterator[tuple]:
@@ -324,7 +260,7 @@ def _composition_excesses(points: Sequence, packed: _Packed) -> Iterator[tuple]:
     its witness."""
     k = len(points)
     basis = _basis(packed.bound)
-    groups = basis.groups
+    groups = _groups(packed.bound)
     left_of, lam_of = groups.aligned
     n = len(groups.order)
     size, bits, inf, den = packed.size, packed.bits, packed.inf, packed.den
@@ -385,6 +321,8 @@ class WittElem:
     __slots__ = ("_degree_bound", "_den", "_nums")
 
     def __init__(self, degree_bound: int, values: Mapping[Partition, LValue]):
+        if degree_bound < 1:
+            raise ValueError("degree bound must be ≥ 1")
         basis = _basis(degree_bound)
         fracs: list[Fraction | None] = [None] * len(basis.parts)
         for lam, v in values.items():
@@ -436,10 +374,9 @@ class WittElem:
         den, inf, (xs, ys) = _lift((self, other))
         xs.append(0)  # the empty partition, pinned to 0
         ys.append(0)
-        sums = [
-            min([xs[i] + ys[j] for i, j in pairs])
-            for pairs in _basis(self._degree_bound).splittings
-        ]
+        basis = _basis(self._degree_bound)
+        # the splittings of the nonempty partitions
+        sums = [min([xs[i] + ys[j] for i, j in pairs]) for pairs in basis.splittings[: basis.empty]]
         return _reduced(self._degree_bound, den, [None if n >= inf else n for n in sums])
 
     def mul(self, other: "WittElem") -> "WittElem":
@@ -481,11 +418,12 @@ class WittElem:
         got, expected, flags = _hom_checks(packed)
         if not flags:
             return report
-        basis = _basis(self._degree_bound)
-        order = basis.checks.order
+        labels = _basis(self._degree_bound).labels
+        pairs, checks = _checks(self._degree_bound)
+        order = checks.order
         inf, den = packed.inf, packed.den
         for k, t in sorted((order[t], t) for t in packed.flagged(flags, 1, len(order))):
-            mu, nu = basis.pairs[k]
+            mu, nu = (labels[p] for p in pairs[k])
             got_t, expected_t = (
                 _text(n if n < inf else None, den)
                 for n in (packed.field(got, t), packed.field(expected, t))
@@ -505,7 +443,7 @@ class WittElem:
         Members form the sub-poset on which the scalar embedding θ is left
         adjoint to the initial-value map τ.
         """
-        rows = [self._nums[i] for i in _basis(self._degree_bound).rows]
+        rows = [self._nums[i] for i in _basis(self._degree_bound).rows[1:]]
         base = rows[0]
         return base is None or all(
             v is not None and v <= n * base for n, v in enumerate(rows, 1)
@@ -630,6 +568,8 @@ def from_points(points: Iterable[LValue], degree_bound: int) -> WittElem:
     points.  The result is always a valid homomorphism: supports of
     products add without cancellation, so evaluation commutes with min.
     """
+    if degree_bound < 1:
+        raise ValueError("degree bound must be ≥ 1")
     pts = sorted(LValue(p) for p in points)
     basis = _basis(degree_bound)
     fracs = [p.as_fraction() for p in pts if p.is_finite]

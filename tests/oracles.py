@@ -18,14 +18,7 @@ from tropwitt.partitions import Partition, partitions_of, partitions_up_to
 from tropwitt.plancherel import GrowthPath, growth_step
 from tropwitt.quantale import INF, ZERO, LValue, leq
 from tropwitt.report import Report, Violation
-from tropwitt.symfunc import (
-    SymFunc,
-    _basis_product,
-    _comult_table,
-    _splittings,
-    expand_in_vars,
-    from_polynomial,
-)
+from tropwitt.symfunc import SymFunc, coproduct_mult, expand_in_vars, from_polynomial, monomial
 from tropwitt.witt import WittElem
 
 
@@ -177,6 +170,7 @@ def _matrix_count(lam: Partition, mu: Partition, nu: Partition) -> int:
     return count
 
 
+@cache
 def product_by_alignment_count(
     mu: Partition, nu: Partition
 ) -> tuple[tuple[Partition, int], ...]:
@@ -357,13 +351,35 @@ def witt_from_json_by_partitions(data) -> WittElem:
         raise FormatError(str(exc)) from exc
 
 
+@cache
+def multiset_splittings(lam: Partition) -> frozenset[tuple[Partition, Partition]]:
+    """Every ordered pair (μ, ν) with μ ⊎ ν = λ, by sending each subset of
+    the parts of λ to the left, repeated pairs collapsed."""
+    parts = lam.parts
+    return frozenset(
+        (
+            Partition(parts[i] for i in chosen),
+            Partition(v for i, v in enumerate(parts) if i not in chosen),
+        )
+        for k in range(len(parts) + 1)
+        for chosen in combinations(range(len(parts)), k)
+    )
+
+
+@cache
+def _comult_support(lam: Partition) -> list[tuple[Partition, Partition]]:
+    """The pairs (μ, ν) of Δ×(m_λ) through the public ``coproduct_mult``,
+    which the tests pin to ``comult_by_matrix_count`` up to |λ| = 7."""
+    return coproduct_mult(monomial(lam, lam.size)).support()
+
+
 def add_by_partitions(f: WittElem, g: WittElem) -> WittElem:
     """f + g, one LValue min over the multiset splittings of each λ."""
     mine, theirs = _value_table(f), _value_table(g)
     out = {}
     for lam in mine:
         best = INF
-        for mu, nu in _splittings(lam):
+        for mu, nu in multiset_splittings(lam):
             # a missing key is the empty partition, pinned to 0
             v = mine.get(mu, ZERO) + theirs.get(nu, ZERO)
             if v < best:
@@ -376,14 +392,13 @@ def mul_by_partitions(f: WittElem, g: WittElem) -> WittElem:
     """f · g, one LValue min over the Δ×(m_λ) pairs of each λ."""
     mine, theirs = _value_table(f), _value_table(g)
     out = {}
-    for n in range(1, f.degree_bound + 1):
-        for lam, pairs in _comult_table(n).items():
-            best = INF
-            for (mu, nu), _ in pairs:
-                v = mine[mu] + theirs[nu]
-                if v < best:
-                    best = v
-            out[lam] = best
+    for lam in mine:
+        best = INF
+        for mu, nu in _comult_support(lam):
+            v = mine[mu] + theirs[nu]
+            if v < best:
+                best = v
+        out[lam] = best
     return WittElem(f.degree_bound, out)
 
 
@@ -405,7 +420,7 @@ def validate_by_partitions(f: WittElem) -> Report:
                         continue
                     expected = f.value(mu) + f.value(nu)
                     got = INF
-                    for lam, _ in _basis_product(mu, nu):
+                    for lam, _ in product_by_alignment_count(mu, nu):
                         v = f.value(lam)
                         if v < got:
                             got = v

@@ -77,6 +77,27 @@ def test_sym_plethysm(runner, tmp_path):
     assert json.loads(result.output)["coeffs"] == {"6": 1}
 
 
+@pytest.mark.parametrize(
+    "command, code, want",
+    [
+        ("mul", 0, {"": 4}),
+        ("coprod-add", 0, {"|": 2}),
+        ("coprod-mult", 0, {"|": 2}),
+        ("plethysm", 1, "inner argument must have zero constant term"),
+    ],
+)
+def test_sym_commands_at_degree_bound_zero(runner, tmp_path, command, code, want):
+    f = write(tmp_path, "f.json", {"degree_bound": 0, "coeffs": {"": 2}})
+    others = [] if command.startswith("coprod") else ["--other", f]
+    result = runner.invoke(main, ["sym", command, "--input", f, *others])
+    assert result.exit_code == code
+    data = json.loads(result.output)
+    if code:
+        assert data == {"error": {"kind": "validation", "detail": want}}
+    else:
+        assert data == {"degree_bound": 0, "coeffs": want}
+
+
 def test_sym_bases(runner):
     result = runner.invoke(main, ["sym", "bases", "--n", "2", "--degree", "6"])
     data = json.loads(result.output)

@@ -23,8 +23,8 @@ from tropwitt.enriched import WittSpace
 from tropwitt.generate import random_point_eval_space
 from tropwitt.partitions import Partition, partitions_of, partitions_up_to
 from tropwitt.quantale import INF, ZERO, LValue, _parse_token
-from tropwitt.symfunc import coproduct_mult, monomial
-from tropwitt.witt import WittElem, _basis, _Packed, additive_unit, from_points, theta
+from tropwitt.symfunc import _basis, coproduct_mult, monomial
+from tropwitt.witt import WittElem, _checks, _groups, _Packed, additive_unit, from_points, theta
 
 from oracles import (
     add_by_partitions,
@@ -109,6 +109,16 @@ def test_rig_operations_match_partition_route_at_degree_eight(pair):
     _same(f.add(g), add_by_partitions(f, g))
     assert f.leq(g) == leq_by_partitions(f, g)
     assert f.validate().to_json() == validate_by_partitions(f).to_json()
+
+
+@settings(max_examples=4)
+@given(elem_pairs(bounds=st.sampled_from([10, 12])))
+def test_rig_operations_match_partition_route_at_degrees_ten_and_twelve(pair):
+    f, g = pair
+    _same(f.mul(g), mul_by_partitions(f, g))
+    _same(f.add(g), add_by_partitions(f, g))
+    assert f.leq(g) == leq_by_partitions(f, g)
+    assert g.leq(f) == leq_by_partitions(g, f)
 
 
 @given(st.integers(1, 6).flatmap(witt_elems))
@@ -257,7 +267,7 @@ def test_violation_in_the_last_field_of_the_last_group():
     # only at (4) and d(a, b) only at (1,1,1,1), so the triple (b, a, b) is
     # broken by that group alone, in the last field (x, z) = (b, b)
     basis = _basis(4)
-    lam, mu, js = basis.coproduct[basis.groups.order[-1]]
+    lam, mu, js = basis.coproduct[_groups(4).order[-1]]
     last = Partition([1, 1, 1, 1])
     assert (basis.parts[lam], basis.parts[mu], [basis.parts[j] for j in js]) == (
         last,
@@ -280,8 +290,9 @@ def test_violation_in_the_last_field_of_the_last_group():
 def test_hom_violation_in_the_last_check_of_the_last_entry():
     # lowering value(1,1) breaks the last check in family order, (1,1)·(2),
     # of the last entry only
-    basis = _basis(4)
-    assert basis.pairs[basis.checks.order[-1]] == (Partition([1, 1]), Partition([2]))
+    labels = _basis(4).labels
+    pairs, checks = _checks(4)
+    assert tuple(labels[p] for p in pairs[checks.order[-1]]) == (Partition([1, 1]), Partition([2]))
     points = ("a", "b")
     space = random_point_eval_space(random.Random(3), points, 4)
     dist = {(x, y): space.dist(x, y) for x in points for y in points}
