@@ -172,12 +172,7 @@ def _load_witt_space(path: str, unchecked: bool) -> WittSpace:
 
     space = _load(WittSpace, path)
     if not unchecked:
-        bad = [
-            (x, y)
-            for x in space.points
-            for y in space.points
-            if not space.dist(x, y).validate().ok
-        ]
+        bad = space.failing_entries()
         if bad:
             _fail(1, "validation", f"entries fail the homomorphism check: {bad}")
     return space

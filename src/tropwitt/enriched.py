@@ -19,7 +19,7 @@ from .errors import DegreeOverflowError, FormatError
 from .partitions import Partition
 from .quantale import ZERO, LValue
 from .report import Report, Violation
-from .symfunc import SymFunc, _basis, complete, plethysm
+from .symfunc import SymFunc, _labels, _row, complete, plethysm
 from .witt import (
     WittElem,
     _column,
@@ -152,14 +152,19 @@ class WittSpace:
     def validate(self) -> Report:
         """Entry homomorphism checks, identity axiom, composition axiom."""
         report = Report("witt-space")
-        pairs, packed = self._packed()
+        packed = self._packed()
         # the entries are checked together; only a failing one is checked
         # again on its own, for the text of its report
-        for x, y in sorted(pairs[e] for e in _hom_failures(packed)):
+        for x, y in sorted(self._failing_entries(packed)):
             for v in self._dist[x, y].validate().violations:
                 report.add("hom", (x, y) + v.witness, f"d({x},{y}): {v.detail}")
         report.violations.extend(self._axiom_violations(packed))
         return report
+
+    def failing_entries(self) -> list[tuple[str, str]]:
+        """The pairs (x, y) whose entry fails the homomorphism check,
+        x-major; every entry is checked in one packed pass."""
+        return self._failing_entries(self._packed())
 
     def axiom_violations(self) -> Iterator[Violation]:
         """The identity and composition violations, lazily and in report
@@ -167,24 +172,26 @@ class WittSpace:
         without building the witnesses of the rest."""
         return self._axiom_violations(None)
 
-    def _packed(self) -> tuple[list[tuple[str, str]], _Packed]:
-        """Every pair of points, x-major, and their entries packed in that
-        order."""
-        pairs = [(x, y) for x in self._points for y in self._points]
-        return pairs, _Packed([self._dist[pair] for pair in pairs])
+    def _packed(self) -> _Packed:
+        """The entries of every pair of points, packed x-major."""
+        return _Packed([self._dist[x, y] for x in self._points for y in self._points])
+
+    def _failing_entries(self, packed: _Packed) -> list[tuple[str, str]]:
+        k, points = len(self._points), self._points
+        return [(points[e // k], points[e % k]) for e in _hom_failures(packed)]
 
     def _axiom_violations(self, packed: _Packed | None) -> Iterator[Violation]:
-        basis = _basis(self._degree_bound)
+        rows = [_row(n) for n in range(1, self._degree_bound + 1)]
         for x in self._points:
             dxx = self.dist(x, x)
-            for i in basis.rows[1:]:
+            for i in rows:
                 if dxx._nums[i] != 0:
-                    row = basis.parts[i]
+                    row = _labels[i]
                     yield Violation(
                         "identity", (x, row), f"d({x},{x})(m{row}) = {dxx.value(row)} ≠ 0"
                     )
         if packed is None:
-            _, packed = self._packed()
+            packed = self._packed()
         for x, y, z, bad, direct, through in _composition_excesses(self._points, packed):
             yield Violation(
                 "composition", (x, y, z, bad), f"d({x},{z})(m{bad}) = {direct} > {through}"

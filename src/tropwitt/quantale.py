@@ -14,12 +14,24 @@ exact equality.
 
 from __future__ import annotations
 
+import re
+import reprlib
 from fractions import Fraction
 from typing import Union
 
 from .errors import FormatError
 
 _INF_TOKEN = "inf"
+
+# A number token may need at most this many digits: its length plus the
+# size of its exponent.  Fraction expands an exponent into a whole integer,
+# so a token such as "1e10000000" would take seconds; and a value within
+# the limit has at most _MAX_DIGITS + 1 digits above and below its
+# fraction bar, so a sum of a few values still prints under Python's limit
+# of 4300 digits for converting an integer to a string.
+_MAX_DIGITS = 1000
+_TOO_LARGE = 10**_MAX_DIGITS
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)\Z")
 
 LValueLike = Union["LValue", int, Fraction, str]
 
@@ -145,6 +157,8 @@ def _json_number(data) -> Fraction | None:
     if isinstance(data, int):
         if data < 0:
             raise FormatError(f"LValue must be nonnegative, got {data}")
+        if data >= _TOO_LARGE:
+            raise FormatError(f"LValue must have at most {_MAX_DIGITS} digits")
         return Fraction(data)
     if isinstance(data, str):
         try:
@@ -176,8 +190,14 @@ def _ascii_ratio(s: str) -> tuple[int, int] | None:
     expression; None for any other form."""
     a, slash, b = s.partition("/")
     if s.isascii() and a.isdigit() and (b.isdigit() or not slash):
+        if len(s) > _MAX_DIGITS:
+            raise _too_many_digits(s)
         return int(a), int(b) if slash else 1
     return None
+
+
+def _too_many_digits(s: str) -> FormatError:
+    return FormatError(f"bad LValue {reprlib.repr(s)}: more than {_MAX_DIGITS} digits")
 
 
 def _parse_token(s: str) -> Fraction | None:
@@ -191,6 +211,11 @@ def _parse_token(s: str) -> Fraction | None:
     # every version, so the grammar does not depend on the interpreter
     if "_" in s:
         raise ValueError(f"bad LValue {s!r}: underscores are not accepted")
+    if len(s) > _MAX_DIGITS:
+        raise _too_many_digits(s)
+    exponent = ("e" in s or "E" in s) and _EXPONENT.search(s)
+    if exponent and len(s) + abs(int(exponent[1])) > _MAX_DIGITS:
+        raise _too_many_digits(s)
     return Fraction(s)
 
 

@@ -12,10 +12,12 @@ read off the power sums, the ghost coordinates (Macdonald, *Symmetric
 Functions and Hall Polynomials*, ch. I): p_ρ·p_σ = p_{ρ∪σ},
 Δ×(p_ρ) = p_ρ ⊗ p_ρ and p_k ∘ m_μ = m_{kμ}, through one cached p↔m
 transition per degree in exact integer arithmetic (:func:`_transition`).
-One :class:`_Basis` per degree bound owns the partition index and every
-structure table, by basis position: the product rows, the
-multiplicative-coproduct groups with their counts and the multiset
-splittings.  This module's arithmetic and the Witt rig of
+One basis serves every degree bound: it indexes the partitions one size
+at a time, on first use, and the positions up to a bound are a prefix
+shared by all larger bounds, with m_∅ at position −1.  The structure
+tables are kept by position, per size, per λ or per unordered pair: the
+product rows, the multiplicative-coproduct groups with their counts and
+the multiset splittings.  This module's arithmetic and the Witt rig of
 :mod:`tropwitt.witt` both read them.  The brute-force polynomial route
 (:func:`expand_in_vars`, :func:`poly_mul`, :func:`from_polynomial`) is
 the reference that the ``oracle-coherence`` suite and the tests check
@@ -25,14 +27,14 @@ them against.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache, cached_property
-from itertools import compress, islice, product as iter_product, repeat
+from functools import cache
+from itertools import compress, count, islice, product as iter_product, repeat
 from math import factorial, gcd
 from operator import floordiv
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ConstantTermError, DegreeOverflowError, FormatError, NotSymmetricError
-from .partitions import EMPTY, Partition, partitions_of, partitions_up_to
+from .partitions import EMPTY, Partition, partitions_of
 
 Poly = dict[tuple[int, ...], int]
 
@@ -388,120 +390,117 @@ def _comult_scaled(n: int) -> Iterator[list[int]]:
         yield acc
 
 
-class _Basis:
-    """The partitions up to a degree bound N and the structure constants of
-    the monomial basis on them, all by position.
+# -- the monomial basis, shared by every degree bound ----------------------------
+#
+# The nonempty partitions sit at positions 0, 1, … in ``partitions_up_to``
+# order, which lists each size in the reverse of ``partitions_of`` order,
+# so those up to a degree bound N are a prefix, of length ``_prefix(N)``.
 
-    The nonempty partitions sit at positions 0, 1, … in ``partitions_up_to``
-    order, which lists each size in the reverse of ``partitions_of`` order,
-    and m_∅ at ``empty``, one past the last.  Each table is built on first
-    use: the multiplicative coproduct one size at a time, the products one
-    unordered pair at a time."""
+_labels: list[Partition] = [EMPTY]  # the partition at each position, m_∅ last
+_keys: list[str] = []  # the JSON key of each nonempty position
+_index: dict[Partition, int] = {EMPTY: -1}
+_by_key: dict[str, int] = {}
+_ends: list[int] = [0]  # at n, the number of nonempty partitions of size ≤ n
 
-    def __init__(self, bound: int):
-        self.bound = bound
-        self.parts: tuple[Partition, ...] = partitions_up_to(bound)[1:]
-        self.empty = len(self.parts)
-        self.labels = (*self.parts, EMPTY)  # the partition at each position
-        self.index = {lam: i for i, lam in enumerate(self.labels)}
-        self.keys = tuple(lam.key() for lam in self.parts)
-        self.positions = {key: i for i, key in enumerate(self.keys)}
-        # the position of the row (n) at rows[n], m_∅'s at rows[0]; the row
-        # comes first among the partitions of n in ``partitions_of`` order
-        self.rows = (self.empty, *(self.index[Partition([n])] for n in range(1, bound + 1)))
-        self._comult: dict[int, tuple] = {}
-        self._products: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
-    def rank(self, lam: Partition) -> int:
-        """λ's place in ``partitions_of(|λ|)``."""
-        return self.rows[lam.size] - self.index[lam]
+def _prefix(n: int) -> int:
+    """The number of nonempty partitions of size ≤ n, the positions of the
+    degree bound n, each size indexed on first use."""
+    while len(_ends) <= n:
+        parts = partitions_of(len(_ends))[::-1]
+        keys = [lam.key() for lam in parts]
+        _index.update(zip(parts, count(len(_keys))))
+        _by_key.update(zip(keys, count(len(_keys))))
+        _labels[-1:-1] = parts
+        _keys.extend(keys)
+        _ends.append(len(_keys))
+    return _ends[n]
 
-    def comult(self, n: int) -> tuple[tuple[tuple, ...], ...]:
-        """Δ×(m_λ) of each λ of size n, in ``partitions_of`` order, as its
-        groups (i, js, cs): the sum of c·m_μᵢ ⊗ m_νⱼ over the groups and
-        (j, c) in zip(js, cs), ordered by μ and then ν in ``partitions_of``
-        order; :func:`_comult_scaled` divided exactly by n!.  c also counts
-        the matrices whose nonzero entries form the multiset λ, with row
-        sums μ and column sums ν, the reference route of the tests."""
-        if n not in self._comult:
-            pos = self._positions(n)
-            size, scale = len(pos), factorial(n)
-            table = []
-            for lam, acc in zip(partitions_of(n), _comult_scaled(n)):
-                counts, groups = _exact_counts(acc, scale, f"Δ×(m{lam})"), []
-                for m, i in enumerate(pos):
-                    if js := tuple(compress(pos, acc[m * size:(m + 1) * size])):
-                        groups.append((i, js, tuple(islice(counts, len(js)))))
-                table.append(tuple(groups))
-            self._comult[n] = tuple(table)
-        return self._comult[n]
 
-    @cached_property
-    def coproduct(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-        """The groups of :meth:`comult` of every nonempty λ, sizes in turn,
-        as flat (λ, i, js) without their counts."""
-        return tuple(
-            (lam, i, js)
-            for n in range(1, self.bound + 1)
-            for lam, groups in zip(self._positions(n), self.comult(n))
-            for i, js, _ in groups
-        )
+def _row(n: int) -> int:
+    """The position of the row (n), the last of size n; m_∅'s at n = 0."""
+    return _prefix(n) - 1
 
-    def product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
-        """m_μ · m_ν for μ and ν at positions i and j, |μ| + |ν| ≤ N, as
-        (position, count) rows with count > 0 in ``partitions_of`` order:
-        :meth:`_product_scaled` divided exactly."""
-        key = (i, j) if i < j else (j, i)  # the product commutes
-        if key not in self._products:
-            mu, nu = self.labels[i], self.labels[j]
-            scaled = self._product_scaled(mu, nu)
-            counts = _exact_counts(scaled, factorial(mu.size) * factorial(nu.size), f"m{mu}·m{nu}")
-            positions = compress(self._positions(mu.size + nu.size), scaled)
-            self._products[key] = tuple(zip(positions, counts))
-        return self._products[key]
 
-    def _product_scaled(self, mu: Partition, nu: Partition) -> list[int]:
-        """|μ|!·|ν|! times the coefficients of m_μ · m_ν, one per partition of
-        |μ| + |ν| in ``partitions_of`` order.
+def _positions(n: int) -> range:
+    """The position of each partition of n, in ``partitions_of`` order,
+    which lists the row (n) first."""
+    return range(_row(n), _row(n) - len(partitions_of(n)), -1)
 
-        p_ρ·p_σ = p_{ρ∪σ}, so with A = L⁻¹ the coefficient at λ is
-        Σ_{ρ,σ} A[μ][ρ]·A[ν][σ]·L[ρ∪σ][λ].
-        """
-        left, right = _transition(mu.size), _transition(nu.size)
-        total = _transition(mu.size + nu.size)
-        acc = [0] * len(total.parts)
-        for r, a in left.inverse[self.rank(mu)]:
-            for s, b in right.inverse[self.rank(nu)]:
-                union = Partition._trusted(
-                    tuple(sorted(left.parts[r].parts + right.parts[s].parts, reverse=True))
-                )
-                for k, c in total.rows[self.rank(union)]:
-                    acc[k] += a * b * c
-        return acc
 
-    @cached_property
-    def splittings(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per position, m_∅'s last, the multiset splittings λ = μ ⊎ ν as
-        position pairs (i, j), each once."""
-        out = []
-        for lam in self.labels:
-            counts = Counter(lam.parts)  # values in decreasing order
-            # μ takes t of the copies of each value; the choices run in
-            # lexicographic order, so the k-th from the end is the k-th's complement
-            takes = iter_product(*(range(k + 1) for k in counts.values()))
-            lefts = [tuple(v for v, t in zip(counts, take) for _ in range(t)) for take in takes]
-            at = [self.index[Partition._trusted(left)] for left in lefts]
-            out.append(tuple(zip(at, reversed(at))))
-        return tuple(out)
-
-    def _positions(self, n: int) -> range:
-        """The position of each partition of n, in ``partitions_of`` order."""
-        return range(self.rows[n], self.rows[n] - len(partitions_of(n)), -1)
+def _rank(lam: Partition) -> int:
+    """λ's place in ``partitions_of(|λ|)``."""
+    return _prefix(lam.size) - 1 - _index[lam]
 
 
 @cache
-def _basis(bound: int) -> _Basis:
-    return _Basis(bound)
+def _comult(n: int) -> tuple[tuple[tuple, ...], ...]:
+    """Δ×(m_λ) of each λ of size n, in ``partitions_of`` order, as its
+    groups (i, js, cs): the sum of c·m_μᵢ ⊗ m_νⱼ over the groups and (j, c)
+    in zip(js, cs), ordered by μ and then ν in ``partitions_of`` order;
+    :func:`_comult_scaled` divided exactly by n!.  c also counts the
+    matrices whose nonzero entries form the multiset λ, with row sums μ and
+    column sums ν, the reference route of the tests."""
+    pos = _positions(n)
+    size, scale = len(pos), factorial(n)
+    table = []
+    for lam, acc in zip(partitions_of(n), _comult_scaled(n)):
+        counts, groups = _exact_counts(acc, scale, f"Δ×(m{lam})"), []
+        for m, i in enumerate(pos):
+            if js := tuple(compress(pos, acc[m * size:(m + 1) * size])):
+                groups.append((i, js, tuple(islice(counts, len(js)))))
+        table.append(tuple(groups))
+    return tuple(table)
+
+
+_products: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+
+
+def _product(i: int, j: int) -> tuple[tuple[int, int], ...]:
+    """m_μ · m_ν for μ and ν at positions i and j, as (position, count)
+    rows with count > 0 in ``partitions_of`` order: :func:`_product_scaled`
+    divided exactly, kept per unordered pair."""
+    key = (i, j) if i < j else (j, i)  # the product commutes
+    if key not in _products:
+        mu, nu = _labels[i], _labels[j]
+        positions = _positions(mu.size + nu.size)
+        scaled = _product_scaled(mu, nu)
+        counts = _exact_counts(scaled, factorial(mu.size) * factorial(nu.size), f"m{mu}·m{nu}")
+        _products[key] = tuple(zip(compress(positions, scaled), counts))
+    return _products[key]
+
+
+def _product_scaled(mu: Partition, nu: Partition) -> list[int]:
+    """|μ|!·|ν|! times the coefficients of m_μ · m_ν, one per partition of
+    |μ| + |ν| in ``partitions_of`` order.
+
+    p_ρ·p_σ = p_{ρ∪σ}, so with A = L⁻¹ the coefficient at λ is
+    Σ_{ρ,σ} A[μ][ρ]·A[ν][σ]·L[ρ∪σ][λ].
+    """
+    left, right = _transition(mu.size), _transition(nu.size)
+    total = _transition(mu.size + nu.size)
+    acc = [0] * len(total.parts)
+    for r, a in left.inverse[_rank(mu)]:
+        for s, b in right.inverse[_rank(nu)]:
+            union = Partition._trusted(
+                tuple(sorted(left.parts[r].parts + right.parts[s].parts, reverse=True))
+            )
+            for k, c in total.rows[_rank(union)]:
+                acc[k] += a * b * c
+    return acc
+
+
+@cache
+def _splittings(i: int) -> tuple[tuple[int, int], ...]:
+    """The multiset splittings λ = μ ⊎ ν of λ at position i, as position
+    pairs, each once."""
+    counts = Counter(_labels[i].parts)  # values in decreasing order
+    # μ takes t of the copies of each value; the choices run in
+    # lexicographic order, so the k-th from the end is the k-th's complement
+    takes = iter_product(*(range(k + 1) for k in counts.values()))
+    lefts = [tuple(v for v, t in zip(counts, take) for _ in range(t)) for take in takes]
+    at = [_index[Partition._trusted(left)] for left in lefts]
+    return tuple(zip(at, reversed(at)))
 
 
 # -- product ------------------------------------------------------------------
@@ -515,8 +514,8 @@ def multiply(f: SymFunc, g: SymFunc, strict: bool = False) -> SymFunc:
     """
     _check_bounds(f, g)
     bound = f.degree_bound
-    basis = _basis(bound)
-    index, labels = basis.index, basis.labels
+    if len(_ends) <= bound:  # some sizes up to the bound are not indexed yet
+        _prefix(max(f.degree(), g.degree()))
     out: dict[Partition, int] = {}
     for mu, a in f._coeffs.items():
         for nu, b in g._coeffs.items():
@@ -526,8 +525,8 @@ def multiply(f: SymFunc, g: SymFunc, strict: bool = False) -> SymFunc:
                         f"product term m{mu}·m{nu} exceeds degree bound {bound}"
                     )
                 continue
-            for p, c in basis.product(index[mu], index[nu]):
-                out[labels[p]] = out.get(labels[p], 0) + a * b * c
+            for p, c in _product(_index[mu], _index[nu]):
+                out[_labels[p]] = out.get(_labels[p], 0) + a * b * c
     return SymFunc(out, bound)
 
 
@@ -537,25 +536,23 @@ def multiply(f: SymFunc, g: SymFunc, strict: bool = False) -> SymFunc:
 def coproduct_add(f: SymFunc) -> TensorSymFunc:
     """Additive coproduct: on m_λ the sum of m_μ ⊗ m_ν over multiset
     splittings λ = μ ⊎ ν, extended linearly."""
-    basis = _basis(f.degree_bound)
-    labels = basis.labels
+    if len(_ends) <= f.degree_bound:  # some sizes up to the bound are not indexed yet
+        _prefix(f.degree())
     out: dict[tuple[Partition, Partition], int] = {}
     for lam, c in f._coeffs.items():
-        for i, j in basis.splittings[basis.index[lam]]:
-            pair = (labels[i], labels[j])
+        for i, j in _splittings(_index[lam]):
+            pair = (_labels[i], _labels[j])
             out[pair] = out.get(pair, 0) + c
     return TensorSymFunc(out, f.degree_bound)
 
 
 def coproduct_mult(f: SymFunc) -> TensorSymFunc:
     """Multiplicative coproduct, extended linearly from the basis."""
-    basis = _basis(f.degree_bound)
-    labels = basis.labels
     out: dict[tuple[Partition, Partition], int] = {}
     for lam, c in f._coeffs.items():
-        for i, js, ks in basis.comult(lam.size)[basis.rank(lam)]:
+        for i, js, ks in _comult(lam.size)[_rank(lam)]:
             for j, k in zip(js, ks):
-                pair = (labels[i], labels[j])
+                pair = (_labels[i], _labels[j])
                 out[pair] = out.get(pair, 0) + c * k
     return TensorSymFunc(out, f.degree_bound)
 
@@ -706,12 +703,11 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
             powers[rho] = multiply(power(Partition(rho.parts[:-1])), SymFunc(pk, bound))
         return powers[rho]
 
-    basis = _basis(bound)
     scale = factorial(f.degree())
     acc: dict[Partition, int] = {}
     for lam, c in f._coeffs.items():
         t = _transition(lam.size)
-        for r, a in t.inverse[basis.rank(lam)]:
+        for r, a in t.inverse[_rank(lam)]:
             weight = c * a * (scale // t.scale)
             for nu, b in power(t.parts[r])._coeffs.items():
                 acc[nu] = acc.get(nu, 0) + weight * b

@@ -14,12 +14,14 @@ functions: a splitting of λ into two sub-multisets for addition, a pair of
 equal-degree partitions from the doubled-alphabet coproduct for
 multiplication.  Both are degree-local, so truncation never loses terms.
 
-The values are stored densely, by position in the basis of the degree
-bound: ``symfunc._basis(N)`` owns the partition index and the exact
-structure constants, and this module reads the supports of its rows.  An
-element keeps a shared denominator D, the lcm of the reduced denominators
-of its finite values, and one integer numerator per nonempty partition,
-``None`` for ∞; the form is canonical, so equality is tuple equality.
+The values are stored densely, by position in the monomial basis of
+:mod:`tropwitt.symfunc`, which owns the partition index and the exact
+structure constants, and this module reads the supports of its rows.  The
+positions of a degree bound N are a prefix, shared with every larger
+bound, and m_∅ sits at position −1.  An element keeps a shared
+denominator D, the lcm of the reduced denominators of its finite values,
+and one integer numerator per nonempty partition, ``None`` for ∞; the
+form is canonical, so equality is tuple equality.
 Every rig operation is then a min over integer sums on position tables.
 ``LValue`` appears only at the API and JSON boundary.
 
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import compress, count, repeat
+from itertools import compress, count, islice, repeat
 from math import gcd, lcm
 from operator import gt, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -60,7 +62,8 @@ from .errors import DegreeOverflowError, FormatError
 from .partitions import Partition, partitions_of
 from .quantale import INF, ZERO, LValue, _json_pair, _make
 from .report import Report
-from .symfunc import SymFunc, _basis, plethysm
+from .symfunc import SymFunc, _by_key, _comult, _index, _keys, _labels, _positions, _prefix
+from .symfunc import _product, _row, _splittings, plethysm
 
 
 def _getter(positions: Sequence[int]):
@@ -95,10 +98,28 @@ class _Family:
 
 
 @cache
+def _coproduct(bound: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The coproduct groups of every nonempty λ up to bound, sizes in turn,
+    as flat (λ, i, js) without their counts."""
+    return tuple(
+        (lam, i, js)
+        for n in range(1, bound + 1)
+        for groups, lam in zip(_comult(n), _positions(n))
+        for i, js, _ in groups
+    )
+
+
+@cache
+def _splits(bound: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The splittings of every nonempty partition up to bound, by position."""
+    return tuple(map(_splittings, range(_prefix(bound))))
+
+
+@cache
 def _groups(bound: int) -> _Family:
     """The right sets of the coproduct groups, with each group's left
     position and λ aligned."""
-    lams, lefts, rights = zip(*_basis(bound).coproduct)
+    lams, lefts, rights = zip(*_coproduct(bound))
     return _Family(rights, lefts, lams)
 
 
@@ -107,16 +128,16 @@ def _checks(bound: int) -> tuple[tuple[tuple[int, int], ...], _Family]:
     """The multiplicativity checks in report order, as the positions of
     every pair (μ, ν) with |μ| ≤ |ν| and |μ| + |ν| ≤ N, and the supports
     of their products m_μ·m_ν, with the positions of μ and ν aligned."""
-    basis = _basis(bound)
+    _prefix(bound)  # index every partition up to the bound
     pairs = tuple(
-        (basis.index[mu], basis.index[nu])
+        (_index[mu], _index[nu])
         for a in range(1, bound)
         for b in range(a, bound - a + 1)
         for mu in partitions_of(a)
         for nu in partitions_of(b)
         if b > a or not nu < mu
     )
-    supports = [[p for p, _ in basis.product(i, j)] for i, j in pairs]
+    supports = [[p for p, _ in _product(i, j)] for i, j in pairs]
     return pairs, _Family(supports, [i for i, _ in pairs], [j for _, j in pairs])
 
 
@@ -259,7 +280,6 @@ def _composition_excesses(points: Sequence, packed: _Packed) -> Iterator[tuple]:
     the index it lacks.  Only a failing triple takes the product per λ for
     its witness."""
     k = len(points)
-    basis = _basis(packed.bound)
     groups = _groups(packed.bound)
     left_of, lam_of = groups.aligned
     n = len(groups.order)
@@ -288,13 +308,13 @@ def _composition_excesses(points: Sequence, packed: _Packed) -> Iterator[tuple]:
     for x, y, z in sorted(failing):
         xy, yz, xz = lists[x * k + y], lists[y * k + z], lists[x * k + z]
         through = [inf] * len(xz)
-        for lam, i, js in basis.coproduct:
+        for lam, i, js in _coproduct(packed.bound):
             v = xy[i] + min([yz[j] for j in js])
             if v < through[lam]:
                 through[lam] = v
         p = next(compress(count(), map(gt, xz, through)))
         direct = xz[p] if xz[p] < inf else None
-        yield points[x], points[y], points[z], basis.parts[p], _value(direct, den), _value(
+        yield points[x], points[y], points[z], _labels[p], _value(direct, den), _value(
             through[p], den
         )
 
@@ -323,8 +343,7 @@ class WittElem:
     def __init__(self, degree_bound: int, values: Mapping[Partition, LValue]):
         if degree_bound < 1:
             raise ValueError("degree bound must be ≥ 1")
-        basis = _basis(degree_bound)
-        fracs: list[Fraction | None] = [None] * len(basis.parts)
+        fracs: list[Fraction | None] = [None] * _prefix(degree_bound)
         for lam, v in values.items():
             if lam.is_empty():
                 if v != ZERO:
@@ -335,7 +354,7 @@ class WittElem:
                     f"partition {lam} exceeds degree bound {degree_bound}"
                 )
             v = LValue(v)
-            fracs[basis.index[lam]] = None if v.is_infinite else v.as_fraction()
+            fracs[_index[lam]] = None if v.is_infinite else v.as_fraction()
         self._degree_bound = degree_bound
         self._den, self._nums = _stored(fracs)
 
@@ -362,8 +381,7 @@ class WittElem:
             raise DegreeOverflowError(
                 f"element of degree {f.degree()} exceeds bound {self._degree_bound}"
             )
-        index = _basis(self._degree_bound).index
-        nums = [0 if lam.is_empty() else self._nums[index[lam]] for lam in f.support()]
+        nums = [0 if lam.is_empty() else self._nums[_index[lam]] for lam in f.support()]
         return _value(min((n for n in nums if n is not None), default=None), self._den)
 
     # -- rig structure -----------------------------------------------------
@@ -372,11 +390,9 @@ class WittElem:
         """Addition: minimum over multiset splittings of each partition."""
         self._check_bound(other)
         den, inf, (xs, ys) = _lift((self, other))
-        xs.append(0)  # the empty partition, pinned to 0
+        xs.append(0)  # the empty partition at position −1, pinned to 0
         ys.append(0)
-        basis = _basis(self._degree_bound)
-        # the splittings of the nonempty partitions
-        sums = [min([xs[i] + ys[j] for i, j in pairs]) for pairs in basis.splittings[: basis.empty]]
+        sums = [min([xs[i] + ys[j] for i, j in pairs]) for pairs in _splits(self._degree_bound)]
         return _reduced(self._degree_bound, den, [None if n >= inf else n for n in sums])
 
     def mul(self, other: "WittElem") -> "WittElem":
@@ -385,7 +401,7 @@ class WittElem:
         den, inf, (xs, ys) = _lift((self, other))
         y = ys.__getitem__
         out = [inf] * len(xs)
-        for lam, i, js in _basis(self._degree_bound).coproduct:
+        for lam, i, js in _coproduct(self._degree_bound):
             x = xs[i]
             if x < inf:  # a group whose left value is ∞ adds only ∞
                 v = x + min(map(y, js))
@@ -418,12 +434,11 @@ class WittElem:
         got, expected, flags = _hom_checks(packed)
         if not flags:
             return report
-        labels = _basis(self._degree_bound).labels
         pairs, checks = _checks(self._degree_bound)
         order = checks.order
         inf, den = packed.inf, packed.den
         for k, t in sorted((order[t], t) for t in packed.flagged(flags, 1, len(order))):
-            mu, nu = (labels[p] for p in pairs[k])
+            mu, nu = (_labels[p] for p in pairs[k])
             got_t, expected_t = (
                 _text(n if n < inf else None, den)
                 for n in (packed.field(got, t), packed.field(expected, t))
@@ -443,7 +458,7 @@ class WittElem:
         Members form the sub-poset on which the scalar embedding θ is left
         adjoint to the initial-value map τ.
         """
-        rows = [self._nums[i] for i in _basis(self._degree_bound).rows[1:]]
+        rows = [self._nums[_row(n)] for n in range(1, self._degree_bound + 1)]
         base = rows[0]
         return base is None or all(
             v is not None and v <= n * base for n, v in enumerate(rows, 1)
@@ -460,10 +475,7 @@ class WittElem:
         )
 
     def __repr__(self) -> str:
-        basis = _basis(self._degree_bound)
-        shown = ", ".join(
-            f"{lam}:{_text(n, self._den)}" for lam, n in zip(basis.parts[:6], self._nums)
-        )
+        shown = ", ".join(f"{lam}:{_text(n, self._den)}" for lam, n in zip(_labels, self._nums[:6]))
         more = "" if len(self._nums) <= 6 else ", …"
         return f"WittElem<N={self._degree_bound}, {shown}{more}>"
 
@@ -474,8 +486,7 @@ class WittElem:
         return {
             "degree_bound": self._degree_bound,
             "values": {
-                key: _text(n, den)
-                for key, n in zip(_basis(self._degree_bound).keys, self._nums)
+                key: _text(n, den) for key, n in zip(_keys, self._nums)
             },
         }
 
@@ -488,18 +499,18 @@ class WittElem:
         bad_bound = not isinstance(bound, int) or isinstance(bound, bool) or bound < 1
         if bad_bound or not isinstance(raw, dict):
             raise FormatError("bad WittElem JSON")
-        basis = _basis(bound)
-        nums: list[int | None] = [None] * len(basis.parts)
-        dens = [1] * len(basis.parts)
+        size = _prefix(bound)
+        nums: list[int | None] = [None] * size
+        dens = [1] * size
         oversized = None
         for key, v in raw.items():
-            i = basis.positions.get(key)
-            if i is None:  # a key that is not canonical, or not under the bound
+            i = _by_key.get(key, size)
+            if i >= size:  # a key that is not canonical, or above the bound
                 lam = Partition.from_key(key)
                 if lam.is_empty():
                     raise FormatError("the empty partition must be omitted")
-                i = basis.index.get(lam)
-                if i is None:
+                i = _index.get(lam, size)
+                if i >= size:
                     # value errors come first: the first oversized
                     # partition is reported once every value has parsed
                     if oversized is None:
@@ -523,8 +534,9 @@ def _column(bound: int, elems: Iterable[WittElem], lam: Partition) -> list[LValu
     looked up once; 0 on the empty partition."""
     if lam.is_empty():
         return [ZERO for _ in elems]
-    i = _basis(bound).index.get(lam)
-    if i is None:
+    size = _prefix(bound)
+    i = _index.get(lam, size)  # the shared index also holds larger partitions
+    if i >= size:
         raise DegreeOverflowError(f"partition {lam} exceeds degree bound {bound}")
     return [_value(f._nums[i], f._den) for f in elems]
 
@@ -571,7 +583,7 @@ def from_points(points: Iterable[LValue], degree_bound: int) -> WittElem:
     if degree_bound < 1:
         raise ValueError("degree bound must be ≥ 1")
     pts = sorted(LValue(p) for p in points)
-    basis = _basis(degree_bound)
+    size = _prefix(degree_bound)
     fracs = [p.as_fraction() for p in pts if p.is_finite]
     den = lcm(*(q.denominator for q in fracs))
     # ∞ sorts last, so a λ reaching past the finite points is ∞
@@ -579,7 +591,7 @@ def from_points(points: Iterable[LValue], degree_bound: int) -> WittElem:
     nums = [
         # largest exponents on the smallest points minimizes the sum
         sum(part * pt for part, pt in zip(lam.parts, ints)) if lam.length <= len(ints) else None
-        for lam in basis.parts
+        for lam in islice(_labels, size)
     ]
     return _reduced(degree_bound, den, nums)
 

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -507,3 +508,33 @@ def test_non_positive_partition_key_is_a_format_error(runner, tmp_path):
     elem = write(tmp_path, "elem.json", {"degree_bound": 4, "values": {"2,0": "1"}})
     result = runner.invoke(main, ["witt", "validate", "--input", elem])
     assert error_of(result, 2)["kind"] == "format"
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["1e996", "2.5e-993", "1" * 1001, "1/" + "3" * 999, "1e1000000"],
+    ids=["1e996", "2.5e-993", "1001-digits", "1-over-999-digits", "1e1000000"],
+)
+def test_number_token_past_the_digit_limit_is_a_format_error(runner, tmp_path, token):
+    # a token's length plus its exponent may be at most 1000
+    elem = write(tmp_path, "elem.json", {"degree_bound": 2, "values": {"1": token}})
+    start = time.perf_counter()
+    result = runner.invoke(main, ["witt", "validate", "--input", elem])
+    assert time.perf_counter() - start < 1
+    assert "more than 1000 digits" in error_of(result, 2)["detail"]
+    result = runner.invoke(main, ["witt", "theta", "--r", token, "--degree", "2"])
+    assert "more than 1000 digits" in error_of(result, 2)["detail"]
+
+
+def test_values_at_the_digit_limit_print_in_reports(runner, tmp_path):
+    values = {"1": "1e995", "2": "1/" + "7" * 998, "1,1": 10**1000 - 1}
+    elem = write(tmp_path, "elem.json", {"degree_bound": 2, "values": values})
+    result = runner.invoke(main, ["witt", "validate", "--input", elem])
+    assert result.exit_code == 1
+    (violation,) = json.loads(result.output)["violations"]
+    assert f"value(1) + value(1) = 2{'0' * 995}" in violation["detail"]
+    result = runner.invoke(main, ["witt", "theta", "--r", "9" * 1000, "--degree", "2"])
+    assert json.loads(result.output)["values"]["2"] == "1" + "9" * 999 + "8"
+    too_large = write(tmp_path, "large.json", {"degree_bound": 2, "values": {"1": 10**1000}})
+    result = runner.invoke(main, ["witt", "validate", "--input", too_large])
+    assert "at most 1000 digits" in error_of(result, 2)["detail"]

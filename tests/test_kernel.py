@@ -7,24 +7,35 @@ partitions, and some are arbitrary value tables.  Values, equality, the
 JSON form and every report (order, witnesses and detail text) must agree.
 Entries with numerators up to 10³⁰ make packed fields wider than a
 machine word.  The JSON token parser is checked against ``Fraction``
-itself, and the loader against the Partition-keyed one, also on
-unreduced fractions.
+itself, up to a limit of 1000 digits past which tokens are refused, and
+the loader against the Partition-keyed one, also on unreduced fractions.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tropwitt.enriched import WittSpace
+from tropwitt.enriched import WittSpace, slice_table
+from tropwitt.errors import DegreeOverflowError, FormatError
 from tropwitt.generate import random_point_eval_space
 from tropwitt.partitions import Partition, partitions_of, partitions_up_to
 from tropwitt.quantale import INF, ZERO, LValue, _parse_token
-from tropwitt.symfunc import _basis, coproduct_mult, monomial
-from tropwitt.witt import WittElem, _checks, _groups, _Packed, additive_unit, from_points, theta
+from tropwitt.symfunc import _labels, coproduct_mult, monomial
+from tropwitt.witt import (
+    WittElem,
+    _checks,
+    _coproduct,
+    _groups,
+    _Packed,
+    additive_unit,
+    from_points,
+    theta,
+)
 
 from oracles import (
     add_by_partitions,
@@ -177,6 +188,9 @@ def _same_space_reports(space: WittSpace) -> None:
     assert got.violations == want.violations
     axioms = [v for v in want.violations if v.kind != "hom"]
     assert next(space.axiom_violations(), None) == (axioms[0] if axioms else None)
+    pairs = [(x, y) for x in space.points for y in space.points]
+    failing = [pair for pair in pairs if not validate_by_partitions(space.dist(*pair)).ok]
+    assert space.failing_entries() == failing
 
 
 @settings(max_examples=40)
@@ -266,10 +280,9 @@ def test_violation_in_the_last_field_of_the_last_group():
     # with left factor (4) and right set {(1,1,1,1)}; d(b, a) is finite
     # only at (4) and d(a, b) only at (1,1,1,1), so the triple (b, a, b) is
     # broken by that group alone, in the last field (x, z) = (b, b)
-    basis = _basis(4)
-    lam, mu, js = basis.coproduct[_groups(4).order[-1]]
+    lam, mu, js = _coproduct(4)[_groups(4).order[-1]]
     last = Partition([1, 1, 1, 1])
-    assert (basis.parts[lam], basis.parts[mu], [basis.parts[j] for j in js]) == (
+    assert (_labels[lam], _labels[mu], [_labels[j] for j in js]) == (
         last,
         Partition([4]),
         [last],
@@ -290,9 +303,8 @@ def test_violation_in_the_last_field_of_the_last_group():
 def test_hom_violation_in_the_last_check_of_the_last_entry():
     # lowering value(1,1) breaks the last check in family order, (1,1)·(2),
     # of the last entry only
-    labels = _basis(4).labels
     pairs, checks = _checks(4)
-    assert tuple(labels[p] for p in pairs[checks.order[-1]]) == (Partition([1, 1]), Partition([2]))
+    assert tuple(_labels[p] for p in pairs[checks.order[-1]]) == (Partition([1, 1]), Partition([2]))
     points = ("a", "b")
     space = random_point_eval_space(random.Random(3), points, 4)
     dist = {(x, y): space.dist(x, y) for x in points for y in points}
@@ -414,6 +426,24 @@ def test_from_json_matches_partition_keyed_loader(data):
     assert _loaded(WittElem.from_json, data) == _loaded(witt_from_json_by_partitions, data)
 
 
+@pytest.mark.parametrize("key", ["5", "4,1", "1,4"])
+def test_partitions_above_the_bound_once_a_larger_bound_is_indexed(key):
+    # the basis is shared: with bound 12 built, the index also knows the
+    # partitions of 5, so each reader must compare with the prefix of bound 4
+    additive_unit(12)
+    above = Partition.from_key(key)
+    data = _doc({"1": "1", key: "2"})
+    with pytest.raises(FormatError) as refused:
+        WittElem.from_json(data)
+    assert str(refused.value) == f"partition {above} exceeds degree bound 4"
+    assert _loaded(WittElem.from_json, data) == _loaded(witt_from_json_by_partitions, data)
+    f = theta(LValue(1), 4)
+    with pytest.raises(DegreeOverflowError):
+        f.value(above)
+    with pytest.raises(DegreeOverflowError):
+        slice_table(WittSpace(("a",), {("a", "a"): f}), above)
+
+
 unreduced_tokens = st.one_of(
     st.builds(
         lambda p, q, c: f"{p * c}/{q * c}",
@@ -454,8 +484,18 @@ def test_from_json_reduces_unreduced_tokens(data):
 def _parsed(parse, s: str):
     try:
         return parse(s)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, FormatError) as exc:
         return type(exc)
+
+
+def _fraction_within_the_digit_limit(s: str):
+    """Fraction's value or error class; FormatError, without calling
+    Fraction, once the token's length plus its exponent exceeds 1000."""
+    t = s.strip()
+    exponent = re.search(r"e([-+]?[0-9]+)$", t)
+    if len(t) + (abs(int(exponent[1])) if exponent else 0) > 1000:
+        return FormatError
+    return _parsed(Fraction, s)
 
 
 @given(st.text(alphabet="0123456789/+-.e ", max_size=12))
@@ -466,7 +506,13 @@ def _parsed(parse, s: str):
 @example("²")
 @example("٣")
 @example("4/06")
+@example("1e995")
+@example("1e996")
+@example("58e29169672")
+@example("2.5e-992")
+@example("2.5e-993")
+@example("1/2e999")
 def test_parse_token_agrees_with_fraction(s):
     # digits and digits/digits take a path of their own; value or error
-    # class must be Fraction's
-    assert _parsed(_parse_token, s) == _parsed(Fraction, s)
+    # class must be Fraction's, except past the digit limit
+    assert _parsed(_parse_token, s) == _fraction_within_the_digit_limit(s)

@@ -1,4 +1,9 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -23,7 +28,12 @@ from tropwitt.symfunc import (
     poly_mul,
     tensor_counit_left,
     tensor_counit_right,
-    _basis,
+    _comult,
+    _index,
+    _labels,
+    _prefix,
+    _product,
+    _rank,
 )
 
 from oracles import (
@@ -42,22 +52,33 @@ def m(*parts, bound=N):
     return monomial(Partition(parts), bound)
 
 
-def product_rows(mu, nu, bound=12):
+def product_rows(mu, nu):
     """m_μ·m_ν from the basis product rows, as (λ, c) entries in row order."""
-    basis = _basis(bound)
-    return tuple((basis.labels[p], c) for p, c in basis.product(basis.index[mu], basis.index[nu]))
+    _prefix(max(mu.size, nu.size))
+    return tuple((_labels[p], c) for p, c in _product(_index[mu], _index[nu]))
 
 
-def comult_rows(lam, bound=N):
+def comult_rows(lam):
     """Δ×(m_λ) from the basis coproduct groups, as ((μ, ν), c) entries in
     row order."""
-    basis = _basis(bound)
-    labels = basis.labels
     return tuple(
-        ((labels[i], labels[j]), c)
-        for i, js, cs in basis.comult(lam.size)[basis.rank(lam)]
+        ((_labels[i], _labels[j]), c)
+        for i, js, cs in _comult(lam.size)[_rank(lam)]
         for j, c in zip(js, cs)
     )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh(code: str):
+    """The JSON that code prints in a fresh interpreter, where the basis
+    has indexed nothing yet."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", code]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
 
 
 def oracle_product(f, g):
@@ -157,6 +178,46 @@ def test_basis_product_matches_polynomial_route_at_degree_twelve():
         12,
     )
     assert SymFunc(dict(product_rows(mu, nu)), 12) == want
+
+
+# -- one basis for every degree bound -------------------------------------------------
+
+COUNT_COPRODUCT_BUILDS = """
+import json
+from collections import Counter
+import tropwitt.symfunc as S
+from tropwitt.witt import from_points
+calls, build = Counter(), S._comult_scaled
+def counted(n):
+    calls[n] += 1
+    return build(n)
+S._comult_scaled = counted
+for bound in (10, 11, 12):
+    f = from_points(["1", "2/3", "5"], bound)
+    f.mul(f)
+print(json.dumps(calls))
+"""
+
+
+def test_each_size_of_the_coproduct_is_built_once_across_bounds():
+    assert fresh(COUNT_COPRODUCT_BUILDS) == {str(n): 1 for n in range(1, 13)}
+
+
+PRODUCT_AT_BOUND_FORTY = """
+import json
+import tropwitt.symfunc as S
+from tropwitt.partitions import Partition
+f = S.multiply(S.monomial(Partition([2, 1]), 40), S.monomial(Partition([1]), 40))
+print(json.dumps([f.to_json(), len(S._keys), max(lam.size for lam in S._index)]))
+"""
+
+
+def test_product_at_a_large_bound_indexes_only_the_sizes_it_reaches():
+    # m_(2,1)·m_(1) has terms of size 4: the sizes up to 4 hold 11 nonempty
+    # partitions, where the whole bound 40 holds 215,307
+    product, indexed, largest = fresh(PRODUCT_AT_BOUND_FORTY)
+    assert product == {"degree_bound": 40, "coeffs": {"2,1,1": 2, "2,2": 2, "3,1": 1}}
+    assert (indexed, largest) == (11, 4)
 
 
 def test_product_row_times_row():
@@ -302,7 +363,7 @@ def test_comult_table_symmetric_with_counit_at_degree_ten():
     # beyond the oracle's reach: Δ× is cocommutative and ε× picks the rows
     n = 10
     for lam in partitions_of(n):
-        table = dict(comult_rows(lam, n))
+        table = dict(comult_rows(lam))
         assert all(table.get((nu, mu)) == c for (mu, nu), c in table.items()), lam
         for mu in partitions_of(n):
             assert table.get((mu, Partition([n])), 0) == (mu == lam), (lam, mu)
