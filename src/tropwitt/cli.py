@@ -21,7 +21,7 @@ import click
 # in its body, so a cold process loads only what it runs
 from .errors import FormatError, TropwittError
 from .partitions import MAX_MEASURE_N, Partition
-from .quantale import LValue
+from .quantale import _MAX_DIGITS, LValue
 from .report import DEFAULT_SEED, Report
 
 if TYPE_CHECKING:
@@ -90,9 +90,17 @@ def handle_errors(fn):
     return wrapper
 
 
+def _json_int(token: str) -> int:
+    # refused before int() runs: past 4300 digits int() raises a ValueError
+    # of its own, and the LValue check allows no more digits than this
+    if len(token) - token.startswith("-") > _MAX_DIGITS:
+        raise FormatError(f"a JSON integer must have at most {_MAX_DIGITS} digits")
+    return int(token)
+
+
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_int=_json_int)
     # check before any object is built: WittElem enumerates every partition
     # up to its bound on construction, and validating a space multiplies its
     # entries over every triple of points

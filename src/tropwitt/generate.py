@@ -30,19 +30,10 @@ def random_lvalue(rng: random.Random, inf_weight: float = 0.1) -> LValue:
     return random_rational(rng)
 
 
-def random_witt_elem(
-    rng: random.Random,
-    degree_bound: int,
-    max_points: int = 3,
-    allow_inf: bool = False,
-) -> WittElem:
+def random_witt_elem(rng: random.Random, degree_bound: int, max_points: int = 3) -> WittElem:
     """A valid element from tropical evaluation at 1..max_points points."""
     size = rng.randint(1, max_points)
-    pts = [
-        random_lvalue(rng, 0.05) if allow_inf else random_rational(rng)
-        for _ in range(size)
-    ]
-    return from_points(pts, degree_bound)
+    return from_points([random_rational(rng) for _ in range(size)], degree_bound)
 
 
 def min_plus_closure(points: tuple[str, ...], weights: dict) -> dict:

@@ -85,9 +85,6 @@ class SymFunc:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def with_degree_bound(self, degree_bound: int) -> "SymFunc":
-        return SymFunc(self._coeffs, degree_bound)
-
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -202,23 +199,6 @@ class TensorSymFunc:
 
     def items(self):
         return ((pair, self._coeffs[pair]) for pair in self.support())
-
-    def __add__(self, other: "TensorSymFunc") -> "TensorSymFunc":
-        if not isinstance(other, TensorSymFunc):
-            return NotImplemented
-        if self._degree_bound != other._degree_bound:
-            raise ValueError("degree bounds differ")
-        out = dict(self._coeffs)
-        for pair, c in other._coeffs.items():
-            out[pair] = out.get(pair, 0) + c
-        return TensorSymFunc(out, self._degree_bound)
-
-    def scale(self, c: int) -> "TensorSymFunc":
-        if c < 0:
-            raise ValueError("scalar must be ≥ 0")
-        return TensorSymFunc(
-            {pair: c * v for pair, v in self._coeffs.items()}, self._degree_bound
-        )
 
     def __eq__(self, other) -> bool:
         return (

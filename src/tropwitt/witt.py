@@ -319,13 +319,6 @@ def _composition_excesses(points: Sequence, packed: _Packed) -> Iterator[tuple]:
         )
 
 
-def _stored(fracs: list[Fraction | None]) -> tuple[int, tuple[int | None, ...]]:
-    """The canonical stored form of one value per basis partition, None for
-    ∞: the lcm of the reduced denominators, and the numerators over it."""
-    den = lcm(*(q.denominator for q in fracs if q is not None))
-    return den, tuple(None if q is None else q.numerator * (den // q.denominator) for q in fracs)
-
-
 def _reduced(bound: int, den: int, nums: list[int | None]) -> "WittElem":
     """The canonical element with values nums/den."""
     g = gcd(den, *(n for n in nums if n is not None))
@@ -333,6 +326,15 @@ def _reduced(bound: int, den: int, nums: list[int | None]) -> "WittElem":
         den //= g
         nums = [None if n is None else n // g for n in nums]
     return WittElem._dense(bound, den, tuple(nums))
+
+
+def _over_lcm(bound: int, nums: list[int | None], dens: list[int]) -> "WittElem":
+    """The canonical element with values nums/dens, not necessarily in
+    lowest terms: over the lcm D of the denominators, the gcd of D and the
+    numerators is D over the lcm of the reduced ones, so dividing by it
+    gives the canonical form."""
+    den = lcm(*dens)
+    return _reduced(bound, den, [None if n is None else n * (den // d) for n, d in zip(nums, dens)])
 
 
 class WittElem:
@@ -343,7 +345,8 @@ class WittElem:
     def __init__(self, degree_bound: int, values: Mapping[Partition, LValue]):
         if degree_bound < 1:
             raise ValueError("degree bound must be ≥ 1")
-        fracs: list[Fraction | None] = [None] * _prefix(degree_bound)
+        nums: list[int | None] = [None] * _prefix(degree_bound)
+        dens = [1] * len(nums)
         for lam, v in values.items():
             if lam.is_empty():
                 if v != ZERO:
@@ -354,9 +357,12 @@ class WittElem:
                     f"partition {lam} exceeds degree bound {degree_bound}"
                 )
             v = LValue(v)
-            fracs[_index[lam]] = None if v.is_infinite else v.as_fraction()
-        self._degree_bound = degree_bound
-        self._den, self._nums = _stored(fracs)
+            if v.is_finite:
+                q = v.as_fraction()
+                i = _index[lam]
+                nums[i], dens[i] = q.numerator, q.denominator
+        f = _over_lcm(degree_bound, nums, dens)
+        self._degree_bound, self._den, self._nums = degree_bound, f._den, f._nums
 
     @classmethod
     def _dense(cls, degree_bound: int, den: int, nums: tuple) -> "WittElem":
@@ -520,13 +526,7 @@ class WittElem:
             nums[i], dens[i] = _json_pair(v)
         if oversized is not None:
             raise FormatError(f"partition {oversized} exceeds degree bound {bound}")
-        # over the lcm D of the raw denominators, the gcd of D and the
-        # numerators is D over the lcm of the reduced ones, so dividing by
-        # it gives the canonical form
-        den = lcm(*dens)
-        return _reduced(
-            bound, den, [None if n is None else n * (den // d) for n, d in zip(nums, dens)]
-        )
+        return _over_lcm(bound, nums, dens)
 
 
 def _column(bound: int, elems: Iterable[WittElem], lam: Partition) -> list[LValue]:
@@ -557,14 +557,12 @@ def multiplicative_unit(degree_bound: int) -> WittElem:
 def theta(r: LValue, degree_bound: int) -> WittElem:
     """Embed a scalar: n·r on the row (n), ∞ on every other partition.
 
-    Monoidal (θ(r)·θ(r′) = θ(r + r′)) and monotone, but does not preserve
-    addition; θ(0) is the multiplicative unit.
+    This is tropical evaluation at the one point r: a partition with more
+    than one part has no injective assignment to it.  Monoidal
+    (θ(r)·θ(r′) = θ(r + r′)) and monotone, but does not preserve addition;
+    θ(0) is the multiplicative unit.
     """
-    r = LValue(r)
-    values = {
-        Partition([n]): n * r for n in range(1, degree_bound + 1)
-    }
-    return WittElem(degree_bound, values)
+    return from_points([r], degree_bound)
 
 
 def tau(f: WittElem) -> LValue:

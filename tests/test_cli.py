@@ -538,3 +538,22 @@ def test_values_at_the_digit_limit_print_in_reports(runner, tmp_path):
     too_large = write(tmp_path, "large.json", {"degree_bound": 2, "values": {"1": 10**1000}})
     result = runner.invoke(main, ["witt", "validate", "--input", too_large])
     assert "at most 1000 digits" in error_of(result, 2)["detail"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"degree_bound": 2, "values": {"1": %s}}' % ("1" * 5000),
+        '{"degree_bound": %s, "values": {"1": "1"}}' % ("1" * 5000),
+    ],
+    ids=["value", "degree_bound"],
+)
+def test_json_integer_past_the_conversion_limit_is_a_format_error(runner, tmp_path, text):
+    # int() refuses more than 4300 digits with a ValueError of its own; the
+    # reader refuses the token first
+    elem = tmp_path / "elem.json"
+    elem.write_text(text)
+    result = runner.invoke(main, ["witt", "validate", "--input", str(elem)])
+    error = error_of(result, 2)
+    assert error["kind"] == "format"
+    assert "at most 1000 digits" in error["detail"]

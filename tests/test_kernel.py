@@ -103,8 +103,7 @@ def _with_value(f: WittElem, lam: Partition, v: LValue) -> WittElem:
     return WittElem(f.degree_bound, {**values, lam: v})
 
 
-@given(elem_pairs())
-def test_rig_operations_match_partition_route(pair):
+def _same_rig_operations(pair: tuple[WittElem, WittElem]) -> None:
     f, g = pair
     _same(f.mul(g), mul_by_partitions(f, g))
     _same(f.add(g), add_by_partitions(f, g))
@@ -112,24 +111,23 @@ def test_rig_operations_match_partition_route(pair):
     assert g.leq(f) == leq_by_partitions(g, f)
 
 
+@given(elem_pairs())
+def test_rig_operations_match_partition_route(pair):
+    _same_rig_operations(pair)
+
+
 @settings(max_examples=8)
 @given(elem_pairs(bounds=st.just(8)))
 def test_rig_operations_match_partition_route_at_degree_eight(pair):
-    f, g = pair
-    _same(f.mul(g), mul_by_partitions(f, g))
-    _same(f.add(g), add_by_partitions(f, g))
-    assert f.leq(g) == leq_by_partitions(f, g)
+    _same_rig_operations(pair)
+    f, _ = pair
     assert f.validate().to_json() == validate_by_partitions(f).to_json()
 
 
 @settings(max_examples=4)
 @given(elem_pairs(bounds=st.sampled_from([10, 12])))
 def test_rig_operations_match_partition_route_at_degrees_ten_and_twelve(pair):
-    f, g = pair
-    _same(f.mul(g), mul_by_partitions(f, g))
-    _same(f.add(g), add_by_partitions(f, g))
-    assert f.leq(g) == leq_by_partitions(f, g)
-    assert g.leq(f) == leq_by_partitions(g, f)
+    _same_rig_operations(pair)
 
 
 @given(st.integers(1, 6).flatmap(witt_elems))

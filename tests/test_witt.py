@@ -6,7 +6,7 @@ import pytest
 from tropwitt.errors import DegreeOverflowError, FormatError
 from tropwitt.generate import random_rational, random_witt_elem
 from tropwitt.partitions import Partition, partitions_of, partitions_up_to
-from tropwitt.quantale import INF, ZERO, LValue, leq
+from tropwitt.quantale import INF, ZERO, LValue
 from tropwitt.symfunc import SymFunc, complete, coproduct_mult, monomial
 from tropwitt.witt import (
     WittElem,
@@ -69,13 +69,6 @@ def test_units_validate():
     assert multiplicative_unit(N).validate().ok
 
 
-def test_theta_validates_for_random_scalars():
-    rng = random.Random(1)
-    for _ in range(10):
-        assert theta(random_rational(rng), N).validate().ok
-    assert theta(INF, N).validate().ok
-
-
 def test_invalid_element_reported_with_witness():
     bad = WittElem(4, {P(1): lv(1), P(2): lv(5)})
     report = bad.validate()
@@ -83,41 +76,7 @@ def test_invalid_element_reported_with_witness():
     assert any(v.witness == (P(1), P(1)) for v in report.violations)
 
 
-# -- addition -----------------------------------------------------------------------
-
-
-def test_additive_unit_law():
-    for f in some_elems(5):
-        assert f.add(additive_unit(N)) == f
-
-
-def test_unit_plus_unit_at_hook():
-    one = multiplicative_unit(N)
-    assert one.add(one).value(P(2, 1)) == ZERO
-    assert one.value(P(2, 1)) == INF
-
-
-def test_theta_sum_at_hook():
-    rng = random.Random(5)
-    for _ in range(20):
-        r, rp = random_rational(rng), random_rational(rng)
-        got = theta(r, N).add(theta(rp, N)).value(P(2, 1))
-        assert got == min(2 * r + rp, r + 2 * rp)
-
-
 # -- multiplication ------------------------------------------------------------------
-
-
-def test_theta_is_monoidal():
-    rng = random.Random(11)
-    for _ in range(20):
-        r, rp = random_rational(rng), random_rational(rng)
-        assert theta(r, N).mul(theta(rp, N)) == theta(r + rp, N)
-
-
-def test_multiplicative_unit_law():
-    for f in some_elems(5, seed=8):
-        assert f.mul(multiplicative_unit(N)) == f
 
 
 def test_mul_follows_comult_support():
@@ -157,23 +116,24 @@ def test_mul_is_monotone():
                 assert f.mul(g).leq(fp.mul(g))
 
 
-def test_theta_monotone():
-    r, rp = lv(2), lv(1)
-    assert leq(r, rp)  # numerically larger values sit lower in the rig order
-    assert theta(r, N).leq(theta(rp, N))
-
-
 # -- theta / tau ----------------------------------------------------------------------------
 
 
 def test_theta_values():
-    r = lv("3/2")
-    th = theta(r, N)
-    for n in range(1, N + 1):
-        assert th.value(P(n)) == n * r
-    assert th.value(P(2, 1)) == INF
-    assert theta(ZERO, N) == multiplicative_unit(N)
-    assert theta(INF, N).value(P(1)) == INF
+    # n·r on the row (n), ∞ on every partition of two or more parts, and 0
+    # on the empty one, at every partition up to the bound
+    rows = {
+        ZERO: lambda n: ZERO,
+        lv("3/2"): lambda n: LValue(Fraction(3 * n, 2)),
+        INF: lambda n: INF,
+    }
+    for bound in (1, 6, 12):
+        for r, row in rows.items():
+            th = theta(r, bound)
+            for lam in partitions_up_to(bound):
+                parts = len(lam.parts)
+                want = ZERO if parts == 0 else row(lam.size) if parts == 1 else INF
+                assert th.value(lam) == want, (bound, r, lam)
 
 
 def test_tau_examples():
@@ -206,20 +166,7 @@ def test_lipschitz_closed_under_mul():
             assert f.mul(g).is_lipschitz()
 
 
-def test_adjunction_on_samples():
-    rng = random.Random(43)
-    for _ in range(60):
-        f = random_witt_elem(rng, N, max_points=3)
-        r = tau(f) if rng.random() < 0.3 else random_rational(rng)
-        assert theta(r, N).leq(f) == leq(r, tau(f))
-
-
 # -- point evaluation -------------------------------------------------------------------------------
-
-
-def test_from_points_single_is_theta():
-    r = lv("5/4")
-    assert from_points([r], N) == theta(r, N)
 
 
 def test_from_points_values():
@@ -243,34 +190,6 @@ def test_closure_under_rig_ops():
         g = random_witt_elem(rng, N)
         assert f.add(g).validate().ok
         assert f.mul(g).validate().ok
-
-
-def test_root_calculus():
-    rng = random.Random(59)
-    for _ in range(20):
-        a = [random_rational(rng) for _ in range(rng.randint(1, 3))]
-        b = [random_rational(rng) for _ in range(rng.randint(1, 3))]
-        assert from_points(a, N).add(from_points(b, N)) == from_points(a + b, N)
-        assert from_points(a, N).mul(from_points(b, N)) == from_points(
-            [x + y for x in a for y in b], N
-        )
-
-
-# -- negative results ---------------------------------------------------------------------------------
-
-
-def test_not_characteristic_one():
-    one = multiplicative_unit(N)
-    assert one.add(one) != one
-
-
-def test_theta_not_additive():
-    r, rp = lv(1), lv(2)
-    mixed = theta(r, N).add(theta(rp, N))
-    collapsed = theta(min(r, rp), N)
-    assert mixed != collapsed
-    assert mixed.value(P(2, 1)) == lv(4)
-    assert collapsed.value(P(2, 1)) == INF
 
 
 # -- composition action ----------------------------------------------------------------------------------
