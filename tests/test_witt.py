@@ -192,6 +192,39 @@ def test_closure_under_rig_ops():
         assert f.mul(g).validate().ok
 
 
+# -- negative results ---------------------------------------------------------------------------------
+# The negative-results suite checks these at scale; the worked cases of the
+# paper's headline claims stay here as named examples.
+
+
+def test_unit_plus_unit_at_hook():
+    one = multiplicative_unit(N)
+    assert one.add(one).value(P(2, 1)) == ZERO
+    assert one.value(P(2, 1)) == INF
+
+
+def test_theta_sum_at_hook():
+    rng = random.Random(5)
+    for _ in range(20):
+        r, rp = random_rational(rng), random_rational(rng)
+        got = theta(r, N).add(theta(rp, N)).value(P(2, 1))
+        assert got == min(2 * r + rp, r + 2 * rp)
+
+
+def test_not_characteristic_one():
+    one = multiplicative_unit(N)
+    assert one.add(one) != one
+
+
+def test_theta_not_additive():
+    r, rp = lv(1), lv(2)
+    mixed = theta(r, N).add(theta(rp, N))
+    collapsed = theta(min(r, rp), N)
+    assert mixed != collapsed
+    assert mixed.value(P(2, 1)) == lv(4)
+    assert collapsed.value(P(2, 1)) == INF
+
+
 # -- composition action ----------------------------------------------------------------------------------
 
 
