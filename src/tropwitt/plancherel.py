@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegreeOverflowError, FormatError
 from .partitions import (
@@ -92,8 +91,7 @@ def _thresholds(lam: Partition) -> tuple[tuple[Partition, ...], tuple[int, ...]]
     return tuple(mus), tuple(thresholds)
 
 
-@dataclass(frozen=True)
-class GrowthPath:
+class GrowthPath(NamedTuple):
     """A sampled trajectory λ_1 ⋖ λ_2 ⋖ …, with its seed."""
 
     seed: int
@@ -134,8 +132,7 @@ def sample_path(steps: int, seed: int) -> GrowthPath:
     return GrowthPath(seed, tuple(out))
 
 
-@dataclass(frozen=True)
-class ObservedStep:
+class ObservedStep(NamedTuple):
     """One slice of a space along a path, flagged by whether the slice is a
     genuine metric space (zero self-distances) or partial-metric only."""
 

@@ -7,15 +7,14 @@ which triple or partition broke.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # Seed of the law suites' random samples (`suite run --seed`).  It lives here
 # so that the CLI can show it without loading the suites.
 DEFAULT_SEED = 20260811
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     witness: tuple
     detail: str
@@ -28,10 +27,10 @@ class Violation:
         }
 
 
-@dataclass
 class Report:
-    subject: str
-    violations: list[Violation] = field(default_factory=list)
+    def __init__(self, subject: str) -> None:
+        self.subject = subject
+        self.violations: list[Violation] = []
 
     @property
     def ok(self) -> bool:

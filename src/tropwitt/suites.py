@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 # the base modules, which the CLI loads anyway; each suite imports the
 # modules it computes with in its own body
@@ -23,14 +22,14 @@ from .report import DEFAULT_SEED
 _MAX_FAILURES = 12
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    module: str
-    passed: int = 0
-    failed: int = 0
-    failures: list[str] = field(default_factory=list)
-    seconds: float = 0.0  # wall time of the run
+    def __init__(self, name: str, module: str) -> None:
+        self.name = name
+        self.module = module
+        self.passed = 0
+        self.failed = 0
+        self.failures: list[str] = []
+        self.seconds = 0.0  # wall time of the run
 
     @property
     def ok(self) -> bool:
@@ -57,8 +56,7 @@ class SuiteResult:
         }
 
 
-@dataclass(frozen=True)
-class _Suite:
+class _Suite(NamedTuple):
     """A registered law: ``suite(seed, **sizes)`` runs it on a fresh
     ``SuiteResult`` tagged with the suite's name and module."""
 

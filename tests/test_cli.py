@@ -1,11 +1,13 @@
+import contextlib
+import io
 import json
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
-from tropwitt.cli import MAX_POINTS, MAX_STEPS, main
+from tropwitt.cli import COMMANDS, MAX_POINTS, MAX_STEPS, main
 from tropwitt.enriched import MetricSpace, WittSpace, theta_space
 from tropwitt.generate import random_metric_space, random_point_eval_space
 from tropwitt.partitions import Partition
@@ -14,9 +16,25 @@ from tropwitt.symfunc import SymFunc, monomial
 from tropwitt.witt import WittElem, theta
 
 
+class Runner:
+    """Runs the CLI in this process with stdout captured.  The exit code is
+    that of the ``SystemExit`` raised, 0 if none; any other exception fails
+    the test."""
+
+    def invoke(self, main, args):
+        out = io.StringIO()
+        code = 0
+        with contextlib.redirect_stdout(out):
+            try:
+                main(args)
+            except SystemExit as exc:
+                code = exc.code or 0
+        return SimpleNamespace(exit_code=code, output=out.getvalue())
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def write(tmp_path, name, payload):
@@ -362,8 +380,7 @@ EVERY_COMMAND = [
 
 
 def test_every_json_command_is_listed():
-    registered = {(g, c) for g, group in main.commands.items() for c in group.commands}
-    assert registered - {("suite", "run")} == {tuple(args[:2]) for args in EVERY_COMMAND}
+    assert set(COMMANDS) - {("suite", "run")} == {tuple(args[:2]) for args in EVERY_COMMAND}
 
 
 @pytest.mark.parametrize("args", EVERY_COMMAND, ids=lambda args: "-".join(args[:2]))
@@ -457,10 +474,42 @@ def error_of(result, code):
         ["plancherel", "sample", "--steps", str(MAX_STEPS + 1)],
         ["plancherel", "observe", "--cat", "space.json", "--steps", str(MAX_STEPS + 1)],
         ["witt", "theta", "--degree", "4"],
+        ["witt", "theta", "--r", "1", "--bogus"],
+        ["witt", "theta", "--r", "1", "--deg", "2"],
+        ["witt", "nope"],
+        ["witt"],
+        [],
+        ["witt", "theta", "--r"],
+        ["witt", "theta", "--r", "1", "--degree", "x"],
+        # a value that starts with "-" and is no plain number reads as an option
+        ["witt", "theta", "--r", "-1/2"],
     ],
 )
 def test_usage_errors_are_one_json_object(runner, args):
     assert error_of(runner.invoke(main, args), 2)["kind"] == "usage"
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [(["--r", "x"], "x"), (["--r", "-1"], "-1"), (["--r=-1/2"], "-1/2"), (["--r", "1/0"], "1/0")],
+)
+def test_malformed_r_is_a_format_error(runner, option, value):
+    error = error_of(runner.invoke(main, ["witt", "theta", *option]), 2)
+    assert error == {"kind": "format", "detail": f"bad LValue {value!r}"}
+
+
+def test_option_value_after_equals_sign(runner):
+    spaced = runner.invoke(main, ["witt", "theta", "--r", "3/2", "--degree", "4"])
+    joined = runner.invoke(main, ["witt", "theta", "--r=3/2", "--degree=4"])
+    assert joined.exit_code == spaced.exit_code == 0
+    assert joined.output == spaced.output
+
+
+@pytest.mark.parametrize("args", [[], ["witt"], ["witt", "theta"], ["suite", "run"]])
+def test_help_prints_usage(runner, args):
+    result = runner.invoke(main, [*args, "--help"])
+    assert result.exit_code == 0
+    assert result.output.startswith(f"usage: {' '.join(['tropwitt', *args])} ")
 
 
 def test_degree_bound_above_ceiling_in_any_input_is_refused(runner, tmp_path):

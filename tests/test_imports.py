@@ -21,10 +21,17 @@ from tropwitt.generate import random_metric_space
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# modules that cost a cold process milliseconds to import and that no
+# command needs: a third-party option parser, and the modules behind
+# dataclasses (inspect loads ast, dis and tokenize)
+HEAVY = {"click", "dataclasses", "inspect"}
+
 # run the CLI as `python -m tropwitt.cli <argv>` does, then report the exit
-# code and the tropwitt modules loaded, as JSON on stderr
+# code, the tropwitt modules loaded, and the HEAVY modules that the run loads
+# beyond those of a bare interpreter with json and runpy, as JSON on stderr
 RUN_CLI = """
 import json, runpy, sys
+bare = set(sys.modules)
 sys.argv = ["tropwitt", *json.loads(sys.argv[1])]
 try:
     runpy.run_module("tropwitt.cli", run_name="__main__", alter_sys=True)
@@ -32,8 +39,9 @@ try:
 except SystemExit as exc:
     code = exc.code
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "tropwitt")
-print(json.dumps({"code": code, "modules": loaded}), file=sys.stderr)
-"""
+heavy = sorted(m for m in set(sys.modules) - bare if m.split(".")[0] in %r)
+print(json.dumps({"code": code, "modules": loaded, "heavy": heavy}), file=sys.stderr)
+""" % sorted(HEAVY)
 
 BASE = {"tropwitt", "tropwitt.errors", "tropwitt.partitions", "tropwitt.quantale", "tropwitt.report"}
 
@@ -46,10 +54,10 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def _run_cli(argv: list[str]) -> tuple[int, str, set[str]]:
+def _run_cli(argv: list[str]) -> tuple[int, str, set[str], list[str]]:
     proc = _python("-c", RUN_CLI, json.dumps(argv))
     report = json.loads(proc.stderr.splitlines()[-1])
-    return report["code"], proc.stdout, set(report["modules"])
+    return report["code"], proc.stdout, set(report["modules"]), report["heavy"]
 
 
 @pytest.fixture(scope="module")
@@ -75,13 +83,14 @@ def metric_path(tmp_path_factory):
     ids=lambda v: "-".join(v[:2]) if isinstance(v, list) else None,
 )
 def test_a_command_loads_only_its_modules(metric_path, argv, modules):
-    code, stdout, loaded = _run_cli([a.format(metric=metric_path) for a in argv])
+    code, stdout, loaded, heavy = _run_cli([a.format(metric=metric_path) for a in argv])
     assert code == 0, stdout
     if argv[0] == "suite":
         assert stdout == "PASS residuation: 22736 passed, 0 failed\n"
     else:
         json.loads(stdout)
     assert loaded == modules
+    assert heavy == []
 
 
 def test_importing_the_package_and_the_cli_loads_no_computing_module():
