@@ -13,20 +13,23 @@ exhibit.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DegreeOverflowError, FormatError
 from .partitions import Partition
-from .quantale import ZERO, LValue
+from .quantale import ZERO, LValue, _json_pair
 from .report import Report, Violation
 from .symfunc import SymFunc, _labels, _row, complete, plethysm
 from .witt import (
     WittElem,
     _column,
     _composition_excesses,
+    _evals,
+    _hom_checks,
     _hom_failures,
+    _hom_violations,
     _Packed,
-    tau,
     theta,
 )
 
@@ -153,18 +156,23 @@ class WittSpace:
         """Entry homomorphism checks, identity axiom, composition axiom."""
         report = Report("witt-space")
         packed = self._packed()
-        # the entries are checked together; only a failing one is checked
-        # again on its own, for the text of its report
-        for x, y in sorted(self._failing_entries(packed)):
-            for v in self._dist[x, y].validate().violations:
-                report.add("hom", (x, y) + v.witness, f"d({x},{y}): {v.detail}")
+        checks = _hom_checks(packed)
+        # the entries are checked together, and the report of a failing one
+        # is read from the fields of that pass, in the order of the names
+        k, points = len(self._points), self._points
+        failing = [(points[e // k], points[e % k], e) for e in _hom_failures(packed, checks)]
+        for x, y, e in sorted(failing):
+            for mu, nu, detail in _hom_violations(packed, checks, e):
+                report.add("hom", (x, y, mu, nu), f"d({x},{y}): {detail}")
         report.violations.extend(self._axiom_violations(packed))
         return report
 
     def failing_entries(self) -> list[tuple[str, str]]:
         """The pairs (x, y) whose entry fails the homomorphism check,
         x-major; every entry is checked in one packed pass."""
-        return self._failing_entries(self._packed())
+        packed = self._packed()
+        k, points = len(self._points), self._points
+        return [(points[e // k], points[e % k]) for e in _hom_failures(packed, _hom_checks(packed))]
 
     def axiom_violations(self) -> Iterator[Violation]:
         """The identity and composition violations, lazily and in report
@@ -175,10 +183,6 @@ class WittSpace:
     def _packed(self) -> _Packed:
         """The entries of every pair of points, packed x-major."""
         return _Packed([self._dist[x, y] for x in self._points for y in self._points])
-
-    def _failing_entries(self, packed: _Packed) -> list[tuple[str, str]]:
-        k, points = len(self._points), self._points
-        return [(points[e // k], points[e % k]) for e in _hom_failures(packed)]
 
     def _axiom_violations(self, packed: _Packed | None) -> Iterator[Violation]:
         rows = [_row(n) for n in range(1, self._degree_bound + 1)]
@@ -216,7 +220,14 @@ class WittSpace:
 
     @classmethod
     def from_json(cls, data) -> "WittSpace":
-        points, dist = _parse_space_json(data, WittElem.from_json)
+        # one parse per distinct string token of the document: the memo ends
+        # with the call, and a token that raises is not stored
+        parse = cache(_json_pair)
+
+        def pair(token):
+            return parse(token) if isinstance(token, str) else _json_pair(token)
+
+        points, dist = _parse_space_json(data, lambda entry: WittElem._from_json(entry, pair))
         try:
             return cls(points, dist)
         except (ValueError, TypeError) as exc:
@@ -252,13 +263,14 @@ def slice_complete(space: WittSpace, n: int) -> DistTable:
     """The table at the degree-n complete element: min over all |λ| = n."""
     if not 1 <= n <= space.degree_bound:
         raise DegreeOverflowError(f"n = {n} outside 1..{space.degree_bound}")
-    h = complete(n, space.degree_bound)
-    return {pair: entry.eval(h) for pair, entry in space._dist.items()}
+    return eval_slice(space, complete(n, space.degree_bound))
 
 
 def eval_slice(space: WittSpace, f: SymFunc) -> DistTable:
-    """Entrywise evaluation at a general symmetric function."""
-    return {pair: entry.eval(f) for pair, entry in space._dist.items()}
+    """Entrywise evaluation at a general symmetric function, its support
+    looked up once."""
+    dist = space._dist
+    return dict(zip(dist, _evals(space.degree_bound, dist.values(), f)))
 
 
 def table_space(space: WittSpace, table: DistTable) -> MetricSpace:
@@ -272,14 +284,7 @@ def argmin_partition(space: WittSpace, x: str, y: str, f: SymFunc) -> Partition:
     support = f.support()
     if not support:
         raise ValueError("f has empty support")
-    entry = space.dist(x, y)
-    best_lam = None
-    best = None
-    for lam in support:
-        v = entry.value(lam)
-        if best is None or v < best:
-            best, best_lam = v, lam
-    return best_lam
+    return min(support, key=space.dist(x, y).value)  # the first of equal minima
 
 
 # -- the induced functors ---------------------------------------------------------
@@ -287,16 +292,13 @@ def argmin_partition(space: WittSpace, x: str, y: str, f: SymFunc) -> Partition:
 
 def theta_space(space: MetricSpace, degree_bound: int) -> WittSpace:
     """Entrywise scalar embedding of a metric space."""
-    dist = {
-        pair: theta(v, degree_bound) for pair, v in space._dist.items()
-    }
+    dist = {pair: theta(v, degree_bound) for pair, v in space._dist.items()}
     return WittSpace(space.points, dist)
 
 
 def tau_space(space: WittSpace) -> MetricSpace:
     """Entrywise projection to the degree-one value (the initial table)."""
-    dist = {pair: tau(entry) for pair, entry in space._dist.items()}
-    return MetricSpace(space.points, dist)
+    return MetricSpace(space.points, slice_table(space, Partition([1])))
 
 
 def lambda_action(space: WittSpace, g: SymFunc, f: SymFunc) -> DistTable:

@@ -173,9 +173,11 @@ def _json_number(data) -> Fraction | None:
 
 def _json_pair(data) -> tuple[int | None, int]:
     """The value of a JSON token as a numerator and a nonzero denominator,
-    not necessarily coprime, (None, 1) for ∞: the forms that
+    not necessarily coprime, (None, 1) for ∞: "inf" and the forms that
     ``_ascii_ratio`` reads go straight to integers, every other token
     through ``_json_number``."""
+    if data == _INF_TOKEN:  # the form that ``to_json`` writes for ∞
+        return None, 1
     if isinstance(data, str):
         pair = _ascii_ratio(data)
         if pair is not None and pair[1]:

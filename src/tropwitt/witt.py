@@ -45,8 +45,9 @@ another the right sets of the coproduct groups (:func:`_groups`).  A
 space checks all k² entries in one packed pass, and d(x, z) ≤
 d(x, y)·d(y, z) in one step per middle point y over the fields
 (group, x·k + z): d(x, y)(μᵢ) + min_j d(y, z)(νⱼ) below d(x, z)(λ)
-leaves a guard bit set.  Only a failing entry or triple is looked at
-again, for its report.
+leaves a guard bit set.  Reports are read from the packed pass: the text
+of a failed check from its fields, and the witness of a failing triple
+from its flagged groups; nothing is looked at again.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import compress, count, islice, repeat
 from math import gcd, lcm
-from operator import gt, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegreeOverflowError, FormatError
@@ -225,17 +226,11 @@ class _Packed:
             acc = self.min(acc, b, h >> (total - n) * span)
         return acc
 
-    def flagged(self, flags: int, chunks: int, fields: int) -> list[int]:
-        """The fields, numbered within a chunk, whose guard bit is set in
-        some chunk of flags, which has ``chunks`` chunks of ``fields``
-        fields: the chunks are folded together with | in halves."""
-        span = fields * self.bits
-        while chunks > 1:
-            half = (chunks + 1) // 2
-            flags = (flags & ((1 << half * span) - 1)) | (flags >> half * span)
-            chunks = half
+    def marks(self, flags: int, fields: int) -> bytes:
+        """The top byte of each of the first ``fields`` fields of flags,
+        nonzero exactly where the field's guard bit is set."""
         size = self.size
-        return list(compress(count(), flags.to_bytes(fields * size, "little")[size - 1 :: size]))
+        return flags.to_bytes(fields * size, "little")[size - 1 :: size]
 
     def field(self, xs: int, t: int) -> int:
         """Field t of xs."""
@@ -258,10 +253,35 @@ def _hom_checks(packed: _Packed) -> tuple[int, int, int]:
     return got, expected, ((got ^ expected) + h - ones) & h
 
 
-def _hom_failures(packed: _Packed) -> list[int]:
-    """The indices of the elements that fail a multiplicativity check."""
-    *_, flags = _hom_checks(packed)
-    return packed.flagged(flags, len(_checks(packed.bound)[0]), packed.count)
+def _hom_failures(packed: _Packed, checks: tuple[int, int, int]) -> list[int]:
+    """The indices of the elements that fail a multiplicativity check, read
+    from checks, the result of ``_hom_checks(packed)``."""
+    if not checks[2]:
+        return []
+    n = packed.count
+    marks = packed.marks(checks[2], len(_checks(packed.bound)[0]) * n)
+    return [e for e in range(n) if any(marks[e::n])]
+
+
+def _hom_violations(packed: _Packed, checks: tuple[int, int, int], e: int) -> Iterator[tuple]:
+    """The failed multiplicativity checks of element e in report order, as
+    μ, ν and the report text, read from the fields of checks, the result
+    of ``_hom_checks(packed)``."""
+    got, expected, flags = checks
+    if not flags:
+        return
+    pairs, family = _checks(packed.bound)
+    order, n, inf, den = family.order, packed.count, packed.inf, packed.den
+    marks = packed.marks(flags, len(order) * n)[e::n]
+    for k, t in sorted((order[t], t) for t in compress(count(), marks)):
+        mu, nu = (_labels[p] for p in pairs[k])
+        got_t, expected_t = (
+            _text(v if v < inf else None, den)
+            for v in (packed.field(got, t * n + e), packed.field(expected, t * n + e))
+        )
+        yield mu, nu, (
+            f"min over m{mu}·m{nu} support is {got_t}, but value{mu} + value{nu} = {expected_t}"
+        )
 
 
 def _composition_excesses(points: Sequence, packed: _Packed) -> Iterator[tuple]:
@@ -277,8 +297,8 @@ def _composition_excesses(points: Sequence, packed: _Packed) -> Iterator[tuple]:
     (group, x·k + z), one step per middle point y tests every group of
     every (x, z): shifts and masks pick d(x, y)(μᵢ) and the right minima of
     d(y, z), and a multiplication by a repeat constant copies each across
-    the index it lacks.  Only a failing triple takes the product per λ for
-    its witness."""
+    the index it lacks.  A failing triple's witness is read from its
+    flagged groups: the least λ among them, and the least share of λ's."""
     k = len(points)
     groups = _groups(packed.bound)
     left_of, lam_of = groups.aligned
@@ -298,25 +318,28 @@ def _composition_excesses(points: Sequence, packed: _Packed) -> Iterator[tuple]:
     # (group, z) to every (group, x·k + z), and (group, x·k) likewise
     over_x = packed.tiled(b"\x01" + bytes(k * size - 1), k)
     over_z = packed.tiled(b"\x01" + zeros[1:], k)
+    kk = k * k
     failing = []
     for y in range(k):
         shares = ((right >> y * k * bits) & row) * over_x + ((left >> y * bits) & column) * over_z
         fails = (caps - shares) & h
         if fails:
-            failing.extend((e // k, y, e % k) for e in packed.flagged(fails, n, k * k))
-    lists = packed.lists
-    for x, y, z in sorted(failing):
-        xy, yz, xz = lists[x * k + y], lists[y * k + z], lists[x * k + z]
-        through = [inf] * len(xz)
-        for lam, i, js in _coproduct(packed.bound):
-            v = xy[i] + min([yz[j] for j in js])
-            if v < through[lam]:
-                through[lam] = v
-        p = next(compress(count(), map(gt, xz, through)))
-        direct = xz[p] if xz[p] < inf else None
-        yield points[x], points[y], points[z], _labels[p], _value(direct, den), _value(
-            through[p], den
-        )
+            marks = packed.marks(fails, n * kk)
+            for e in range(kk):
+                flagged = marks[e::kk]  # per group, in family order, for (x, z)
+                if any(flagged):
+                    failing.append((e // k, y, e % k, flagged))
+    lists, coproduct, order = packed.lists, _coproduct(packed.bound), groups.order
+    for x, y, z, flagged in sorted(failing):
+        # the failing λ are those of the flagged groups, and λ's product
+        # value, below d(x, z)(λ), is the least share of one of them
+        shares = [coproduct[order[g]] for g in compress(count(), flagged)]
+        p = min(lam for lam, _, _ in shares)
+        xy, yz = lists[x * k + y], lists[y * k + z]
+        through = min(xy[i] + min([yz[j] for j in js]) for lam, i, js in shares if lam == p)
+        direct = lists[x * k + z][p]
+        direct = _value(direct if direct < inf else None, den)
+        yield points[x], points[y], points[z], _labels[p], direct, _value(through, den)
 
 
 def _reduced(bound: int, den: int, nums: list[int | None]) -> "WittElem":
@@ -383,12 +406,7 @@ class WittElem:
 
     def eval(self, f: SymFunc) -> LValue:
         """Evaluate on a general element: min over the support of f."""
-        if f.degree() > self._degree_bound:
-            raise DegreeOverflowError(
-                f"element of degree {f.degree()} exceeds bound {self._degree_bound}"
-            )
-        nums = [0 if lam.is_empty() else self._nums[_index[lam]] for lam in f.support()]
-        return _value(min((n for n in nums if n is not None), default=None), self._den)
+        return _evals(self._degree_bound, (self,), f)[0]
 
     # -- rig structure -----------------------------------------------------
 
@@ -437,24 +455,8 @@ class WittElem:
         """
         report = Report("witt-elem")
         packed = _Packed((self,))
-        got, expected, flags = _hom_checks(packed)
-        if not flags:
-            return report
-        pairs, checks = _checks(self._degree_bound)
-        order = checks.order
-        inf, den = packed.inf, packed.den
-        for k, t in sorted((order[t], t) for t in packed.flagged(flags, 1, len(order))):
-            mu, nu = (_labels[p] for p in pairs[k])
-            got_t, expected_t = (
-                _text(n if n < inf else None, den)
-                for n in (packed.field(got, t), packed.field(expected, t))
-            )
-            report.add(
-                "multiplicativity",
-                (mu, nu),
-                f"min over m{mu}·m{nu} support is {got_t}, "
-                f"but value{mu} + value{nu} = {expected_t}",
-            )
+        for mu, nu, detail in _hom_violations(packed, _hom_checks(packed), 0):
+            report.add("multiplicativity", (mu, nu), detail)
         return report
 
     def is_lipschitz(self) -> bool:
@@ -491,13 +493,18 @@ class WittElem:
         den = self._den
         return {
             "degree_bound": self._degree_bound,
-            "values": {
-                key: _text(n, den) for key, n in zip(_keys, self._nums)
-            },
+            "values": {key: _text(n, den) for key, n in zip(_keys, self._nums)},
         }
 
     @classmethod
     def from_json(cls, data) -> "WittElem":
+        return cls._from_json(data, _json_pair)
+
+    @classmethod
+    def _from_json(cls, data, pair: Callable) -> "WittElem":
+        """``from_json`` with each value token read by pair, which returns
+        what ``_json_pair`` does; a space reads all its entries through
+        one memo of it."""
         if not isinstance(data, dict) or "degree_bound" not in data or "values" not in data:
             raise FormatError("WittElem JSON needs 'degree_bound' and 'values'")
         bound = data["degree_bound"]
@@ -521,12 +528,27 @@ class WittElem:
                     # partition is reported once every value has parsed
                     if oversized is None:
                         oversized = lam
-                    _json_pair(v)
+                    pair(v)
                     continue
-            nums[i], dens[i] = _json_pair(v)
+            nums[i], dens[i] = pair(v)
         if oversized is not None:
             raise FormatError(f"partition {oversized} exceeds degree bound {bound}")
         return _over_lcm(bound, nums, dens)
+
+
+def _evals(bound: int, elems: Iterable[WittElem], f: SymFunc) -> list[LValue]:
+    """The values at f of elems of degree bound ``bound``, each the min over
+    the support of f, which is resolved to positions once; m_∅ is 0."""
+    degree = f.degree()
+    if degree > bound:
+        raise DegreeOverflowError(f"element of degree {degree} exceeds bound {bound}")
+    positions = [_index[lam] for lam in f._coeffs]
+    if -1 in positions:  # m_∅, pinned to 0, the least value
+        return [ZERO for _ in elems]
+    get = _getter(positions)
+    return [
+        _value(min([n for n in get(e._nums) if n is not None], default=None), e._den) for e in elems
+    ]
 
 
 def _column(bound: int, elems: Iterable[WittElem], lam: Partition) -> list[LValue]:

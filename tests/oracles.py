@@ -295,6 +295,20 @@ def _value_table(f: WittElem) -> dict[Partition, LValue]:
     return {lam: f.value(lam) for lam in partitions_up_to(f.degree_bound) if not lam.is_empty()}
 
 
+def eval_by_partitions(f: WittElem, g: SymFunc) -> LValue:
+    """f at g: one LValue min over the support of g, read from f's value
+    table, with m_∅ taken as 0; ∞ for the zero element."""
+    if g.degree() > f.degree_bound:
+        raise DegreeOverflowError(f"element of degree {g.degree()} exceeds bound {f.degree_bound}")
+    table = _value_table(f)
+    best = INF
+    for lam in g.support():
+        v = ZERO if lam.is_empty() else table[lam]
+        if v < best:
+            best = v
+    return best
+
+
 def from_points_by_lvalues(points: list[LValue], degree_bound: int) -> WittElem:
     """Tropical point evaluation, one LValue sum per partition: the largest
     parts of λ on the smallest points, ∞ past the number of points."""

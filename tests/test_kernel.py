@@ -20,12 +20,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tropwitt.enriched import WittSpace, slice_table
+from tropwitt.enriched import (
+    WittSpace,
+    eval_slice,
+    lambda_action,
+    slice_complete,
+    slice_table,
+    tau_space,
+)
 from tropwitt.errors import DegreeOverflowError, FormatError
 from tropwitt.generate import random_point_eval_space
 from tropwitt.partitions import Partition, partitions_of, partitions_up_to
 from tropwitt.quantale import INF, ZERO, LValue, _parse_token
-from tropwitt.symfunc import _labels, coproduct_mult, monomial
+from tropwitt.symfunc import SymFunc, _labels, complete, coproduct_mult, monomial, plethysm
 from tropwitt.witt import (
     WittElem,
     _checks,
@@ -39,6 +46,7 @@ from tropwitt.witt import (
 
 from oracles import (
     add_by_partitions,
+    eval_by_partitions,
     from_points_by_lvalues,
     leq_by_partitions,
     mul_by_partitions,
@@ -163,7 +171,9 @@ def witt_spaces(
     lvalues=lvalues,
 ):
     bound = draw(bounds)
-    points = ("a", "b", "c", "d", "e", "f", "g", "h")[: draw(sizes)]
+    # listed in any order: hom reports follow the names, composition
+    # reports the points' order
+    points = tuple(draw(st.permutations(("a", "b", "c", "d", "e", "f", "g", "h")[: draw(sizes)])))
     space = random_point_eval_space(random.Random(draw(st.integers(0, 10**6))), points, bound)
     dist = {(x, y): space.dist(x, y) for x in points for y in points}
     pairs = sorted(dist)
@@ -314,6 +324,25 @@ def test_hom_violation_in_the_last_check_of_the_last_entry():
     _same_space_reports(broken)
 
 
+def test_hom_reports_follow_names_and_composition_reports_follow_points():
+    # the entries (b, a) and (a, c) break the homomorphism check, and the
+    # raised entry (c, b) breaks composition at triples with x = b, a and c
+    points = ("b", "a", "c")
+    space = random_point_eval_space(random.Random(6), points, 4)
+    dist = {(x, y): space.dist(x, y) for x in points for y in points}
+    for pair in (("b", "a"), ("a", "c")):
+        dist[pair] = _with_value(dist[pair], Partition([1, 1]), ZERO)
+    dist["c", "b"] = from_points([LValue(30), LValue(31)], 4)
+    broken = WittSpace(points, dist)
+    violations = broken.validate().violations
+    hom = [v.witness[:2] for v in violations if v.kind == "hom"]
+    assert hom[0] == ("a", "c") and hom[-1] == ("b", "a")
+    triples = [v.witness[:3] for v in violations if v.kind == "composition"]
+    assert triples == sorted(triples, key=lambda t: [points.index(p) for p in t])
+    assert triples != sorted(triples)
+    _same_space_reports(broken)
+
+
 def test_space_broken_at_several_triples():
     points = ("a", "b", "c")
     space = random_point_eval_space(random.Random(5), points, 4)
@@ -359,6 +388,72 @@ def test_space_broken_in_different_size_runs():
     assert sizes[Partition([4])] == {1}
     assert len(sizes[Partition([1, 1, 1, 1])]) > 1
     _same_space_reports(broken)
+
+
+# -- evaluation against the partition route ------------------------------------------------
+
+
+@st.composite
+def sym_funcs(draw, bound: int, sizes=None) -> SymFunc:
+    """Elements of degree bound ``bound`` on partitions whose sizes are drawn
+    from sizes (every size up to the bound, ∅ included, by default); the
+    zero element is drawn too."""
+    sizes = range(bound + 1) if sizes is None else sizes
+    parts = [lam for n in sizes for lam in partitions_of(n)]
+    support = draw(st.lists(st.sampled_from(parts), max_size=5))
+    return SymFunc({lam: draw(st.integers(1, 3)) for lam in support}, bound)
+
+
+def _entrywise(space: WittSpace, f: SymFunc) -> dict:
+    return {pair: eval_by_partitions(space.dist(*pair), f) for pair in space._dist}
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_batched_evaluation_matches_partition_route(data):
+    space = data.draw(witt_spaces())
+    bound = space.degree_bound
+    f = data.draw(sym_funcs(bound))
+    want = _entrywise(space, f)
+    assert eval_slice(space, f) == want
+    assert {pair: space.dist(*pair).eval(f) for pair in space._dist} == want
+    n = data.draw(st.integers(1, bound))
+    assert slice_complete(space, n) == _entrywise(space, complete(n, bound))
+    assert tau_space(space).table() == _entrywise(space, monomial(Partition([1]), bound))
+    # an outer g of degree ≤ a after an inner h of degree ≤ b, with a·b ≤ N
+    a = data.draw(st.integers(0, bound))
+    b = bound // a if a else bound
+    g = data.draw(sym_funcs(bound, range(a + 1)))
+    h = data.draw(sym_funcs(bound, range(1, b + 1)))
+    assert lambda_action(space, g, h) == _entrywise(space, plethysm(g, h))
+
+
+@given(witt_spaces(), st.data())
+def test_evaluation_above_the_bound_is_refused_alike(space, data):
+    bound = space.degree_bound
+    over = data.draw(sym_funcs(bound + 1)) + monomial(Partition([bound + 1]), bound + 1)
+    entry = space.dist(*data.draw(st.sampled_from(sorted(space._dist))))
+    with pytest.raises(DegreeOverflowError) as want:
+        eval_by_partitions(entry, over)
+    with pytest.raises(DegreeOverflowError) as got:
+        entry.eval(over)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(DegreeOverflowError) as got:
+        eval_slice(space, over)
+    assert str(got.value) == str(want.value)
+
+
+def test_evaluation_at_the_empty_partition_and_at_zero():
+    space = WittSpace(("a", "b"), {
+        ("a", "a"): theta(ZERO, 3),
+        ("a", "b"): additive_unit(3),
+        ("b", "a"): theta(LValue(2), 3),
+        ("b", "b"): theta(ZERO, 3),
+    })
+    for f in (SymFunc.zero(3), SymFunc.one(3), monomial(Partition([2, 1]), 3) + SymFunc.one(3)):
+        assert eval_slice(space, f) == _entrywise(space, f)
+    assert set(eval_slice(space, SymFunc.zero(3)).values()) == {INF}
+    assert set(eval_slice(space, SymFunc.one(3)).values()) == {ZERO}
 
 
 # -- WittElem.from_json against the Partition-keyed loader ---------------------------------
@@ -422,6 +517,62 @@ def _doc(values: dict, bound: int = 4) -> dict:
 @example(_doc({"1": "inf", "2": "∞", "1,1": " 7/2 "}))
 def test_from_json_matches_partition_keyed_loader(data):
     assert _loaded(WittElem.from_json, data) == _loaded(witt_from_json_by_partitions, data)
+
+
+def space_from_json_by_partitions(data) -> WittSpace:
+    """``WittSpace.from_json`` with every entry through the Partition-keyed
+    loader, one token at a time."""
+    raw = data["dist"]
+    dist = {tuple(key.split("|")): witt_from_json_by_partitions(v) for key, v in raw.items()}
+    try:
+        return WittSpace(data["points"], dist)
+    except (ValueError, TypeError) as exc:
+        raise FormatError(str(exc)) from exc
+
+
+# tokens that miss the ASCII fast path, and ones that repeat across entries
+slow_tokens = st.sampled_from([" inf ", "∞", "1e995", "infinity", " 7/2 ", "1.5"])
+
+
+@st.composite
+def space_documents(draw) -> dict:
+    """Documents of spaces whose entries have some value tokens replaced,
+    good, slow or bad, the same token often in several entries."""
+    space = draw(witt_spaces(bounds=st.integers(1, 4), sizes=st.integers(1, 3)))
+    doc = space.to_json()
+    tokens = st.one_of(good_tokens, slow_tokens, slow_tokens, odd_tokens)
+    token = draw(tokens)
+    for key in draw(st.lists(st.sampled_from(sorted(doc["dist"])), max_size=5)):
+        values = doc["dist"][key]["values"]
+        values[draw(st.sampled_from(sorted(values)))] = draw(st.one_of(st.just(token), tokens))
+    return doc
+
+
+def _space_doc(entries: dict, bound: int = 3) -> dict:
+    """A two-point space document whose entries start with the given
+    values, the rest filled in from θ(1)."""
+    fill = theta(LValue(1), bound).to_json()["values"]
+    dist = {}
+    for x in "ab":
+        for y in "ab":
+            values = dict(entries.get((x, y), {}))
+            values.update((k, v) for k, v in fill.items() if k not in values)
+            dist[f"{x}|{y}"] = _doc(values, bound)
+    return {"points": ["a", "b"], "dist": dist}
+
+
+@given(space_documents())
+@example(_space_doc({("a", "a"): {"1": " inf "}, ("a", "b"): {"2": "∞"}, ("b", "a"): {"2": "1e995"}}))
+@example(_space_doc({("a", "b"): {"2": "x"}, ("b", "a"): {"2": "x"}}))
+@example(_space_doc({("a", "a"): {"1": "1"}, ("a", "b"): {"1": True}}))
+@example(_space_doc({("a", "a"): {"1": 1}, ("a", "b"): {"1": "1"}, ("b", "a"): {"1": 1.0}}))
+@example(_space_doc({("a", "a"): {"1": 1}, ("b", "a"): {"1": True}}))
+@example(_space_doc({("a", "b"): {"4": "1", "1": "bad"}}))
+@example(_space_doc({("a", "a"): {"1": "bad"}, ("b", "b"): {"4": "1", "1": "bad"}}))
+def test_space_from_json_matches_the_entrywise_loader(data):
+    # each distinct string token is parsed once per document; values,
+    # errors and their order must be those of parsing every token anew
+    assert _loaded(WittSpace.from_json, data) == _loaded(space_from_json_by_partitions, data)
 
 
 @pytest.mark.parametrize("key", ["5", "4,1", "1,4"])
