@@ -284,7 +284,14 @@ def argmin_partition(space: WittSpace, x: str, y: str, f: SymFunc) -> Partition:
     support = f.support()
     if not support:
         raise ValueError("f has empty support")
-    return min(support, key=space.dist(x, y).value)  # the first of equal minima
+    entry = space.dist(x, y)
+    best_lam = None
+    best = None
+    for lam in support:
+        v = entry.value(lam)
+        if best is None or v < best:
+            best, best_lam = v, lam
+    return best_lam
 
 
 # -- the induced functors ---------------------------------------------------------
@@ -292,7 +299,9 @@ def argmin_partition(space: WittSpace, x: str, y: str, f: SymFunc) -> Partition:
 
 def theta_space(space: MetricSpace, degree_bound: int) -> WittSpace:
     """Entrywise scalar embedding of a metric space."""
-    dist = {pair: theta(v, degree_bound) for pair, v in space._dist.items()}
+    dist = {
+        pair: theta(v, degree_bound) for pair, v in space._dist.items()
+    }
     return WittSpace(space.points, dist)
 
 

@@ -493,7 +493,9 @@ class WittElem:
         den = self._den
         return {
             "degree_bound": self._degree_bound,
-            "values": {key: _text(n, den) for key, n in zip(_keys, self._nums)},
+            "values": {
+                key: _text(n, den) for key, n in zip(_keys, self._nums)
+            },
         }
 
     @classmethod
