@@ -13,12 +13,11 @@ exhibit.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DegreeOverflowError, FormatError
 from .partitions import Partition
-from .quantale import ZERO, LValue, _json_pair
+from .quantale import ZERO, LValue
 from .report import Report, Violation
 from .symfunc import SymFunc, _labels, _row, complete, plethysm
 from .witt import (
@@ -159,9 +158,7 @@ class WittSpace:
         checks = _hom_checks(packed)
         # the entries are checked together, and the report of a failing one
         # is read from the fields of that pass, in the order of the names
-        k, points = len(self._points), self._points
-        failing = [(points[e // k], points[e % k], e) for e in _hom_failures(packed, checks)]
-        for x, y, e in sorted(failing):
+        for x, y, e in sorted(self._failing_entries(packed, checks)):
             for mu, nu, detail in _hom_violations(packed, checks, e):
                 report.add("hom", (x, y, mu, nu), f"d({x},{y}): {detail}")
         report.violations.extend(self._axiom_violations(packed))
@@ -171,8 +168,7 @@ class WittSpace:
         """The pairs (x, y) whose entry fails the homomorphism check,
         x-major; every entry is checked in one packed pass."""
         packed = self._packed()
-        k, points = len(self._points), self._points
-        return [(points[e // k], points[e % k]) for e in _hom_failures(packed, _hom_checks(packed))]
+        return [(x, y) for x, y, _ in self._failing_entries(packed, _hom_checks(packed))]
 
     def axiom_violations(self) -> Iterator[Violation]:
         """The identity and composition violations, lazily and in report
@@ -183,6 +179,11 @@ class WittSpace:
     def _packed(self) -> _Packed:
         """The entries of every pair of points, packed x-major."""
         return _Packed([self._dist[x, y] for x in self._points for y in self._points])
+
+    def _failing_entries(self, packed: _Packed, checks: tuple) -> list[tuple[str, str, int]]:
+        """x, y and the index in packed of each failing entry, x-major."""
+        k, points = len(self._points), self._points
+        return [(points[e // k], points[e % k], e) for e in _hom_failures(packed, checks)]
 
     def _axiom_violations(self, packed: _Packed | None) -> Iterator[Violation]:
         rows = [_row(n) for n in range(1, self._degree_bound + 1)]
@@ -220,14 +221,7 @@ class WittSpace:
 
     @classmethod
     def from_json(cls, data) -> "WittSpace":
-        # one parse per distinct string token of the document: the memo ends
-        # with the call, and a token that raises is not stored
-        parse = cache(_json_pair)
-
-        def pair(token):
-            return parse(token) if isinstance(token, str) else _json_pair(token)
-
-        points, dist = _parse_space_json(data, lambda entry: WittElem._from_json(entry, pair))
+        points, dist = _parse_space_json(data, WittElem.from_json)
         try:
             return cls(points, dist)
         except (ValueError, TypeError) as exc:

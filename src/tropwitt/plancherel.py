@@ -73,10 +73,9 @@ def growth_step(lam: Partition) -> dict[Partition, Fraction]:
 
 
 @cache
-def _thresholds(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The covers of the partition with these parts, as parts, and for each
-    ⌈C·2⁶⁴⌉ for the cumulative probability C up to and including it; the
-    last threshold is 2⁶⁴.  A step of ``sample_path`` hashes only a tuple.
+def _thresholds(lam: Partition) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
+    """The covers of lam and, for each, ⌈C·2⁶⁴⌉ for the cumulative
+    probability C up to and including it; the last threshold is 2⁶⁴.
 
     A draw d of 64 bits takes the first cover with d/2⁶⁴ < C, that is with
     d < ⌈C·2⁶⁴⌉, since d is an integer.  C is kept as an unreduced integer
@@ -84,10 +83,10 @@ def _thresholds(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], tu
     """
     mus, thresholds = [], []
     an, ad = 0, 1
-    for mu, p in growth_step(Partition._trusted(parts)).items():
+    for mu, p in growth_step(lam).items():
         n, d = p.numerator, p.denominator
         an, ad = an * d + n * ad, ad * d
-        mus.append(mu.parts)
+        mus.append(mu)
         thresholds.append(-((-an << _DRAW_BITS) // ad))
     return tuple(mus), tuple(thresholds)
 
@@ -124,13 +123,13 @@ def sample_path(steps: int, seed: int) -> GrowthPath:
     if steps < 1:
         raise ValueError("steps must be ≥ 1")
     draw = random.Random(seed).getrandbits
-    parts = (1,)
-    out = [parts]
+    lam = Partition([1])
+    out = [lam]
     for _ in range(steps - 1):
-        mus, thresholds = _thresholds(parts)
-        parts = mus[bisect_right(thresholds, draw(_DRAW_BITS))]
-        out.append(parts)
-    return GrowthPath(seed, tuple(map(Partition._trusted, out)))
+        mus, thresholds = _thresholds(lam)
+        lam = mus[bisect_right(thresholds, draw(_DRAW_BITS))]
+        out.append(lam)
+    return GrowthPath(seed, tuple(out))
 
 
 class ObservedStep(NamedTuple):

@@ -232,16 +232,18 @@ class _Packed:
         size = self.size
         return flags.to_bytes(fields * size, "little")[size - 1 :: size]
 
-    def field(self, xs: int, t: int) -> int:
-        """Field t of xs."""
-        return (xs >> t * self.bits) & ((1 << self.bits) - 1)
+    def field(self, xs: bytes, t: int) -> int:
+        """Field t of the bytes xs."""
+        size = self.size
+        return int.from_bytes(xs[t * size : (t + 1) * size], "little")
 
 
-def _hom_checks(packed: _Packed) -> tuple[int, int, int]:
+def _hom_checks(packed: _Packed) -> tuple[bytes, bytes, bytes]:
     """The multiplicativity checks of every element, fields ordered (check
-    in ``checks`` order, element): the min over each product support, the
-    sum value(μ) + value(ν) clamped at the ∞ mark, and the guard bits of
-    the fields where the two differ."""
+    in ``checks`` order, element), as bytes: the min over each product
+    support, the sum value(μ) + value(ν) clamped at the ∞ mark, and the
+    marks of the fields where the two differ.  All three are empty when
+    no check fails."""
     _, checks = _checks(packed.bound)
     n = len(checks.order) * packed.count
     h = packed.guards(n)
@@ -250,30 +252,30 @@ def _hom_checks(packed: _Packed) -> tuple[int, int, int]:
     mu, nu = checks.aligned
     expected = packed.min(packed.gather(mu) + packed.gather(nu), ones * packed.inf, h)
     # a nonzero field plus H − 1 carries into its guard bit
-    return got, expected, ((got ^ expected) + h - ones) & h
+    flags = ((got ^ expected) + h - ones) & h
+    if not flags:
+        return b"", b"", b""
+    # each big int is serialised once, and a report reads slices of it
+    length = n * packed.size
+    got, expected = (xs.to_bytes(length, "little") for xs in (got, expected))
+    return got, expected, packed.marks(flags, n)
 
 
-def _hom_failures(packed: _Packed, checks: tuple[int, int, int]) -> list[int]:
+def _hom_failures(packed: _Packed, checks: tuple[bytes, bytes, bytes]) -> list[int]:
     """The indices of the elements that fail a multiplicativity check, read
     from checks, the result of ``_hom_checks(packed)``."""
-    if not checks[2]:
-        return []
-    n = packed.count
-    marks = packed.marks(checks[2], len(_checks(packed.bound)[0]) * n)
-    return [e for e in range(n) if any(marks[e::n])]
+    marks, n = checks[2], packed.count
+    return [e for e in range(n) if any(marks[e::n])] if marks else []
 
 
-def _hom_violations(packed: _Packed, checks: tuple[int, int, int], e: int) -> Iterator[tuple]:
+def _hom_violations(packed: _Packed, checks: tuple[bytes, bytes, bytes], e: int) -> Iterator[tuple]:
     """The failed multiplicativity checks of element e in report order, as
     μ, ν and the report text, read from the fields of checks, the result
     of ``_hom_checks(packed)``."""
-    got, expected, flags = checks
-    if not flags:
-        return
+    got, expected, marks = checks
     pairs, family = _checks(packed.bound)
     order, n, inf, den = family.order, packed.count, packed.inf, packed.den
-    marks = packed.marks(flags, len(order) * n)[e::n]
-    for k, t in sorted((order[t], t) for t in compress(count(), marks)):
+    for k, t in sorted((order[t], t) for t in compress(count(), marks[e::n])):
         mu, nu = (_labels[p] for p in pairs[k])
         got_t, expected_t = (
             _text(v if v < inf else None, den)
@@ -500,13 +502,6 @@ class WittElem:
 
     @classmethod
     def from_json(cls, data) -> "WittElem":
-        return cls._from_json(data, _json_pair)
-
-    @classmethod
-    def _from_json(cls, data, pair: Callable) -> "WittElem":
-        """``from_json`` with each value token read by pair, which returns
-        what ``_json_pair`` does; a space reads all its entries through
-        one memo of it."""
         if not isinstance(data, dict) or "degree_bound" not in data or "values" not in data:
             raise FormatError("WittElem JSON needs 'degree_bound' and 'values'")
         bound = data["degree_bound"]
@@ -530,9 +525,9 @@ class WittElem:
                     # partition is reported once every value has parsed
                     if oversized is None:
                         oversized = lam
-                    pair(v)
+                    _json_pair(v)
                     continue
-            nums[i], dens[i] = pair(v)
+            nums[i], dens[i] = _json_pair(v)
         if oversized is not None:
             raise FormatError(f"partition {oversized} exceeds degree bound {bound}")
         return _over_lcm(bound, nums, dens)

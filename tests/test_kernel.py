@@ -570,8 +570,8 @@ def _space_doc(entries: dict, bound: int = 3) -> dict:
 @example(_space_doc({("a", "b"): {"4": "1", "1": "bad"}}))
 @example(_space_doc({("a", "a"): {"1": "bad"}, ("b", "b"): {"4": "1", "1": "bad"}}))
 def test_space_from_json_matches_the_entrywise_loader(data):
-    # each distinct string token is parsed once per document; values,
-    # errors and their order must be those of parsing every token anew
+    # values, errors and their order must be those of the entrywise
+    # loader, for repeated, slow-path and bad tokens alike
     assert _loaded(WittSpace.from_json, data) == _loaded(space_from_json_by_partitions, data)
 
 

@@ -90,11 +90,11 @@ def test_sample_path_matches_the_fraction_walk(seed, steps):
 
 def test_thresholds_are_the_ceilings_of_the_cumulative_sums():
     for lam in partitions_up_to(10):
-        mus, thresholds = _thresholds(lam.parts)
+        mus, thresholds = _thresholds(lam)
         step = growth_step(lam)
-        assert mus == tuple(mu.parts for mu in step)
+        assert mus == tuple(step)
         acc = Fraction(0)
-        for mu, t in zip(step, thresholds):
+        for mu, t in zip(mus, thresholds):
             acc += step[mu]
             assert t == math.ceil(acc * 2**64), (lam, mu)
         assert thresholds[-1] == 2**64
@@ -115,7 +115,7 @@ class _Draws:
 def test_sample_path_at_the_one_half_threshold(monkeypatch, draw, cover):
     # both covers of (1) have probability 1/2, so the first threshold is 2⁶³
     assert list(growth_step(P(1)).items()) == [(P(2), Fraction(1, 2)), (P(1, 1), Fraction(1, 2))]
-    assert _thresholds((1,)) == (((2,), (1, 1)), (2**63, 2**64))
+    assert _thresholds(P(1)) == ((P(2), P(1, 1)), (2**63, 2**64))
     assert sample_path_by_fractions(2, 0, _Draws([draw])).steps == (P(1), cover)
     monkeypatch.setattr(plancherel, "random", SimpleNamespace(Random=lambda seed: _Draws([draw])))
     assert sample_path(2, 0).steps == (P(1), cover)
