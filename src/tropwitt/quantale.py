@@ -145,45 +145,36 @@ class LValue:
 
     @classmethod
     def from_json(cls, data) -> "LValue":
-        num = _json_number(data)
-        return INF if num is None else _make(num)
-
-
-def _json_number(data) -> Fraction | None:
-    """The value of a JSON token as a Fraction, None for ∞: a nonnegative
-    integer, or a string that ``LValue`` parses."""
-    if isinstance(data, bool) or isinstance(data, float):
-        raise FormatError(f"LValue must be an integer or string, got {data!r}")
-    if isinstance(data, int):
-        if data < 0:
-            raise FormatError(f"LValue must be nonnegative, got {data}")
-        if data >= _TOO_LARGE:
-            raise FormatError(f"LValue must have at most {_MAX_DIGITS} digits")
-        return Fraction(data)
-    if isinstance(data, str):
-        try:
-            num = _parse_token(data)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"bad LValue {data!r}") from exc
-        if num is not None and num < 0:
-            raise FormatError(f"bad LValue {data!r}")
-        return num
-    raise FormatError(f"LValue must be an integer or string, got {data!r}")
+        n, d = _json_pair(data)
+        return INF if n is None else _make(Fraction(n, d))
 
 
 def _json_pair(data) -> tuple[int | None, int]:
-    """The value of a JSON token as a numerator and a nonzero denominator,
-    not necessarily coprime, (None, 1) for ∞: "inf" and the forms that
-    ``_ascii_ratio`` reads go straight to integers, every other token
-    through ``_json_number``."""
+    """The value of a JSON token, a nonnegative integer or a string that
+    ``LValue`` parses, as a numerator and a nonzero denominator, not
+    necessarily coprime, (None, 1) for ∞: "inf" and the forms that
+    ``_ascii_ratio`` reads go straight to integers, every other string
+    through ``_parse_token``."""
     if data == _INF_TOKEN:  # the form that ``to_json`` writes for ∞
         return None, 1
     if isinstance(data, str):
         pair = _ascii_ratio(data)
         if pair is not None and pair[1]:
             return pair
-    num = _json_number(data)  # a zero denominator raises here
-    return (None, 1) if num is None else (num.numerator, num.denominator)
+        try:
+            num = _parse_token(data)  # a zero denominator raises here
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"bad LValue {data!r}") from exc
+        if num is not None and num < 0:
+            raise FormatError(f"bad LValue {data!r}")
+        return (None, 1) if num is None else (num.numerator, num.denominator)
+    if isinstance(data, int) and not isinstance(data, bool):
+        if data < 0:
+            raise FormatError(f"LValue must be nonnegative, got {data}")
+        if data >= _TOO_LARGE:
+            raise FormatError(f"LValue must have at most {_MAX_DIGITS} digits")
+        return data, 1
+    raise FormatError(f"LValue must be an integer or string, got {data!r}")
 
 
 def _ascii_ratio(s: str) -> tuple[int, int] | None:

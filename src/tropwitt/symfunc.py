@@ -82,9 +82,6 @@ class SymFunc:
     def constant_term(self) -> int:
         return self._coeffs.get(EMPTY, 0)
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     # -- constructors --------------------------------------------------------
 
     @classmethod

@@ -48,6 +48,10 @@ d(x, y)·d(y, z) in one step per middle point y over the fields
 leaves a guard bit set.  Reports are read from the packed pass: the text
 of a failed check from its fields, and the witness of a failing triple
 from its flagged groups; nothing is looked at again.
+
+The whole check of a space on k points, with its report texts, lives here
+(:func:`_space_violations`), and so does the entry check of the ``cat``
+commands (:func:`_failing_pairs`); both read d(x, y) at x·k + y.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .errors import DegreeOverflowError, FormatError
 from .partitions import Partition, partitions_of
 from .quantale import INF, ZERO, LValue, _json_pair, _make
-from .report import Report
+from .report import Report, Violation
 from .symfunc import SymFunc, _by_key, _comult, _index, _keys, _labels, _positions, _prefix
 from .symfunc import _product, _row, _splittings, plethysm
 
@@ -261,11 +265,12 @@ def _hom_checks(packed: _Packed) -> tuple[bytes, bytes, bytes]:
     return got, expected, packed.marks(flags, n)
 
 
-def _hom_failures(packed: _Packed, checks: tuple[bytes, bytes, bytes]) -> list[int]:
-    """The indices of the elements that fail a multiplicativity check, read
-    from checks, the result of ``_hom_checks(packed)``."""
-    marks, n = checks[2], packed.count
-    return [e for e in range(n) if any(marks[e::n])] if marks else []
+def _hom_failures(points: Sequence[str], packed: _Packed, checks: tuple) -> list[tuple]:
+    """x, y and the index e = x·k + y of each entry of packed, a space on
+    points, that fails a multiplicativity check, x-major, read from checks,
+    the result of ``_hom_checks(packed)``."""
+    marks, n, k = checks[2], packed.count, len(points)
+    return [(points[e // k], points[e % k], e) for e in range(n) if any(marks[e::n])]
 
 
 def _hom_violations(packed: _Packed, checks: tuple[bytes, bytes, bytes], e: int) -> Iterator[tuple]:
@@ -286,11 +291,11 @@ def _hom_violations(packed: _Packed, checks: tuple[bytes, bytes, bytes], e: int)
         )
 
 
-def _composition_excesses(points: Sequence, packed: _Packed) -> Iterator[tuple]:
-    """For each triple (x, y, z) of points, in order, where d(x, z) is
-    numerically above the product d(x, y)·d(y, z): x, y, z, the first
-    partition in ``partitions_up_to`` order where it is, and both values
-    there.
+def _composition_excesses(points: Sequence[str], packed: _Packed) -> Iterator[Violation]:
+    """The composition violation of each triple (x, y, z) of points, in
+    order, where d(x, z) is numerically above the product d(x, y)·d(y, z):
+    its witness is x, y, z and the first partition in ``partitions_up_to``
+    order where it is, and its text gives both values there.
 
     packed holds d(x, y) for every pair of points at x·k + y.  Per
     coproduct group of λ and left factor μᵢ, d(x, y)(μᵢ) + min_j d(y, z)(νⱼ)
@@ -340,8 +345,39 @@ def _composition_excesses(points: Sequence, packed: _Packed) -> Iterator[tuple]:
         xy, yz = lists[x * k + y], lists[y * k + z]
         through = min(xy[i] + min([yz[j] for j in js]) for lam, i, js in shares if lam == p)
         direct = lists[x * k + z][p]
-        direct = _value(direct if direct < inf else None, den)
-        yield points[x], points[y], points[z], _labels[p], direct, _value(through, den)
+        detail = f"= {_text(direct if direct < inf else None, den)} > {_text(through, den)}"
+        x, y, z, bad = points[x], points[y], points[z], _labels[p]
+        yield Violation("composition", (x, y, z, bad), f"d({x},{z})(m{bad}) {detail}")
+
+
+def _space_violations(points: Sequence[str], entries: Sequence["WittElem"]) -> list[Violation]:
+    """The report of the space on points whose entry d(x, y) is
+    entries[x·k + y], from one packed pass: the failed multiplicativity
+    checks of its entries, in the order of the names, then the identity
+    and the composition violations, in the order of the points."""
+    packed = _Packed(entries)
+    checks = _hom_checks(packed)
+    report = [
+        Violation("hom", (x, y, mu, nu), f"d({x},{y}): {detail}")
+        for x, y, e in sorted(_hom_failures(points, packed, checks))
+        for mu, nu, detail in _hom_violations(packed, checks, e)
+    ]
+    rows = [_row(n) for n in range(1, packed.bound + 1)]
+    for x, dxx in zip(points, entries[:: len(points) + 1]):  # the entries d(x, x)
+        for i in rows:
+            if dxx._nums[i] != 0:
+                row, value = _labels[i], _text(dxx._nums[i], dxx._den)
+                detail = f"d({x},{x})(m{row}) = {value} ≠ 0"
+                report.append(Violation("identity", (x, row), detail))
+    report.extend(_composition_excesses(points, packed))
+    return report
+
+
+def _failing_pairs(points: Sequence[str], entries: Sequence["WittElem"]) -> list[tuple[str, str]]:
+    """The pairs (x, y) whose entry fails a multiplicativity check, x-major,
+    for entries laid out as in ``_space_violations``; one packed pass."""
+    packed = _Packed(entries)
+    return [(x, y) for x, y, _ in _hom_failures(points, packed, _hom_checks(packed))]
 
 
 def _reduced(bound: int, den: int, nums: list[int | None]) -> "WittElem":

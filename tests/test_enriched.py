@@ -302,6 +302,8 @@ def test_witt_space_json_round_trip():
     rng = random.Random(59)
     w = random_point_eval_space(rng, ("a", "b"), 4)
     assert WittSpace.from_json(w.to_json()) == w
+    # a metric space never equals a Witt space, in either order
+    assert tau_space(w) != w and w != tau_space(w)
 
 
 def test_space_json_errors():
@@ -313,6 +315,42 @@ def test_space_json_errors():
         MetricSpace.from_json({"points": ["a", "b"], "dist": {"a|a": "0"}})
     with pytest.raises(FormatError):  # an unhashable point name
         MetricSpace.from_json({"points": [["a"]], "dist": {"a|a": "0"}})
+
+
+_E3 = theta(ZERO, 3)
+
+
+@pytest.mark.parametrize(
+    "cls, points, dist, error, text, json_text",
+    [
+        (MetricSpace, ["a", "b"], {("a", "a"): ZERO, ("a", "b"): ZERO, ("b", "b"): ZERO},
+         ValueError, "missing distance for pair (b, a)", None),
+        (WittSpace, ["a", "b"], {("a", "a"): _E3, ("a", "b"): _E3, ("b", "b"): _E3},
+         ValueError, "missing distance for pair (b, a)", None),
+        (MetricSpace, ["a|b"], {}, ValueError, "bad point name 'a|b' (strings without '|')", None),
+        (WittSpace, ["a|b"], {}, ValueError, "bad point name 'a|b' (strings without '|')", None),
+        (MetricSpace, [], {}, ValueError, "a space needs at least one point", None),
+        (WittSpace, [], {}, ValueError, "a space needs at least one point", None),
+        # an entry of the other kind: the JSON loader of the entry reports it
+        (MetricSpace, ["a"], {("a", "a"): _E3}, TypeError, "cannot build LValue from WittElem",
+         f"LValue must be an integer or string, got {_E3.to_json()!r}"),
+        (WittSpace, ["a"], {("a", "a"): ZERO}, TypeError, "distance for (a, a) must be a WittElem",
+         "WittElem JSON needs 'degree_bound' and 'values'"),
+        (WittSpace, ["a", "b"],
+         {("a", "a"): _E3, ("a", "b"): theta(ZERO, 4), ("b", "a"): _E3, ("b", "b"): _E3},
+         ValueError, "entries disagree on degree bound: [3, 4]", None),
+    ],
+)
+def test_constructor_and_loader_errors(cls, points, dist, error, text, json_text):
+    # the constructor raises a ValueError or TypeError, and from_json the
+    # FormatError of the same text, or of the entry loader's
+    with pytest.raises(error) as got:
+        cls(points, dist)
+    assert str(got.value) == text
+    doc = {"points": points, "dist": {f"{x}|{y}": v.to_json() for (x, y), v in dist.items()}}
+    with pytest.raises(FormatError) as got:
+        cls.from_json(doc)
+    assert str(got.value) == (json_text or text)
 
 
 def test_point_names_cannot_contain_separator():

@@ -186,6 +186,13 @@ def witt_spaces(
     # an entry that is ∞ everywhere
     for pair in draw(st.lists(st.sampled_from(pairs), max_size=1)):
         dist[pair] = additive_unit(bound)
+    # value(1,1) = 0 in two or more entries: each then fails (1)·(1) unless
+    # its value(1) is 0, and the names of two of them often order them
+    # otherwise than the points do
+    off = [(x, y) for x, y in pairs if x != y]
+    if bound >= 2 and len(off) >= 2 and draw(st.booleans()):
+        for pair in draw(st.lists(st.sampled_from(off), min_size=2, max_size=4, unique=True)):
+            dist[pair] = _with_value(dist[pair], Partition([1, 1]), ZERO)
     return WittSpace(points, dist)
 
 
@@ -194,8 +201,6 @@ def _same_space_reports(space: WittSpace) -> None:
     want = validate_space_by_partitions(space)
     assert got.to_json() == want.to_json()
     assert got.violations == want.violations
-    axioms = [v for v in want.violations if v.kind != "hom"]
-    assert next(space.axiom_violations(), None) == (axioms[0] if axioms else None)
     pairs = [(x, y) for x in space.points for y in space.points]
     failing = [pair for pair in pairs if not validate_by_partitions(space.dist(*pair)).ok]
     assert space.failing_entries() == failing

@@ -115,6 +115,41 @@ def test_json_rejects_floats_and_negatives():
             LValue.from_json(text)
 
 
+# The value or the exact error text of every JSON token form: LValue,
+# MetricSpace and WittElem documents and `witt theta --r` share this reader.
+_TYPE_ERROR = "LValue must be an integer or string, got "
+
+
+@pytest.mark.parametrize(
+    "token, want",
+    [
+        (3, LValue(3)),
+        ("3/2", LValue(Fraction(3, 2))),
+        (" inf ", INF),
+        ("∞", INF),
+        ("1e3", LValue(1000)),
+        ("1.5", LValue(Fraction(3, 2))),
+        ("1/0", "bad LValue '1/0'"),
+        ("-1", "bad LValue '-1'"),
+        (-1, "LValue must be nonnegative, got -1"),
+        ("1_000", "bad LValue '1_000'"),
+        (True, _TYPE_ERROR + "True"),
+        (1.5, _TYPE_ERROR + "1.5"),
+        (None, _TYPE_ERROR + "None"),
+        ([1], _TYPE_ERROR + "[1]"),
+        (10**1000, "LValue must have at most 1000 digits"),
+        ("9" * 1001, "bad LValue '999999999999...9999999999999': more than 1000 digits"),
+    ],
+)
+def test_json_token_value_or_error_text(token, want):
+    if isinstance(want, LValue):
+        assert LValue.from_json(token) == want
+    else:
+        with pytest.raises(FormatError) as got:
+            LValue.from_json(token)
+        assert str(got.value) == want
+
+
 def test_constructor_rejects_junk():
     with pytest.raises(ValueError):
         LValue(Fraction(-1, 2))
