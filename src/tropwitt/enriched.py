@@ -175,6 +175,15 @@ class WittSpace(_Space):
     def to_json(self) -> dict:
         return {"degree_bound": self._degree_bound, **super().to_json()}
 
+    @classmethod
+    def from_json(cls, data) -> "WittSpace":
+        space = super().from_json(data)
+        n = space._degree_bound
+        bound = data.get("degree_bound", n)  # optional, but it must match the entries
+        if type(bound) is not int or bound != n:
+            raise FormatError(f"degree_bound {bound!r} does not match the entries' bound {n}")
+        return space
+
 
 # -- slices --------------------------------------------------------------------
 

@@ -5,7 +5,8 @@ stores terms m_λ with |λ| ≤ degree_bound, and products drop the terms that
 would land beyond it (or raise in strict mode).  The bound is sound for the
 rest of the package because both coproducts respect the grading: the
 additive one splits degree across the two factors and the multiplicative
-one preserves it on each side.
+one preserves it on each side.  ``SymFunc`` and the tensors
+``TensorSymFunc`` are one structure, written once in :class:`_Combination`.
 
 The product, the multiplicative coproduct and composition (plethysm) are
 read off the power sums, the ghost coordinates (Macdonald, *Symmetric
@@ -30,7 +31,7 @@ from collections import Counter
 from functools import cache
 from itertools import compress, count, islice, product as iter_product, repeat
 from math import factorial, gcd
-from operator import floordiv
+from operator import attrgetter, floordiv
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ConstantTermError, DegreeOverflowError, FormatError, NotSymmetricError
@@ -39,40 +40,100 @@ from .partitions import EMPTY, Partition, partitions_of
 Poly = dict[tuple[int, ...], int]
 
 
-class SymFunc:
-    """A finitely supported ℕ-combination of monomial basis elements m_λ."""
+class _Combination:
+    """A finitely supported ℕ-combination of basis keys, truncated at a
+    degree bound.  A subclass names, for one key, its degree (``_degree``),
+    its printed term (``_term``), its JSON key in both directions
+    (``_to_key``, ``_from_key``) and its place in the sort order
+    (``_order``)."""
 
     __slots__ = ("_coeffs", "_degree_bound")
 
-    def __init__(self, coeffs: Mapping[Partition, int], degree_bound: int):
+    def __init__(self, coeffs: Mapping, degree_bound: int):
         _check_natural("degree bound", degree_bound)
-        clean: dict[Partition, int] = {}
-        for lam, c in coeffs.items():
-            _check_natural(f"coefficient of {lam}", c)
+        degree = self._degree
+        clean = {}
+        for key, c in coeffs.items():
+            if type(c) is not int or c < 0:  # the error text is built only when needed
+                _check_natural(f"coefficient of {key}", c)
             if c == 0:
                 continue
-            if lam.size > degree_bound:
+            if degree(key) > degree_bound:
                 raise DegreeOverflowError(
-                    f"term m{lam} exceeds degree bound {degree_bound}"
+                    f"term {self._term(key)} exceeds degree bound {degree_bound}"
                 )
-            clean[lam] = c
+            clean[key] = c
         self._coeffs = clean
         self._degree_bound = degree_bound
-
-    # -- accessors ---------------------------------------------------------
 
     @property
     def degree_bound(self) -> int:
         return self._degree_bound
 
-    def coefficient(self, lam: Partition) -> int:
-        return self._coeffs.get(lam, 0)
+    def support(self) -> list:
+        return sorted(self._coeffs, key=self._order)
 
-    def support(self) -> list[Partition]:
-        return sorted(self._coeffs)
+    def items(self) -> Iterator[tuple]:
+        return ((key, self._coeffs[key]) for key in self.support())
 
-    def items(self) -> Iterator[tuple[Partition, int]]:
-        return iter(sorted(self._coeffs.items()))
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._degree_bound == other._degree_bound
+            and self._coeffs == other._coeffs
+        )
+
+    def __repr__(self) -> str:
+        name = type(self).__name__
+        if not self._coeffs:
+            return f"{name}<0>"
+        terms = (("" if c == 1 else f"{c}*") + self._term(key) for key, c in self.items())
+        return f"{name}<{' + '.join(terms)}>"
+
+    def to_json(self) -> dict:
+        to_key = self._to_key
+        return {
+            "degree_bound": self._degree_bound,
+            "coeffs": {to_key(key): c for key, c in self.items()},
+        }
+
+    @classmethod
+    def from_json(cls, data):
+        if not isinstance(data, dict) or "degree_bound" not in data or "coeffs" not in data:
+            raise FormatError(f"{cls.__name__} JSON needs 'degree_bound' and 'coeffs'")
+        bound = data["degree_bound"]
+        if not _is_natural(bound):
+            raise FormatError(f"bad degree_bound {bound!r}")
+        raw = data["coeffs"]
+        if not isinstance(raw, dict):
+            raise FormatError("'coeffs' must be an object")
+        coeffs = {}
+        for key, c in raw.items():
+            if not _is_natural(c):
+                raise FormatError(f"bad coefficient {c!r} for key {key!r}")
+            term = cls._from_key(key)
+            if term in coeffs:
+                raise FormatError(f"term {cls._term(term)} is named twice")
+            coeffs[term] = c
+        try:
+            return cls(coeffs, bound)
+        except DegreeOverflowError as exc:
+            raise FormatError(str(exc)) from exc
+
+
+class SymFunc(_Combination):
+    """A finitely supported ℕ-combination of monomial basis elements m_λ."""
+
+    __slots__ = ()
+
+    _degree = staticmethod(attrgetter("size"))
+    _to_key = staticmethod(Partition.key)
+    _from_key = staticmethod(Partition.from_key)
+    _order = staticmethod(Partition.sort_key)
+
+    @staticmethod
+    def _term(lam: Partition) -> str:
+        return f"m{lam}"
 
     def degree(self) -> int:
         """Largest |λ| in the support; 0 for the zero element."""
@@ -81,8 +142,6 @@ class SymFunc:
     @property
     def constant_term(self) -> int:
         return self._coeffs.get(EMPTY, 0)
-
-    # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, degree_bound: int) -> "SymFunc":
@@ -120,125 +179,34 @@ class SymFunc:
             raise ValueError("scalar must be ≥ 0")
         return SymFunc({lam: c * v for lam, v in self._coeffs.items()}, self._degree_bound)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymFunc)
-            and self._degree_bound == other._degree_bound
-            and self._coeffs == other._coeffs
-        )
 
-    def __repr__(self) -> str:
-        if not self._coeffs:
-            return "SymFunc<0>"
-        terms = []
-        for lam, c in self.items():
-            head = "" if c == 1 else f"{c}*"
-            terms.append(f"{head}m{lam}")
-        return "SymFunc<" + " + ".join(terms) + ">"
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "degree_bound": self._degree_bound,
-            "coeffs": {lam.key(): c for lam, c in self.items()},
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "SymFunc":
-        if not isinstance(data, dict) or "degree_bound" not in data or "coeffs" not in data:
-            raise FormatError("SymFunc JSON needs 'degree_bound' and 'coeffs'")
-        bound = data["degree_bound"]
-        if not _is_natural(bound):
-            raise FormatError(f"bad degree_bound {bound!r}")
-        raw = data["coeffs"]
-        if not isinstance(raw, dict):
-            raise FormatError("'coeffs' must be an object")
-        coeffs = {}
-        for key, c in raw.items():
-            if not _is_natural(c):
-                raise FormatError(f"bad coefficient {c!r} for key {key!r}")
-            coeffs[Partition.from_key(key)] = c
-        try:
-            return cls(coeffs, bound)
-        except DegreeOverflowError as exc:
-            raise FormatError(str(exc)) from exc
-
-
-class TensorSymFunc:
+class TensorSymFunc(_Combination):
     """An ℕ-combination of basis tensors m_μ ⊗ m_ν, bounded per factor."""
 
-    __slots__ = ("_coeffs", "_degree_bound")
+    __slots__ = ()
 
-    def __init__(self, coeffs: Mapping[tuple[Partition, Partition], int], degree_bound: int):
-        _check_natural("degree bound", degree_bound)
-        clean: dict[tuple[Partition, Partition], int] = {}
-        for pair, c in coeffs.items():
-            _check_natural(f"coefficient of {pair}", c)
-            if c == 0:
-                continue
-            mu, nu = pair
-            if mu.size > degree_bound or nu.size > degree_bound:
-                raise DegreeOverflowError(f"tensor term {pair} exceeds bound {degree_bound}")
-            clean[pair] = c
-        self._coeffs = clean
-        self._degree_bound = degree_bound
+    @staticmethod
+    def _degree(pair: tuple[Partition, Partition]) -> int:
+        return max(pair[0].size, pair[1].size)
 
-    @property
-    def degree_bound(self) -> int:
-        return self._degree_bound
+    @staticmethod
+    def _term(pair: tuple[Partition, Partition]) -> str:
+        return f"m{pair[0]}⊗m{pair[1]}"
 
-    def coefficient(self, mu: Partition, nu: Partition) -> int:
-        return self._coeffs.get((mu, nu), 0)
+    @staticmethod
+    def _to_key(pair: tuple[Partition, Partition]) -> str:
+        return f"{pair[0].key()}|{pair[1].key()}"
 
-    def support(self) -> list[tuple[Partition, Partition]]:
-        return sorted(self._coeffs, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+    @staticmethod
+    def _from_key(key: str) -> tuple[Partition, Partition]:
+        sides = key.split("|")
+        if len(sides) != 2:
+            raise FormatError(f"tensor key must be 'mu|nu', got {key!r}")
+        return (Partition.from_key(sides[0]), Partition.from_key(sides[1]))
 
-    def items(self):
-        return ((pair, self._coeffs[pair]) for pair in self.support())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorSymFunc)
-            and self._degree_bound == other._degree_bound
-            and self._coeffs == other._coeffs
-        )
-
-    def __repr__(self) -> str:
-        if not self._coeffs:
-            return "TensorSymFunc<0>"
-        terms = []
-        for (mu, nu), c in self.items():
-            head = "" if c == 1 else f"{c}*"
-            terms.append(f"{head}m{mu}⊗m{nu}")
-        return "TensorSymFunc<" + " + ".join(terms) + ">"
-
-    def to_json(self) -> dict:
-        return {
-            "degree_bound": self._degree_bound,
-            "coeffs": {f"{mu.key()}|{nu.key()}": c for (mu, nu), c in self.items()},
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "TensorSymFunc":
-        if not isinstance(data, dict) or "degree_bound" not in data or "coeffs" not in data:
-            raise FormatError("TensorSymFunc JSON needs 'degree_bound' and 'coeffs'")
-        bound = data["degree_bound"]
-        raw = data["coeffs"]
-        if not _is_natural(bound) or not isinstance(raw, dict):
-            raise FormatError("bad TensorSymFunc JSON")
-        coeffs = {}
-        for key, c in raw.items():
-            if key.count("|") != 1:
-                raise FormatError(f"tensor key must be 'mu|nu', got {key!r}")
-            if not _is_natural(c):
-                raise FormatError(f"bad coefficient {c!r} for key {key!r}")
-            left, right = key.split("|")
-            coeffs[(Partition.from_key(left), Partition.from_key(right))] = c
-        try:
-            return cls(coeffs, bound)
-        except DegreeOverflowError as exc:
-            raise FormatError(str(exc)) from exc
+    @staticmethod
+    def _order(pair: tuple[Partition, Partition]) -> tuple:
+        return (pair[0].sort_key(), pair[1].sort_key())
 
 
 # -- basis elements ---------------------------------------------------------
@@ -561,12 +529,13 @@ def tensor_counit_right(t: TensorSymFunc, kind: str) -> SymFunc:
 
 
 def _tensor_counit(t: TensorSymFunc, kind: str, side: int) -> SymFunc:
-    eps = counit_add if kind == "add" else counit_mult
+    # ε(m_λ) is 1 when λ = ∅ and 0 otherwise; ε×(m_λ) is also 1 on a row (n)
+    longest = 0 if kind == "add" else 1
     out: dict[Partition, int] = {}
-    for pair, c in t.items():
-        e = eps(monomial(pair[side], t.degree_bound))
-        if e:
-            out[pair[1 - side]] = out.get(pair[1 - side], 0) + c * e
+    for pair, c in t._coeffs.items():
+        if pair[side].length <= longest:
+            other = pair[1 - side]
+            out[other] = out.get(other, 0) + c
     return SymFunc(out, t.degree_bound)
 
 
@@ -704,8 +673,9 @@ def _check_natural(what: str, x) -> None:
         raise ValueError(f"{what} must be ≥ 0, got {x}")
 
 
-def _check_bounds(f: SymFunc, g: SymFunc) -> None:
-    if f.degree_bound != g.degree_bound:
+def _check_bounds(f, g) -> None:
+    """Two operands, symmetric functions or Witt elements, share a degree bound."""
+    if f._degree_bound != g._degree_bound:
         raise ValueError(
-            f"degree bounds differ: {f.degree_bound} vs {g.degree_bound}"
+            f"degree bounds differ: {f._degree_bound} vs {g._degree_bound}"
         )

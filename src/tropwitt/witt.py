@@ -68,7 +68,7 @@ from .partitions import Partition, partitions_of
 from .quantale import INF, ZERO, LValue, _json_pair, _make
 from .report import Report, Violation
 from .symfunc import SymFunc, _by_key, _comult, _index, _keys, _labels, _positions, _prefix
-from .symfunc import _product, _row, _splittings, plethysm
+from .symfunc import _check_bounds, _product, _row, _splittings, plethysm
 
 
 def _getter(positions: Sequence[int]):
@@ -450,7 +450,7 @@ class WittElem:
 
     def add(self, other: "WittElem") -> "WittElem":
         """Addition: minimum over multiset splittings of each partition."""
-        self._check_bound(other)
+        _check_bounds(self, other)
         den, inf, (xs, ys) = _lift((self, other))
         xs.append(0)  # the empty partition at position −1, pinned to 0
         ys.append(0)
@@ -459,7 +459,7 @@ class WittElem:
 
     def mul(self, other: "WittElem") -> "WittElem":
         """Multiplication: minimum over doubled-alphabet coproduct pairs."""
-        self._check_bound(other)
+        _check_bounds(self, other)
         den, inf, (xs, ys) = _lift((self, other))
         y = ys.__getitem__
         out = [inf] * len(xs)
@@ -473,15 +473,9 @@ class WittElem:
 
     def leq(self, other: "WittElem") -> bool:
         """Pointwise rig order (∞ everywhere is the bottom element)."""
-        self._check_bound(other)
+        _check_bounds(self, other)
         _, _, (xs, ys) = _lift((self, other))
         return all(y <= x for x, y in zip(xs, ys))
-
-    def _check_bound(self, other: "WittElem") -> None:
-        if self._degree_bound != other._degree_bound:
-            raise ValueError(
-                f"degree bounds differ: {self._degree_bound} vs {other._degree_bound}"
-            )
 
     # -- validation ----------------------------------------------------------
 
@@ -548,7 +542,7 @@ class WittElem:
         size = _prefix(bound)
         nums: list[int | None] = [None] * size
         dens = [1] * size
-        oversized = None
+        oversized, renamed = None, set()
         for key, v in raw.items():
             i = _by_key.get(key, size)
             if i >= size:  # a key that is not canonical, or above the bound
@@ -563,6 +557,10 @@ class WittElem:
                         oversized = lam
                     _json_pair(v)
                     continue
+                # canonical keys are distinct, so only a renamed one can collide
+                if _keys[i] in raw or i in renamed:
+                    raise FormatError(f"partition {lam} is named twice")
+                renamed.add(i)
             nums[i], dens[i] = _json_pair(v)
         if oversized is not None:
             raise FormatError(f"partition {oversized} exceeds degree bound {bound}")

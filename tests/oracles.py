@@ -345,7 +345,9 @@ def witt_from_json_by_partitions(data) -> WittElem:
     """``WittElem.from_json`` by way of a Partition-keyed table: every key
     through ``Partition.from_key``, every value through the ``LValue``
     constructor, then the public constructor, whose errors become format
-    errors."""
+    errors.  A partition within the bound that two keys name is reported at
+    the first key not in canonical form that names it after another key, or
+    whose canonical key is in the document."""
     if not isinstance(data, dict) or "degree_bound" not in data or "values" not in data:
         raise FormatError("WittElem JSON needs 'degree_bound' and 'values'")
     bound = data["degree_bound"]
@@ -358,6 +360,8 @@ def witt_from_json_by_partitions(data) -> WittElem:
         lam = Partition.from_key(key)
         if lam.is_empty():
             raise FormatError("the empty partition must be omitted")
+        if lam.size <= bound and key != lam.key() and (lam in values or lam.key() in raw):
+            raise FormatError(f"partition {lam} is named twice")
         values[lam] = _lvalue_from_json(v)
     try:
         return WittElem(bound, values)

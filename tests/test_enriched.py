@@ -302,6 +302,10 @@ def test_witt_space_json_round_trip():
     rng = random.Random(59)
     w = random_point_eval_space(rng, ("a", "b"), 4)
     assert WittSpace.from_json(w.to_json()) == w
+    # the document's own degree_bound may be left out
+    doc = w.to_json()
+    del doc["degree_bound"]
+    assert WittSpace.from_json(doc) == w
     # a metric space never equals a Witt space, in either order
     assert tau_space(w) != w and w != tau_space(w)
 
@@ -321,33 +325,47 @@ _E3 = theta(ZERO, 3)
 
 
 @pytest.mark.parametrize(
-    "cls, points, dist, error, text, json_text",
+    "cls, points, dist, error, text, json_text, top",
     [
         (MetricSpace, ["a", "b"], {("a", "a"): ZERO, ("a", "b"): ZERO, ("b", "b"): ZERO},
-         ValueError, "missing distance for pair (b, a)", None),
+         ValueError, "missing distance for pair (b, a)", None, {}),
         (WittSpace, ["a", "b"], {("a", "a"): _E3, ("a", "b"): _E3, ("b", "b"): _E3},
-         ValueError, "missing distance for pair (b, a)", None),
-        (MetricSpace, ["a|b"], {}, ValueError, "bad point name 'a|b' (strings without '|')", None),
-        (WittSpace, ["a|b"], {}, ValueError, "bad point name 'a|b' (strings without '|')", None),
-        (MetricSpace, [], {}, ValueError, "a space needs at least one point", None),
-        (WittSpace, [], {}, ValueError, "a space needs at least one point", None),
+         ValueError, "missing distance for pair (b, a)", None, {}),
+        (MetricSpace, ["a|b"], {}, ValueError, "bad point name 'a|b' (strings without '|')", None, {}),
+        (WittSpace, ["a|b"], {}, ValueError, "bad point name 'a|b' (strings without '|')", None, {}),
+        (MetricSpace, [], {}, ValueError, "a space needs at least one point", None, {}),
+        (WittSpace, [], {}, ValueError, "a space needs at least one point", None, {}),
         # an entry of the other kind: the JSON loader of the entry reports it
         (MetricSpace, ["a"], {("a", "a"): _E3}, TypeError, "cannot build LValue from WittElem",
-         f"LValue must be an integer or string, got {_E3.to_json()!r}"),
+         f"LValue must be an integer or string, got {_E3.to_json()!r}", {}),
         (WittSpace, ["a"], {("a", "a"): ZERO}, TypeError, "distance for (a, a) must be a WittElem",
-         "WittElem JSON needs 'degree_bound' and 'values'"),
+         "WittElem JSON needs 'degree_bound' and 'values'", {}),
         (WittSpace, ["a", "b"],
          {("a", "a"): _E3, ("a", "b"): theta(ZERO, 4), ("b", "a"): _E3, ("b", "b"): _E3},
-         ValueError, "entries disagree on degree bound: [3, 4]", None),
+         ValueError, "entries disagree on degree bound: [3, 4]", None, {}),
+        # a Witt space's own degree_bound is optional, but must be the
+        # entries' as an int; the constructor takes none, so it accepts
+        (WittSpace, ["a"], {("a", "a"): _E3}, None, None,
+         "degree_bound 99 does not match the entries' bound 3", {"degree_bound": 99}),
+        (WittSpace, ["a"], {("a", "a"): _E3}, None, None,
+         "degree_bound 'x' does not match the entries' bound 3", {"degree_bound": "x"}),
+        (WittSpace, ["a"], {("a", "a"): _E3}, None, None,
+         "degree_bound True does not match the entries' bound 3", {"degree_bound": True}),
+        (WittSpace, ["a"], {("a", "a"): _E3}, None, None,
+         "degree_bound 3.0 does not match the entries' bound 3", {"degree_bound": 3.0}),
     ],
 )
-def test_constructor_and_loader_errors(cls, points, dist, error, text, json_text):
+def test_constructor_and_loader_errors(cls, points, dist, error, text, json_text, top):
     # the constructor raises a ValueError or TypeError, and from_json the
-    # FormatError of the same text, or of the entry loader's
-    with pytest.raises(error) as got:
+    # FormatError of the same text, or of the entry loader's; top holds the
+    # document's keys besides points and dist
+    if error is None:
         cls(points, dist)
-    assert str(got.value) == text
-    doc = {"points": points, "dist": {f"{x}|{y}": v.to_json() for (x, y), v in dist.items()}}
+    else:
+        with pytest.raises(error) as got:
+            cls(points, dist)
+        assert str(got.value) == text
+    doc = {**top, "points": points, "dist": {f"{x}|{y}": v.to_json() for (x, y), v in dist.items()}}
     with pytest.raises(FormatError) as got:
         cls.from_json(doc)
     assert str(got.value) == (json_text or text)

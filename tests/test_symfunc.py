@@ -35,6 +35,7 @@ from tropwitt.symfunc import (
     _product,
     _rank,
 )
+from tropwitt.witt import WittElem
 
 from oracles import (
     comult_by_matrix_count,
@@ -516,6 +517,170 @@ def test_tensor_json_rejects_bad_bounds_as_format_errors():
             TensorSymFunc.from_json({"degree_bound": bound, "coeffs": {}})
     with pytest.raises(FormatError):
         TensorSymFunc.from_json({"degree_bound": 2, "coeffs": {"3|1,1,1": 1}})
+
+
+_F = SymFunc({Partition([2, 1]): 3, EMPTY: 1, Partition([1, 1]): 1, Partition([3]): 2, Partition([1]): 0},
+             4)
+
+
+@pytest.mark.parametrize(
+    "value, printed, coeffs",
+    [
+        (_F, "SymFunc<m() + m(1,1) + 3*m(2,1) + 2*m(3)>",
+         [("", 1), ("1,1", 1), ("2,1", 3), ("3", 2)]),
+        (coproduct_add(m(2, 1, bound=4)),
+         "TensorSymFunc<m()⊗m(2,1) + m(1)⊗m(2) + m(2)⊗m(1) + m(2,1)⊗m()>",
+         [("|2,1", 1), ("1|2", 1), ("2|1", 1), ("2,1|", 1)]),
+        (coproduct_mult(2 * m(1, 1, bound=4) + m(1, bound=4)),
+         "TensorSymFunc<m(1)⊗m(1) + 4*m(1,1)⊗m(1,1) + 2*m(1,1)⊗m(2) + 2*m(2)⊗m(1,1)>",
+         [("1|1", 1), ("1,1|1,1", 4), ("1,1|2", 2), ("2|1,1", 2)]),
+        (tensor_counit_right(coproduct_add(_F), "add"), "SymFunc<m() + m(1,1) + 3*m(2,1) + 2*m(3)>",
+         [("", 1), ("1,1", 1), ("2,1", 3), ("3", 2)]),
+        (SymFunc.zero(3), "SymFunc<0>", []),
+        (TensorSymFunc({}, 2), "TensorSymFunc<0>", []),
+    ],
+)
+def test_printed_and_serialized_forms(value, printed, coeffs):
+    # repr, the JSON keys, items() and support() all follow the
+    # size-then-lexicographic order, of the left and then the right factor
+    # for a tensor
+    def term(key):
+        sides = tuple(map(Partition.from_key, key.split("|")))
+        return sides if len(sides) == 2 else sides[0]
+
+    assert repr(value) == printed
+    assert list(value.to_json()["coeffs"].items()) == coeffs
+    assert list(value.items()) == [(term(k), c) for k, c in coeffs]
+    assert value.support() == [term(k) for k, _ in coeffs]
+
+
+_P21, _P1 = Partition([2, 1]), Partition([1])
+
+
+@pytest.mark.parametrize(
+    "cls, coeffs, bound, error, text",
+    [
+        (SymFunc, {_P21: True}, 4, TypeError, "coefficient of (2,1) must be int, got True"),
+        (SymFunc, {_P21: 1.5}, 4, TypeError, "coefficient of (2,1) must be int, got 1.5"),
+        (SymFunc, {_P21: -1}, 4, ValueError, "coefficient of (2,1) must be ≥ 0, got -1"),
+        (SymFunc, {}, "4", TypeError, "degree bound must be int, got '4'"),
+        (SymFunc, {}, -1, ValueError, "degree bound must be ≥ 0, got -1"),
+        (SymFunc, {_P21: 1}, 2, DegreeOverflowError, "term m(2,1) exceeds degree bound 2"),
+        (TensorSymFunc, {(_P21, _P1): None}, 4, TypeError,
+         "coefficient of (Partition((2, 1)), Partition((1,))) must be int, got None"),
+        (TensorSymFunc, {(_P1, _P21): 1}, 2, DegreeOverflowError,
+         "term m(1)⊗m(2,1) exceeds degree bound 2"),
+    ],
+)
+def test_constructor_error_texts(cls, coeffs, bound, error, text):
+    with pytest.raises(error) as got:
+        cls(coeffs, bound)
+    assert str(got.value) == text
+
+
+@pytest.mark.parametrize(
+    "cls, data, text",
+    [
+        (SymFunc, None, "SymFunc JSON needs 'degree_bound' and 'coeffs'"),
+        (SymFunc, {"coeffs": {}}, "SymFunc JSON needs 'degree_bound' and 'coeffs'"),
+        (SymFunc, {"degree_bound": 4}, "SymFunc JSON needs 'degree_bound' and 'coeffs'"),
+        (SymFunc, {"degree_bound": -1, "coeffs": {}}, "bad degree_bound -1"),
+        (SymFunc, {"degree_bound": True, "coeffs": {}}, "bad degree_bound True"),
+        (SymFunc, {"degree_bound": "4", "coeffs": {}}, "bad degree_bound '4'"),
+        (SymFunc, {"degree_bound": 4, "coeffs": []}, "'coeffs' must be an object"),
+        (SymFunc, {"degree_bound": 4, "coeffs": {"2,1": -1}}, "bad coefficient -1 for key '2,1'"),
+        (SymFunc, {"degree_bound": 4, "coeffs": {"2,1": 1.5}}, "bad coefficient 1.5 for key '2,1'"),
+        (SymFunc, {"degree_bound": 4, "coeffs": {"x": "1"}}, "bad coefficient '1' for key 'x'"),
+        (SymFunc, {"degree_bound": 4, "coeffs": {"9": 1}}, "term m(9) exceeds degree bound 4"),
+        (SymFunc, {"degree_bound": 4, "coeffs": {"0": 1}}, "bad partition key '0'"),
+        (SymFunc, {"degree_bound": 4, "coeffs": {"1,,1": 1}}, "bad partition key '1,,1'"),
+        (SymFunc, {"degree_bound": 4, "coeffs": {"1|1": 1}}, "bad partition key '1|1'"),
+        (SymFunc, {"degree_bound": 4, "coeffs": {"2,1": 1, "1,2": 0}}, "term m(2,1) is named twice"),
+        (TensorSymFunc, [], "TensorSymFunc JSON needs 'degree_bound' and 'coeffs'"),
+        (TensorSymFunc, {"degree_bound": -1, "coeffs": {}}, "bad degree_bound -1"),
+        (TensorSymFunc, {"degree_bound": 4, "coeffs": "x"}, "'coeffs' must be an object"),
+        (TensorSymFunc, {"degree_bound": 4, "coeffs": {"2,1": 1}}, "tensor key must be 'mu|nu', got '2,1'"),
+        (TensorSymFunc, {"degree_bound": 4, "coeffs": {"1||1": 1}},
+         "tensor key must be 'mu|nu', got '1||1'"),
+        (TensorSymFunc, {"degree_bound": 4, "coeffs": {"2,1": -1}}, "bad coefficient -1 for key '2,1'"),
+        (TensorSymFunc, {"degree_bound": 4, "coeffs": {"x|1": 1}}, "bad partition key 'x'"),
+        (TensorSymFunc, {"degree_bound": 2, "coeffs": {"3|1,1,1": 1}},
+         "term m(3)⊗m(1,1,1) exceeds degree bound 2"),
+        (TensorSymFunc, {"degree_bound": 4, "coeffs": {"2,1|1": 1, "1,2|01": 2}},
+         "term m(2,1)⊗m(1) is named twice"),
+    ],
+)
+def test_loader_error_texts(cls, data, text):
+    with pytest.raises(FormatError) as got:
+        cls.from_json(data)
+    assert str(got.value) == text
+
+
+def _respelled(key: str):
+    """Another key for the same partition, or pair: the first nonempty side
+    with its parts reversed, or with a leading zero when that changes
+    nothing; None when every side is empty."""
+    sides = key.split("|")
+    for i, side in enumerate(sides):
+        if side:
+            parts = side.split(",")
+            sides[i] = ",".join(parts[::-1]) if parts != parts[::-1] else "0" + side
+            return "|".join(sides)
+    return None
+
+
+def _terms(key: str):
+    """The partition, or pair, that a well-formed key names; None otherwise."""
+    try:
+        return tuple(map(Partition.from_key, key.split("|")))
+    except FormatError:
+        return None
+
+
+@st.composite
+def near_miss_documents(draw):
+    """A SymFunc, TensorSymFunc or WittElem document with a degree bound up
+    to 6, with none, one or two faults among a bad key, a bad value, a wrong
+    bound and a repeated partition, and now and then the wrong shape."""
+    cls = draw(st.sampled_from([SymFunc, TensorSymFunc, WittElem]))
+    body_name = "values" if cls is WittElem else "coeffs"
+    bound = draw(st.integers(1, 6))
+    keys = [lam.key() for lam in partitions_up_to(bound) if lam.size or cls is not WittElem]
+    key = st.sampled_from(keys)
+    if cls is TensorSymFunc:
+        key = st.builds("{}|{}".format, key, key)
+    value = st.sampled_from(["1", "3/2", "inf", 0, 2]) if cls is WittElem else st.integers(0, 3)
+    body = draw(st.dictionaries(key, value, max_size=5))
+    doc = {"degree_bound": bound, body_name: body}
+    for fault in draw(st.lists(st.sampled_from(["key", "value", "bound", "repeat"]), max_size=2)):
+        if fault == "key":
+            bad = draw(st.sampled_from(["0", "1,,1", "x", "1||1", "", "|", "-1", str(bound + 1)]))
+            body[bad] = draw(value)
+        elif fault == "value" and body:
+            body[draw(st.sampled_from(sorted(body)))] = draw(st.sampled_from([-1, True, 1.5, None, "x"]))
+        elif fault == "bound":
+            doc["degree_bound"] = draw(st.sampled_from([0, -1, True, False, 1.5, "3", None]))
+        elif fault == "repeat" and body:
+            again = _respelled(draw(st.sampled_from(sorted(body))))
+            if again is not None:
+                body[again] = draw(value)
+    shapes = [doc] * 12 + [list(doc), {body_name: body}, {**doc, body_name: list(body)}]
+    return cls, draw(st.sampled_from(shapes))
+
+
+@given(near_miss_documents())
+def test_loaders_on_near_miss_documents(case):
+    # a loader raises only FormatError; what loads round-trips; a document
+    # whose keys name one partition, or pair, twice never loads
+    cls, doc = case
+    try:
+        value = cls.from_json(doc)
+    except FormatError:
+        return
+    assert cls.from_json(value.to_json()) == value
+    named = [_terms(key) for key in doc.get("values", doc.get("coeffs"))]
+    named = [t for t in named if t is not None]
+    assert len(set(named)) == len(named), f"{doc} loaded as {value!r}"
 
 
 def test_scalar_and_zero():
