@@ -13,15 +13,14 @@ Every generated space is verified before it is returned.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .enriched import MetricSpace, WittSpace, theta_space
-from .quantale import INF, LValue, ZERO
+from .quantale import INF, ZERO, LValue, _ratio
 from .witt import WittElem, from_points
 
 
 def random_rational(rng: random.Random, max_num: int = 12) -> LValue:
-    return LValue(Fraction(rng.randint(0, max_num), rng.randint(1, 4)))
+    return _ratio(rng.randint(0, max_num), rng.randint(1, 4))
 
 
 def random_lvalue(rng: random.Random) -> LValue:
@@ -82,7 +81,7 @@ def random_point_eval_space(
     axioms still hold, in at most two tries.
     """
     base = random_metric_space(rng, points)
-    bump = LValue(Fraction(rng.randint(1, 8), rng.randint(1, 3)))
+    bump = _ratio(rng.randint(1, 8), rng.randint(1, 3))
 
     def build(extra: dict) -> WittSpace:
         dist = {}

@@ -8,6 +8,16 @@ numeric addition, and :func:`leq` is the rig's own order, which runs
 opposite to the numeric one (∞ is the bottom element, 0 the top, because
 x ≼ y holds exactly when min(x, z) = y for some z).
 
+A value is held as one canonical integer pair: a numerator and a positive
+denominator in lowest terms, with ∞ marked by a numerator of ``None``.
+Sums, multiples, truncated differences, the order (by cross-multiplication),
+the text form and the hash are computed on the two integers; the hash is
+``Fraction``'s, so an ``LValue``, the equal ``int`` and the equal
+``Fraction`` are one dict key.  ``Fraction`` itself appears only in
+:meth:`LValue.as_fraction` and in reading the tokens that are not plain
+ASCII digits or digits/digits: decimals and exponents such as "1.5" and
+"1e3", signs, and other Unicode digits.
+
 Floats are rejected throughout; every law test in this package relies on
 exact equality.
 """
@@ -16,7 +26,9 @@ from __future__ import annotations
 
 import re
 import reprlib
+import sys
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from .errors import FormatError
@@ -32,54 +44,62 @@ _INF_TOKEN = "inf"
 _MAX_DIGITS = 1000
 _TOO_LARGE = 10**_MAX_DIGITS
 _EXPONENT = re.compile(r"[eE]([-+]?\d+)\Z")
+_MODULUS = sys.hash_info.modulus
 
 LValueLike = Union["LValue", int, Fraction, str]
 
 
 class LValue:
-    """An exact element of [0, ∞]: a nonnegative Fraction or infinity."""
+    """An exact element of [0, ∞]: a nonnegative rational n/d in lowest
+    terms, or infinity (n is None)."""
 
-    __slots__ = ("_num",)
+    __slots__ = ("_n", "_d")
 
     def __init__(self, value: LValueLike):
         if isinstance(value, LValue):
-            self._num = value._num
+            n, d = value._n, value._d
         elif isinstance(value, bool):
             raise TypeError("bool is not a valid LValue")
         elif isinstance(value, (int, Fraction)):
-            self._num = Fraction(value)
+            n, d = value.numerator, value.denominator
         elif isinstance(value, str):
-            self._num = _parse_token(value)
+            n, d = _parse_token(value)
         else:
             raise TypeError(f"cannot build LValue from {type(value).__name__}")
-        if self._num is not None and self._num < 0:
-            raise ValueError(f"LValue must be nonnegative, got {self._num}")
+        if n is not None and n < 0:
+            raise ValueError(f"LValue must be nonnegative, got {_text(n, d)}")
+        self._n, self._d = n, d
 
     @property
     def is_infinite(self) -> bool:
-        return self._num is None
+        return self._n is None
 
     @property
     def is_finite(self) -> bool:
-        return self._num is not None
+        return self._n is not None
 
     def as_fraction(self) -> Fraction:
-        if self._num is None:
+        if self._n is None:
             raise ValueError("infinite LValue has no Fraction form")
-        return self._num
+        return Fraction(self._n, self._d)
 
     # -- numeric operators -------------------------------------------------
 
+    # an LValue operand skips the _coerce call: the law suites combine and
+    # compare LValues with each other in their innermost loops
+
     def __add__(self, other) -> "LValue":
-        if isinstance(other, LValue):
-            a, b = self._num, other._num
-            if a is None or b is None:
-                return INF
-            return _make(a + b)
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + other
+        if not isinstance(other, LValue):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, c = self._n, other._n
+        if a is None or c is None:
+            return INF
+        b, d = self._d, other._d
+        if b == d:
+            return _ratio(a + c, b)
+        return _ratio(a * d + c * b, b * d)
 
     __radd__ = __add__
 
@@ -91,40 +111,51 @@ class LValue:
             raise ValueError("scalar must be nonnegative")
         if n == 0:
             return ZERO
-        if self._num is None:
+        if self._n is None:
             return INF
-        return _make(self._num * n)
+        return _ratio(self._n * n, self._d)
 
     __rmul__ = __mul__
-
-    # an LValue operand skips the _coerce call: the law suites compare
-    # LValues with each other in their innermost loops
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LValue):
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return self._num == other._num
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self) -> int:
-        return hash(self._num)
+        n, d = self._n, self._d
+        if d == 1:  # an integer, or ∞
+            return hash(n)
+        # Fraction's hash: n over d modulo the hash modulus, or the hash of
+        # float infinity when d has no inverse there
+        try:
+            return hash(hash(n) * pow(d, -1, _MODULUS))
+        except ValueError:
+            return sys.hash_info.inf
 
     def __lt__(self, other) -> bool:
         if not isinstance(other, LValue):
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        a, b = self._num, other._num
-        return a is not None and (b is None or a < b)
+        a, c = self._n, other._n
+        if a is None or c is None:
+            return c is None and a is not None
+        b, d = self._d, other._d
+        return a < c if b == d else a * d < c * b
 
     def __le__(self, other) -> bool:
         if not isinstance(other, LValue):
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        a, b = self._num, other._num
-        return b is None or (a is not None and a <= b)
+        a, c = self._n, other._n
+        if a is None or c is None:
+            return c is None
+        b, d = self._d, other._d
+        return a <= c if b == d else a * d <= c * b
 
     def __gt__(self, other) -> bool:
         return not self <= other
@@ -136,17 +167,16 @@ class LValue:
         return f"LValue({self})"
 
     def __str__(self) -> str:
-        return _INF_TOKEN if self._num is None else str(self._num)
+        return _text(self._n, self._d)
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
-        return str(self)
+        return _text(self._n, self._d)
 
     @classmethod
     def from_json(cls, data) -> "LValue":
-        n, d = _json_pair(data)
-        return INF if n is None else _make(Fraction(n, d))
+        return _ratio(*_json_pair(data))
 
 
 def _json_pair(data) -> tuple[int | None, int]:
@@ -162,12 +192,12 @@ def _json_pair(data) -> tuple[int | None, int]:
         if pair is not None and pair[1]:
             return pair
         try:
-            num = _parse_token(data)  # a zero denominator raises here
-        except (ValueError, ZeroDivisionError) as exc:
+            n, d = _parse_token(data)  # a zero denominator raises here
+        except ValueError as exc:
             raise FormatError(f"bad LValue {data!r}") from exc
-        if num is not None and num < 0:
+        if n is not None and n < 0:
             raise FormatError(f"bad LValue {data!r}")
-        return (None, 1) if num is None else (num.numerator, num.denominator)
+        return n, d
     if isinstance(data, int) and not isinstance(data, bool):
         if data < 0:
             raise FormatError(f"LValue must be nonnegative, got {data}")
@@ -193,13 +223,16 @@ def _too_many_digits(s: str) -> FormatError:
     return FormatError(f"bad LValue {reprlib.repr(s)}: more than {_MAX_DIGITS} digits")
 
 
-def _parse_token(s: str) -> Fraction | None:
+def _parse_token(s: str) -> tuple[int | None, int]:
+    """The value of a token as a reduced pair, (None, 1) for ∞, its sign
+    kept; a ValueError naming the token for any other text."""
     s = s.strip()
     pair = _ascii_ratio(s)
-    if pair is not None:
-        return Fraction(*pair)
+    if pair is not None and pair[1]:
+        g = gcd(*pair)
+        return pair[0] // g, pair[1] // g
     if s.lower() in (_INF_TOKEN, "infinity", "∞"):
-        return None
+        return None, 1
     # Fraction accepts digit separators from Python 3.11 on; refuse them on
     # every version, so the grammar does not depend on the interpreter
     if "_" in s:
@@ -209,7 +242,11 @@ def _parse_token(s: str) -> Fraction | None:
     exponent = ("e" in s or "E" in s) and _EXPONENT.search(s)
     if exponent and len(s) + abs(int(exponent[1])) > _MAX_DIGITS:
         raise _too_many_digits(s)
-    return Fraction(s)
+    try:
+        q = Fraction(s)  # signs, decimal points, exponents; a zero denominator
+    except ZeroDivisionError:
+        raise ValueError(f"bad LValue {s!r}: zero denominator") from None
+    return q.numerator, q.denominator
 
 
 def _coerce(x) -> "LValue":
@@ -220,10 +257,29 @@ def _coerce(x) -> "LValue":
     return NotImplemented
 
 
-def _make(num: Fraction) -> "LValue":
-    """Internal: wrap an already-validated Fraction without rechecking."""
-    out = object.__new__(LValue)
-    out._num = num
+def _text(n: int | None, d: int) -> str:
+    """The text of the reduced pair n/d: "inf", "n" or "n/d"."""
+    if n is None:
+        return _INF_TOKEN
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+_new = object.__new__
+
+
+def _ratio(n: int | None, d: int) -> "LValue":
+    """Internal: the value n/d for integers n ≥ 0 and d ≥ 1, reduced, or ∞
+    when n is None; one call, since the Witt slices make one per entry."""
+    if n is None:
+        return INF
+    if d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+    out = _new(LValue)
+    out._n = n
+    out._d = d
     return out
 
 
@@ -252,9 +308,13 @@ def monus(y: LValue, x: LValue) -> LValue:
     Conventions at infinity: ∞ ⊖ finite = ∞ and y ⊖ ∞ = 0; these are the
     unique choices making x + z ≼ y ⟺ z ≼ y ⊖ x hold everywhere.
     """
-    if x.is_infinite:
+    a, c = y._n, x._n
+    if c is None:
         return ZERO
-    if y.is_infinite:
+    if a is None:
         return INF
-    d = y.as_fraction() - x.as_fraction()
-    return _make(d) if d > 0 else ZERO
+    b, d = y._d, x._d
+    if b == d:
+        return _ratio(a - c, b) if a > c else ZERO
+    n = a * d - c * b
+    return _ratio(n, b * d) if n > 0 else ZERO

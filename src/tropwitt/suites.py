@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 # the base modules, which the CLI loads anyway; each suite imports the
 # modules it computes with in its own body
 from .partitions import EMPTY, Partition, partitions_of, partitions_up_to
-from .quantale import INF, ZERO, LValue, leq, monus, tropical_add, tropical_mul
+from .quantale import INF, ZERO, LValue, _ratio, leq, monus, tropical_add, tropical_mul
 from .report import DEFAULT_SEED
 
 _MAX_FAILURES = 12
@@ -361,7 +361,7 @@ def suite_root_calculus(res: SuiteResult, seed: int, samples: int = 100) -> None
 @_suite("residuation", "quantale")
 def suite_residuation(res: SuiteResult, seed: int) -> None:
     grid = sorted(
-        {LValue(Fraction(p, q)) for p in range(13) for q in (1, 2, 3)}
+        {_ratio(p, q) for p in range(13) for q in (1, 2, 3)}
     ) + [INF]
     for x in grid:
         for y in grid:

@@ -56,7 +56,6 @@ commands (:func:`_failing_pairs`); both read d(x, y) at x·k + y.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import compress, count, islice, repeat
 from math import gcd, lcm
@@ -65,7 +64,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegreeOverflowError, FormatError
 from .partitions import Partition, partitions_of
-from .quantale import INF, ZERO, LValue, _json_pair, _make
+from .quantale import INF, ZERO, LValue, _json_pair, _ratio
 from .report import Report, Violation
 from .symfunc import SymFunc, _by_key, _comult, _index, _keys, _labels, _positions, _prefix
 from .symfunc import _check_bounds, _product, _row, _splittings, plethysm
@@ -152,10 +151,6 @@ def _text(n: int | None, den: int) -> str:
         return str(INF)
     g = gcd(n, den)
     return str(n // g) if g == den else f"{n // g}/{den // g}"
-
-
-def _value(n: int | None, den: int) -> LValue:
-    return INF if n is None else _make(Fraction(n, den))
 
 
 def _lift(elems: Sequence["WittElem"]) -> tuple[int, int, list[list[int]]]:
@@ -418,10 +413,8 @@ class WittElem:
                     f"partition {lam} exceeds degree bound {degree_bound}"
                 )
             v = LValue(v)
-            if v.is_finite:
-                q = v.as_fraction()
-                i = _index[lam]
-                nums[i], dens[i] = q.numerator, q.denominator
+            i = _index[lam]
+            nums[i], dens[i] = v._n, v._d
         f = _over_lcm(degree_bound, nums, dens)
         self._degree_bound, self._den, self._nums = degree_bound, f._den, f._nums
 
@@ -578,7 +571,7 @@ def _evals(bound: int, elems: Iterable[WittElem], f: SymFunc) -> list[LValue]:
         return [ZERO for _ in elems]
     get = _getter(positions)
     return [
-        _value(min([n for n in get(e._nums) if n is not None], default=None), e._den) for e in elems
+        _ratio(min([n for n in get(e._nums) if n is not None], default=None), e._den) for e in elems
     ]
 
 
@@ -591,7 +584,7 @@ def _column(bound: int, elems: Iterable[WittElem], lam: Partition) -> list[LValu
     i = _index.get(lam, size)  # the shared index also holds larger partitions
     if i >= size:
         raise DegreeOverflowError(f"partition {lam} exceeds degree bound {bound}")
-    return [_value(f._nums[i], f._den) for f in elems]
+    return [_ratio(f._nums[i], f._den) for f in elems]
 
 
 # -- distinguished elements and functors -----------------------------------------
@@ -635,10 +628,10 @@ def from_points(points: Iterable[LValue], degree_bound: int) -> WittElem:
         raise ValueError("degree bound must be ≥ 1")
     pts = sorted(LValue(p) for p in points)
     size = _prefix(degree_bound)
-    fracs = [p.as_fraction() for p in pts if p.is_finite]
-    den = lcm(*(q.denominator for q in fracs))
+    finite = [(p._n, p._d) for p in pts if p.is_finite]
+    den = lcm(*(d for _, d in finite))
     # ∞ sorts last, so a λ reaching past the finite points is ∞
-    ints = [q.numerator * (den // q.denominator) for q in fracs]
+    ints = [n * (den // d) for n, d in finite]
     nums = [
         # largest exponents on the smallest points minimizes the sum
         sum(part * pt for part, pt in zip(lam.parts, ints)) if lam.length <= len(ints) else None

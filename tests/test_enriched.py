@@ -17,6 +17,7 @@ from tropwitt.enriched import (
 from tropwitt.errors import DegreeOverflowError, FormatError
 from tropwitt.generate import random_metric_space, random_point_eval_space
 from tropwitt.partitions import Partition, partitions_of, partitions_up_to
+from tropwitt.plancherel import observe, sample_path
 from tropwitt.quantale import INF, ZERO, LValue
 from tropwitt.symfunc import complete, monomial
 from tropwitt.witt import from_points, theta
@@ -387,3 +388,28 @@ def test_entries_must_share_degree_bound():
                 ("b", "b"): theta(ZERO, 4),
             },
         )
+
+
+def test_slices_functors_and_loading_build_no_fraction(monkeypatch):
+    # exact values travel as integer pairs: with Fraction unusable, every
+    # slice, both functors, the metric check, an observation and a load of a
+    # generated degree-6 space still run, and agree with the values before
+    space = random_point_eval_space(random.Random(17), ("a", "b", "c", "d"), N)
+    doc = space.to_json()
+    h3 = complete(3, N)
+    path = sample_path(N, 3)  # the growth chain's own probabilities are Fractions
+    before = [slice_table(space, lam) for lam in partitions_up_to(N)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    assert [slice_table(space, lam) for lam in partitions_up_to(N)] == before
+    assert eval_slice(space, h3) == slice_complete(space, 3)
+    metric = tau_space(space)
+    assert metric.validate().ok
+    assert tau_space(theta_space(metric, N)) == metric
+    assert [step.table for step in observe(space, path)] == [
+        slice_table(space, lam) for lam in path.steps
+    ]
+    assert WittSpace.from_json(doc) == space

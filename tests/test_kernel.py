@@ -643,13 +643,17 @@ def _parsed(parse, s: str):
 
 
 def _fraction_within_the_digit_limit(s: str):
-    """Fraction's value or error class; FormatError, without calling
+    """Fraction's value as a reduced pair, or its error class, with a zero
+    denominator read as a ValueError; FormatError, without calling
     Fraction, once the token's length plus its exponent exceeds 1000."""
     t = s.strip()
     exponent = re.search(r"e([-+]?[0-9]+)$", t)
     if len(t) + (abs(int(exponent[1])) if exponent else 0) > 1000:
         return FormatError
-    return _parsed(Fraction, s)
+    q = _parsed(Fraction, s)
+    if q is ZeroDivisionError:
+        return ValueError
+    return q if isinstance(q, type) else (q.numerator, q.denominator)
 
 
 @given(st.text(alphabet="0123456789/+-.e ", max_size=12))
@@ -668,5 +672,6 @@ def _fraction_within_the_digit_limit(s: str):
 @example("1/2e999")
 def test_parse_token_agrees_with_fraction(s):
     # digits and digits/digits take a path of their own; value or error
-    # class must be Fraction's, except past the digit limit
+    # class must be Fraction's, except past the digit limit and for a zero
+    # denominator, which is a ValueError naming the token
     assert _parsed(_parse_token, s) == _fraction_within_the_digit_limit(s)

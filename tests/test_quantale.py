@@ -1,9 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from tropwitt.enriched import MetricSpace
 from tropwitt.errors import FormatError
 from tropwitt.quantale import INF, ZERO, LValue, leq, monus, tropical_add, tropical_mul
 
@@ -155,6 +157,13 @@ def test_constructor_rejects_junk():
         LValue(Fraction(-1, 2))
     with pytest.raises(TypeError):
         LValue(0.5)
+    # a zero denominator is a ValueError that names the token, in a value
+    # and in a distance table alike
+    for text in ["1/0", " 0/0", "+1/0", "-0/0"]:
+        with pytest.raises(ValueError, match="bad LValue '.*/0': zero denominator"):
+            LValue(text)
+    with pytest.raises(ValueError, match="bad LValue '1/0'"):
+        MetricSpace(["a"], {("a", "a"): "1/0"})
 
 
 def test_scalar_multiple():
@@ -223,3 +232,204 @@ def test_comparisons_with_negative_numbers_raise():
         ):
             with pytest.raises(ValueError):
                 compare()
+
+
+# -- every operation against a Fraction-or-∞ oracle, with up to 300 digits -------------
+
+_BIG = 10**300
+# None is ∞; the small numerators and denominators hit the equal-denominator
+# paths, the large ones the cross-multiplied ones
+oracle_values = st.one_of(
+    st.none(),
+    st.builds(Fraction, st.integers(0, 12), st.integers(1, 6)),
+    st.builds(
+        Fraction,
+        st.one_of(st.integers(0, 12), st.integers(0, _BIG)),
+        st.one_of(st.integers(1, 6), st.integers(1, _BIG)),
+    ),
+)
+
+
+def _lv(q):
+    return INF if q is None else LValue(q)
+
+
+def _order(q):
+    """The numeric order of the oracle: ∞ above every finite value."""
+    return (1, 0) if q is None else (0, q)
+
+
+def _is(v: LValue, q) -> bool:
+    """v is the oracle value q, stored in lowest terms: equal, with q's text."""
+    return v == _lv(q) and str(v) == ("inf" if q is None else str(q))
+
+
+@given(oracle_values, oracle_values, st.integers(0, 10**6), st.integers(0, _BIG))
+@example(None, None, 0, 0)
+@example(Fraction(1, 2), Fraction(1, 2), 2, 1)
+@example(Fraction(2, 3), Fraction(1, 6), 3, 0)
+@example(Fraction(1, _BIG), Fraction(_BIG - 1, _BIG), 0, _BIG)
+def test_every_operation_matches_a_fraction_or_infinity_oracle(p, q, k, n):
+    a, b = _lv(p), _lv(q)
+    total = None if p is None or q is None else p + q
+    assert _is(a + b, total) and _is(b + a, total)
+    assert _is(tropical_mul(a, b), total)
+    shifted = None if p is None else p + n
+    assert _is(a + n, shifted) and _is(n + a, shifted)
+    multiple = Fraction(0) if k == 0 else None if p is None else k * p
+    assert _is(k * a, multiple) and _is(a * k, multiple)
+    if q is None:
+        rest = Fraction(0)
+    else:
+        rest = None if p is None else max(p - q, Fraction(0))
+    assert _is(monus(a, b), rest)
+    assert _is(tropical_add(a, b), min(p, q, key=_order))
+    assert leq(a, b) == (_order(q) <= _order(p))
+    assert (a < b) == (_order(p) < _order(q)) and (a <= b) == (_order(p) <= _order(q))
+    assert (a > b) == (_order(p) > _order(q)) and (a >= b) == (_order(p) >= _order(q))
+    assert (a == b) == (p == q)
+    assert a.to_json() == str(a) and LValue.from_json(a.to_json()) == a
+    if p is not None:
+        # an LValue, the equal Fraction and the equal int are one dict key
+        assert a == p and hash(a) == hash(p) and a.as_fraction() == p
+        assert hash(LValue(p.numerator)) == hash(p.numerator)
+        assert {p: 1}[a] == 1 and {a: 1}[p] == 1
+
+
+# -- near-miss JSON tokens and metric-space documents ---------------------------------
+
+_SIGNS = st.sampled_from(["", "+", "-", " ", "-0"])
+_SEPARATORS = st.sampled_from(["", "/", ".", "e", "E-", "e+", "/-", " / ", "_", "//"])
+_DIGITS = st.text("0123456789", min_size=0, max_size=4)
+_NEAR_LIMIT = st.sampled_from([998, 999, 1000, 1001])
+
+near_miss_tokens = st.one_of(
+    st.sampled_from(
+        [
+            "", " ", "/", "1/", "/2", "1/0", "0/0", "-0", "-0/1", "+0", "-1", "-1/2", " 3 ",
+            "\t3/4\n", "1 /2", "007/014", "inf", "INF", " Infinity ", "∞", "-inf", "+inf",
+            "infinite", "inf/1", "nan", "1e3", "1E-2", "-1e-2", "1e+2", "1.5", ".5", "5.",
+            "1_000", "1_0/3", "0x10", "٣", "²", "1/2/3", "--1", "1e", "e3", "1.5/2",
+        ]
+    ),
+    st.builds("{}{}{}{}".format, _SIGNS, _DIGITS, _SEPARATORS, _DIGITS),
+    # digit counts just under and over the limit of 1000
+    _NEAR_LIMIT.map(lambda n: "9" * n),
+    _NEAR_LIMIT.map(lambda n: "1/" + "7" * (n - 2)),
+    _NEAR_LIMIT.map(lambda n: "-" + "0" * (n - 1)),
+    # exponents whose size takes the token to the limit and just past it
+    st.builds("{}e{}{}".format, st.sampled_from(["1", "2.5", "-0", "+3"]),
+              st.sampled_from(["", "+", "-"]), st.integers(990, 999)),
+    st.sampled_from([0, 2, -1, 10**1000 - 1, 10**1000, -(10**1000)]),
+    st.integers(0, _BIG),
+    st.booleans(),
+    st.floats(),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.just({}),
+)
+
+
+def _token_oracle(token):
+    """A JSON token's value as a Fraction, None for ∞, or FormatError.  A
+    string is trimmed, then read as "inf", "infinity" or "∞" in any case,
+    or as a fractions.Fraction literal without underscores; an integer is
+    taken as it is.  The value must be nonnegative with at most 1000 digits,
+    an exponent's size counting as digits."""
+    if isinstance(token, bool) or not isinstance(token, (int, str)):
+        return FormatError
+    if isinstance(token, int):
+        return Fraction(token) if 0 <= token < 10**1000 else FormatError
+    t = token.strip()
+    if t.lower() in ("inf", "infinity", "∞"):
+        return None
+    exponent = re.search(r"e([-+]?\d+)$", t, re.IGNORECASE)
+    if "_" in t or len(t) + (abs(int(exponent[1])) if exponent else 0) > 1000:
+        return FormatError
+    try:
+        q = Fraction(t)
+    except (ValueError, ZeroDivisionError):
+        return FormatError
+    return q if q >= 0 else FormatError
+
+
+def _loaded(load, data):
+    """load(data), or FormatError when it raises one; any other exception
+    propagates and fails the test."""
+    try:
+        return load(data)
+    except FormatError:
+        return FormatError
+
+
+@given(near_miss_tokens)
+@example("9" * 1000)
+@example("1e996")
+@example("-0")
+@example("+1/0")
+def test_lvalue_loader_on_near_miss_tokens(token):
+    want = _token_oracle(token)
+    got = _loaded(LValue.from_json, token)
+    if want is FormatError:
+        assert got is FormatError
+    else:
+        assert got is not FormatError and _is(got, want)
+
+
+@st.composite
+def near_miss_metric_documents(draw):
+    """A metric-space document on up to three points, with none, one or two
+    faults among a bad value, a bad or repeated point name, a missing pair
+    and a bad or extra key, and now and then the wrong shape."""
+    points = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True))
+    values = st.sampled_from(["0", "1", "3/2", "6/4", "inf", 2, "0.5"])
+    dist = {f"{x}|{y}": draw(values) for x in points for y in points}
+    for fault in draw(st.lists(st.sampled_from(["value", "point", "missing", "key"]), max_size=2)):
+        if fault == "value" and dist:
+            dist[draw(st.sampled_from(sorted(dist)))] = draw(near_miss_tokens)
+        elif fault == "point":
+            points.append(draw(st.sampled_from([points[0], "x|y", "", 1, True, None, ["a"]])))
+        elif fault == "missing" and dist:
+            del dist[draw(st.sampled_from(sorted(dist)))]
+        elif fault == "key":
+            dist[draw(st.sampled_from(["ab", "a|b|c", "|a", "a|", "z|a", "a|a "]))] = draw(values)
+    doc = {"points": points, "dist": dist}
+    shapes = [doc] * 12 + [[doc], {"points": points}, {"dist": dist}, {**doc, "dist": list(dist)},
+                           {**doc, "points": "ab"}]
+    return draw(st.sampled_from(shapes))
+
+
+def _metric_oracle(doc):
+    """The distance table that a metric-space document names, its values
+    as in ``_token_oracle``, or FormatError."""
+    if not isinstance(doc, dict) or "points" not in doc or "dist" not in doc:
+        return FormatError
+    points, raw = doc["points"], doc["dist"]
+    if not isinstance(points, list) or not isinstance(raw, dict):
+        return FormatError
+    table = {}
+    for key, token in raw.items():
+        value = _token_oracle(token)
+        if key.count("|") != 1 or value is FormatError:
+            return FormatError
+        table[tuple(key.split("|"))] = value
+    names_ok = all(isinstance(p, str) and "|" not in p for p in points)
+    if not points or not names_ok or len(set(points)) != len(points):
+        return FormatError
+    if any((x, y) not in table for x in points for y in points):
+        return FormatError
+    return {(x, y): table[x, y] for x in points for y in points}
+
+
+@given(near_miss_metric_documents())
+@example({"points": ["a"], "dist": {"a|a": "1/0"}})
+@example({"points": ["a"], "dist": {"a|a": "-0"}})
+def test_metric_space_loader_on_near_miss_documents(doc):
+    want = _metric_oracle(doc)
+    got = _loaded(MetricSpace.from_json, doc)
+    if want is FormatError:
+        assert got is FormatError
+    else:
+        assert got is not FormatError and got.points == tuple(doc["points"])
+        table = got.table()
+        assert table.keys() == want.keys() and all(_is(table[k], want[k]) for k in want)
