@@ -17,7 +17,9 @@ stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Callable
 
@@ -153,8 +155,16 @@ def main(argv: list[str] | None = None) -> None:
 
 
 def _echo(text: str) -> None:
-    # one write per line, newline included, as a reader may stop at any line
-    sys.stdout.write(text + "\n")
+    # one write per line, newline included, as a reader may stop at any line;
+    # once it has, exit 1 with no second write (Python's SIGPIPE recipe)
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except OSError:
+        with contextlib.suppress(OSError):  # no file descriptor, nothing to flush
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        sys.exit(1)
 
 
 def _fail(code: int, kind: str, detail: str) -> None:

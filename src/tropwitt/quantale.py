@@ -13,10 +13,15 @@ denominator in lowest terms, with ∞ marked by a numerator of ``None``.
 Sums, multiples, truncated differences, the order (by cross-multiplication),
 the text form and the hash are computed on the two integers; the hash is
 ``Fraction``'s, so an ``LValue``, the equal ``int`` and the equal
-``Fraction`` are one dict key.  ``Fraction`` itself appears only in
-:meth:`LValue.as_fraction` and in reading the tokens that are not plain
-ASCII digits or digits/digits: decimals and exponents such as "1.5" and
-"1e3", signs, and other Unicode digits.
+``Fraction`` are one dict key.
+
+One reader, ``_read``, turns a text token into integers for the
+constructor (a ``ValueError``) and for every JSON loader (``_json_pair``,
+a ``FormatError``); one writer, ``_text``, spells n/d in lowest terms for
+``str``, ``to_json`` and the texts of :mod:`tropwitt.witt`.  ``Fraction``
+appears only in :meth:`LValue.as_fraction` and in reading the tokens that,
+once trimmed, are not ASCII digits or digits/digits: decimals and
+exponents such as "1.5" and "1e3", signs, and other Unicode digits.
 
 Floats are rejected throughout; every law test in this package relies on
 exact equality.
@@ -43,6 +48,7 @@ _INF_TOKEN = "inf"
 # of 4300 digits for converting an integer to a string.
 _MAX_DIGITS = 1000
 _TOO_LARGE = 10**_MAX_DIGITS
+_TOO_LONG = f": more than {_MAX_DIGITS} digits"
 _EXPONENT = re.compile(r"[eE]([-+]?\d+)\Z")
 _MODULUS = sys.hash_info.modulus
 
@@ -56,18 +62,18 @@ class LValue:
     __slots__ = ("_n", "_d")
 
     def __init__(self, value: LValueLike):
+        if isinstance(value, str):
+            value = _ratio(*_read(value))
         if isinstance(value, LValue):
             n, d = value._n, value._d
         elif isinstance(value, bool):
             raise TypeError("bool is not a valid LValue")
         elif isinstance(value, (int, Fraction)):
             n, d = value.numerator, value.denominator
-        elif isinstance(value, str):
-            n, d = _parse_token(value)
+            if n < 0:
+                raise ValueError(f"LValue must be nonnegative, got {value}")
         else:
             raise TypeError(f"cannot build LValue from {type(value).__name__}")
-        if n is not None and n < 0:
-            raise ValueError(f"LValue must be nonnegative, got {_text(n, d)}")
         self._n, self._d = n, d
 
     @property
@@ -171,8 +177,7 @@ class LValue:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json(self) -> str:
-        return _text(self._n, self._d)
+    to_json = __str__
 
     @classmethod
     def from_json(cls, data) -> "LValue":
@@ -180,24 +185,17 @@ class LValue:
 
 
 def _json_pair(data) -> tuple[int | None, int]:
-    """The value of a JSON token, a nonnegative integer or a string that
-    ``LValue`` parses, as a numerator and a nonzero denominator, not
-    necessarily coprime, (None, 1) for ∞: "inf" and the forms that
-    ``_ascii_ratio`` reads go straight to integers, every other string
-    through ``_parse_token``."""
+    """The value of a JSON token, an integer below the digit limit or a
+    string, as ``_read`` gives it; a FormatError for anything else."""
     if data == _INF_TOKEN:  # the form that ``to_json`` writes for ∞
         return None, 1
     if isinstance(data, str):
-        pair = _ascii_ratio(data)
-        if pair is not None and pair[1]:
-            return pair
         try:
-            n, d = _parse_token(data)  # a zero denominator raises here
+            return _read(data)
         except ValueError as exc:
-            raise FormatError(f"bad LValue {data!r}") from exc
-        if n is not None and n < 0:
-            raise FormatError(f"bad LValue {data!r}")
-        return n, d
+            # a token past the digit limit is named in short, any other as given
+            text = str(exc)
+            raise FormatError(text if text.endswith(_TOO_LONG) else f"bad LValue {data!r}") from exc
     if isinstance(data, int) and not isinstance(data, bool):
         if data < 0:
             raise FormatError(f"LValue must be nonnegative, got {data}")
@@ -207,61 +205,51 @@ def _json_pair(data) -> tuple[int | None, int]:
     raise FormatError(f"LValue must be an integer or string, got {data!r}")
 
 
-def _ascii_ratio(s: str) -> tuple[int, int] | None:
-    """ASCII digits with an optional / and ASCII digits, the common forms,
-    as a numerator and a denominator, without Fraction's regular
-    expression; None for any other form."""
-    a, slash, b = s.partition("/")
-    if s.isascii() and a.isdigit() and (b.isdigit() or not slash):
-        if len(s) > _MAX_DIGITS:
-            raise _too_many_digits(s)
-        return int(a), int(b) if slash else 1
-    return None
-
-
-def _too_many_digits(s: str) -> FormatError:
-    return FormatError(f"bad LValue {reprlib.repr(s)}: more than {_MAX_DIGITS} digits")
-
-
-def _parse_token(s: str) -> tuple[int | None, int]:
-    """The value of a token as a reduced pair, (None, 1) for ∞, its sign
-    kept; a ValueError naming the token for any other text."""
-    s = s.strip()
-    pair = _ascii_ratio(s)
-    if pair is not None and pair[1]:
-        g = gcd(*pair)
-        return pair[0] // g, pair[1] // g
+def _read(token: str) -> tuple[int | None, int]:
+    """The value of a token as integers n ≥ 0 and d ≥ 1, not necessarily
+    coprime, or (None, 1) for ∞; a ValueError for a negative value and,
+    naming the token, for any other text.  ASCII digits and digits/digits
+    go straight to integers, any other token is trimmed and read again,
+    and one still of neither form by Fraction."""
+    a, slash, b = token.partition("/")
+    if token.isascii() and a.isdigit() and (b.isdigit() or not slash) and len(token) <= _MAX_DIGITS:
+        d = int(b) if slash else 1
+        if d:
+            return int(a), d
+    s = token.strip()
+    if s != token:
+        return _read(s)
     if s.lower() in (_INF_TOKEN, "infinity", "∞"):
         return None, 1
     # Fraction accepts digit separators from Python 3.11 on; refuse them on
     # every version, so the grammar does not depend on the interpreter
     if "_" in s:
         raise ValueError(f"bad LValue {s!r}: underscores are not accepted")
-    if len(s) > _MAX_DIGITS:
-        raise _too_many_digits(s)
-    exponent = ("e" in s or "E" in s) and _EXPONENT.search(s)
-    if exponent and len(s) + abs(int(exponent[1])) > _MAX_DIGITS:
-        raise _too_many_digits(s)
+    exponent = _EXPONENT.search(s) if len(s) <= _MAX_DIGITS else None
+    if len(s) + (abs(int(exponent[1])) if exponent else 0) > _MAX_DIGITS:
+        raise ValueError(f"bad LValue {reprlib.repr(s)}{_TOO_LONG}")
     try:
         q = Fraction(s)  # signs, decimal points, exponents; a zero denominator
     except ZeroDivisionError:
         raise ValueError(f"bad LValue {s!r}: zero denominator") from None
+    if q < 0:
+        raise ValueError(f"LValue must be nonnegative, got {q}")
     return q.numerator, q.denominator
 
 
 def _coerce(x) -> "LValue":
-    if isinstance(x, LValue):
-        return x
+    """A non-LValue operand as an LValue, or NotImplemented."""
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return LValue(x)
     return NotImplemented
 
 
 def _text(n: int | None, d: int) -> str:
-    """The text of the reduced pair n/d: "inf", "n" or "n/d"."""
+    """The text of n/d in lowest terms, d ≥ 1: "n" or "n/d", or "inf" for n None."""
     if n is None:
         return _INF_TOKEN
-    return str(n) if d == 1 else f"{n}/{d}"
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 _new = object.__new__
@@ -284,7 +272,8 @@ def _ratio(n: int | None, d: int) -> "LValue":
 
 
 ZERO = LValue(0)
-INF = LValue(_INF_TOKEN)
+INF = _new(LValue)  # the one ∞, which _ratio and so the constructor return
+INF._n, INF._d = None, 1
 
 
 def tropical_add(a: LValue, b: LValue) -> LValue:

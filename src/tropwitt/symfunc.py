@@ -661,16 +661,21 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
     return SymFunc(dict(zip(compress(acc, acc.values()), counts)), bound)
 
 
-def _is_natural(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
-
-
-def _check_natural(what: str, x) -> None:
-    """Degree bounds and coefficients are plain nonnegative ints."""
+def _check_natural(what: str, x, least: int = 0) -> None:
+    """Degree bounds and coefficients are plain ints, at least ``least``."""
     if not isinstance(x, int) or isinstance(x, bool):
         raise TypeError(f"{what} must be int, got {x!r}")
-    if x < 0:
-        raise ValueError(f"{what} must be ≥ 0, got {x}")
+    if x < least:
+        raise ValueError(f"{what} must be ≥ {least}, got {x}")
+
+
+def _is_natural(x, least: int = 0) -> bool:
+    """Whether ``_check_natural`` passes x, for a loader's own error."""
+    try:
+        _check_natural("", x, least)
+    except (TypeError, ValueError):
+        return False
+    return True
 
 
 def _check_bounds(f, g) -> None:

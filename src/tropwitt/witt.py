@@ -64,10 +64,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegreeOverflowError, FormatError
 from .partitions import Partition, partitions_of
-from .quantale import INF, ZERO, LValue, _json_pair, _ratio
+from .quantale import ZERO, LValue, _json_pair, _ratio, _text
 from .report import Report, Violation
-from .symfunc import SymFunc, _by_key, _comult, _index, _keys, _labels, _positions, _prefix
-from .symfunc import _check_bounds, _product, _row, _splittings, plethysm
+from .symfunc import SymFunc, _by_key, _check_bounds, _check_natural, _comult, _index, _is_natural
+from .symfunc import _keys, _labels, _positions, _prefix, _product, _row, _splittings, plethysm
 
 
 def _getter(positions: Sequence[int]):
@@ -143,14 +143,6 @@ def _checks(bound: int) -> tuple[tuple[tuple[int, int], ...], _Family]:
     )
     supports = [[p for p, _ in _product(i, j)] for i, j in pairs]
     return pairs, _Family(supports, [i for i, _ in pairs], [j for _, j in pairs])
-
-
-def _text(n: int | None, den: int) -> str:
-    """The JSON text of the value n/den: str of the reduced fraction."""
-    if n is None:
-        return str(INF)
-    g = gcd(n, den)
-    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def _lift(elems: Sequence["WittElem"]) -> tuple[int, int, list[list[int]]]:
@@ -399,8 +391,7 @@ class WittElem:
     __slots__ = ("_degree_bound", "_den", "_nums")
 
     def __init__(self, degree_bound: int, values: Mapping[Partition, LValue]):
-        if degree_bound < 1:
-            raise ValueError("degree bound must be ≥ 1")
+        _check_natural("degree bound", degree_bound, 1)
         nums: list[int | None] = [None] * _prefix(degree_bound)
         dens = [1] * len(nums)
         for lam, v in values.items():
@@ -529,8 +520,7 @@ class WittElem:
             raise FormatError("WittElem JSON needs 'degree_bound' and 'values'")
         bound = data["degree_bound"]
         raw = data["values"]
-        bad_bound = not isinstance(bound, int) or isinstance(bound, bool) or bound < 1
-        if bad_bound or not isinstance(raw, dict):
+        if not _is_natural(bound, 1) or not isinstance(raw, dict):
             raise FormatError("bad WittElem JSON")
         size = _prefix(bound)
         nums: list[int | None] = [None] * size
@@ -624,8 +614,7 @@ def from_points(points: Iterable[LValue], degree_bound: int) -> WittElem:
     points.  The result is always a valid homomorphism: supports of
     products add without cancellation, so evaluation commutes with min.
     """
-    if degree_bound < 1:
-        raise ValueError("degree bound must be ≥ 1")
+    _check_natural("degree bound", degree_bound, 1)
     pts = sorted(LValue(p) for p in points)
     size = _prefix(degree_bound)
     finite = [(p._n, p._d) for p in pts if p.is_finite]

@@ -1,0 +1,193 @@
+"""Near-miss JSON inputs for the loaders: valid tokens and documents with
+a few faults drawn in, and now and then the wrong shape.
+
+Every loader must give a ``FormatError`` or a value on each of them;
+``loaded`` turns the one into its class and lets any other exception fail
+the test.  Degree bounds stay at 6 or below, and spaces at four points or
+fewer, so that a property test stays fast.
+"""
+
+from fractions import Fraction
+
+from hypothesis import strategies as st
+
+from tropwitt.errors import FormatError
+from tropwitt.plancherel import sample_path
+from tropwitt.quantale import ZERO
+from tropwitt.witt import from_points, theta
+
+_SIGNS = st.sampled_from(["", "+", "-", " ", "-0"])
+_SEPARATORS = st.sampled_from(["", "/", ".", "e", "E-", "e+", "/-", " / ", "_", "//"])
+_DIGITS = st.text("0123456789", min_size=0, max_size=4)
+_NEAR_LIMIT = st.sampled_from([998, 999, 1000, 1001])
+
+near_miss_tokens = st.one_of(
+    st.sampled_from(
+        [
+            "", " ", "/", "1/", "/2", "1/0", "0/0", "-0", "-0/1", "+0", "-1", "-1/2", " 3 ",
+            "\t3/4\n", "1 /2", "007/014", "inf", "INF", " Infinity ", "∞", "-inf", "+inf",
+            "infinite", "inf/1", "nan", "1e3", "1E-2", "-1e-2", "1e+2", "1.5", ".5", "5.",
+            "1_000", "1_0/3", "0x10", "٣", "²", "1/2/3", "--1", "1e", "e3", "1.5/2",
+        ]
+    ),
+    st.builds("{}{}{}{}".format, _SIGNS, _DIGITS, _SEPARATORS, _DIGITS),
+    # digit counts just under and over the limit of 1000
+    _NEAR_LIMIT.map(lambda n: "9" * n),
+    _NEAR_LIMIT.map(lambda n: "1/" + "7" * (n - 2)),
+    _NEAR_LIMIT.map(lambda n: "-" + "0" * (n - 1)),
+    # exponents whose size takes the token to the limit and just past it
+    st.builds("{}e{}{}".format, st.sampled_from(["1", "2.5", "-0", "+3"]),
+              st.sampled_from(["", "+", "-"]), st.integers(990, 999)),
+    st.sampled_from([0, 2, -1, 10**1000 - 1, 10**1000, -(10**1000)]),
+    st.integers(0, 10**300),
+    st.booleans(),
+    st.floats(),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.just({}),
+)
+
+# what a JSON document may hold where an int or a list belongs; no huge
+# degree bound, which the library loaders would enumerate up to (the CLI
+# refuses one above its ceiling before loading)
+_WRONG = st.sampled_from([True, False, 0, -1, 1.5, 2.0, "2", None, [1], {}])
+
+
+def loaded(load, data):
+    """load(data), or FormatError when it raises one; any other exception
+    propagates and fails the test."""
+    try:
+        return load(data)
+    except FormatError:
+        return FormatError
+
+
+def _shapes(draw, doc: dict, *broken):
+    """doc itself, most of the time, or the wrong shape: doc in a list, or
+    one of ``broken``."""
+    return draw(st.sampled_from([doc] * 12 + [[doc], *broken]))
+
+
+@st.composite
+def near_miss_metric_documents(draw):
+    """A metric-space document on up to three points, with none, one or two
+    faults among a bad value, a bad or repeated point name, a missing pair
+    and a bad or extra key, and now and then the wrong shape."""
+    points = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True))
+    values = st.sampled_from(["0", "1", "3/2", "6/4", "inf", 2, "0.5"])
+    dist = {f"{x}|{y}": draw(values) for x in points for y in points}
+    for fault in draw(st.lists(st.sampled_from(["value", "point", "missing", "key"]), max_size=2)):
+        if fault == "value" and dist:
+            dist[draw(st.sampled_from(sorted(dist)))] = draw(near_miss_tokens)
+        elif fault == "point":
+            points.append(draw(st.sampled_from([points[0], "x|y", "", 1, True, None, ["a"]])))
+        elif fault == "missing" and dist:
+            del dist[draw(st.sampled_from(sorted(dist)))]
+        elif fault == "key":
+            dist[draw(st.sampled_from(["ab", "a|b|c", "|a", "a|", "z|a", "a|a "]))] = draw(values)
+    doc = {"points": points, "dist": dist}
+    return _shapes(draw, doc, {"points": points}, {"dist": dist}, {**doc, "dist": list(dist)},
+                   {**doc, "points": "ab"})
+
+
+_SMALL = st.builds(Fraction, st.integers(0, 6), st.integers(1, 3))
+
+
+@st.composite
+def near_miss_elem_documents(draw, bound=None):
+    """A WittElem document of degree bound ``bound`` (drawn when None): a
+    point evaluation at up to three small values, with none, one or two
+    faults among a bad value, a bad, oversized or repeated key, a wrong
+    degree bound and a missing or extra key, and now and then the wrong
+    shape."""
+    if bound is None:
+        bound = draw(st.integers(1, 6))
+    doc = from_points(draw(st.lists(_SMALL, min_size=1, max_size=3)), bound).to_json()
+    values = doc["values"]
+    faults = ["value", "key", "bound", "missing", "extra"]
+    for fault in draw(st.lists(st.sampled_from(faults), max_size=2)):
+        if fault == "value":
+            values[draw(st.sampled_from(sorted(values)))] = draw(near_miss_tokens)
+        elif fault == "key":
+            # "1,2" renames "2,1", which is present; a size above the bound
+            # is refused, and so is a part that is not a positive integer
+            keys = ["", "0", "2,0", "x", " 1", "1,2", "1,", "-1", str(bound + 1)]
+            values[draw(st.sampled_from(keys))] = draw(st.sampled_from(["0", "2", "inf", 1]))
+        elif fault == "bound":
+            doc["degree_bound"] = draw(st.one_of(_WRONG, st.integers(1, 6)))
+        elif fault == "missing" and doc:
+            del doc[draw(st.sampled_from(sorted(doc)))]
+        elif fault == "extra":
+            doc["extra"] = draw(_WRONG)
+    return _shapes(draw, doc, {**doc, "values": list(values)}, "x")
+
+
+@st.composite
+def near_miss_witt_space_documents(draw):
+    """A Witt-space document on up to four points at a degree bound of at
+    most 6, θ of a small value on each pair and of 0 on the diagonal, with
+    none, one or two faults among a faulty entry, a bad, repeated or extra
+    point, a missing pair, a bad key and a wrong degree bound, and now and
+    then the wrong shape."""
+    bound = draw(st.integers(1, 6))
+    points = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+    dist = {
+        f"{x}|{y}": theta(ZERO if x == y else draw(_SMALL), bound).to_json()
+        for x in points
+        for y in points
+    }
+    doc = {"points": points, "dist": dist}
+    faults = ["entry", "point", "missing", "key", "bound"]
+    for fault in draw(st.lists(st.sampled_from(faults), max_size=2)):
+        if fault == "entry" and dist:
+            dist[draw(st.sampled_from(sorted(dist)))] = draw(near_miss_elem_documents(bound))
+        elif fault == "point":
+            points.append(draw(st.sampled_from([points[0], "e", "x|y", 1, True, None, ["a"]])))
+        elif fault == "missing" and dist:
+            del dist[draw(st.sampled_from(sorted(dist)))]
+        elif fault == "key":
+            dist[draw(st.sampled_from(["ab", "a|b|c", "|a", "z|a"]))] = theta(ZERO, bound).to_json()
+        elif fault == "bound":
+            doc["degree_bound"] = draw(st.one_of(_WRONG, st.integers(1, 6)))
+    return _shapes(draw, doc, {"points": points}, {**doc, "dist": list(dist)},
+                   {**doc, "dist": {k: "0" for k in dist}})
+
+
+near_miss_partitions = st.one_of(
+    st.lists(st.one_of(st.integers(1, 5), _WRONG, st.just(10**100)), max_size=4),
+    st.sampled_from(["2,1", {}, 2, None]),
+)
+
+_PART_TEXTS = st.one_of(
+    st.integers(1, 9).map(str),
+    st.sampled_from(["", "0", "-1", "+1", " 1", "1 ", "1_0", "٣", "²", "1e3", "x", "1.0"]),
+    st.sampled_from([str(10**100), "9" * 5000]),
+)
+near_miss_keys = st.builds(",".join, st.lists(_PART_TEXTS, max_size=4))
+
+
+@st.composite
+def near_miss_growth_documents(draw):
+    """A growth-path document of up to six steps, with none, one or two
+    faults among a bad step, a step dropped, two steps swapped, a step
+    appended that need not cover the last shape, a bad seed and a missing
+    key, and now and then the wrong shape."""
+    path = sample_path(draw(st.integers(1, 6)), draw(st.integers(0, 9)))
+    doc = path.to_json()
+    steps = doc["steps"]
+    faults = ["step", "drop", "swap", "append", "seed", "missing"]
+    for fault in draw(st.lists(st.sampled_from(faults), max_size=2)):
+        i = draw(st.integers(0, max(len(steps) - 1, 0)))
+        if fault == "step" and steps:
+            steps[i] = draw(near_miss_partitions)
+        elif fault == "drop" and steps:
+            del steps[i]
+        elif fault == "swap" and i + 1 < len(steps):
+            steps[i], steps[i + 1] = steps[i + 1], steps[i]
+        elif fault == "append":
+            steps.append(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+        elif fault == "seed":
+            doc["seed"] = draw(st.one_of(_WRONG, st.integers(-(10**30), 10**30)))
+        elif fault == "missing" and doc:
+            del doc[draw(st.sampled_from(sorted(doc)))]
+    return _shapes(draw, doc, {**doc, "steps": "1"}, [])

@@ -337,8 +337,10 @@ def _lvalue_from_json(data) -> LValue:
         return LValue(data)
     try:
         return LValue(data)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad LValue {data!r}") from exc
+    except ValueError as exc:
+        # a token past the digit limit is named in short, with the limit
+        text = str(exc) if "more than 1000 digits" in str(exc) else f"bad LValue {data!r}"
+        raise FormatError(text) from exc
 
 
 def witt_from_json_by_partitions(data) -> WittElem:

@@ -6,7 +6,10 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from tropwitt import suites
 from tropwitt.cli import COMMANDS, MAX_POINTS, MAX_STEPS, main
 from tropwitt.enriched import MetricSpace, WittSpace, theta_space
 from tropwitt.generate import random_metric_space, random_point_eval_space
@@ -14,6 +17,13 @@ from tropwitt.partitions import Partition
 from tropwitt.quantale import ZERO, LValue
 from tropwitt.symfunc import SymFunc, monomial
 from tropwitt.witt import WittElem, theta
+
+from documents import (
+    near_miss_elem_documents,
+    near_miss_metric_documents,
+    near_miss_tokens,
+    near_miss_witt_space_documents,
+)
 
 
 class Runner:
@@ -296,6 +306,44 @@ def test_suite_run_module_filter(runner):
     assert result.exit_code == 2
 
 
+def test_suite_run_reports_a_failing_law_with_its_first_twelve_witnesses(runner, monkeypatch):
+    # with y ⊖ x read as 0, residuation fails
+    monkeypatch.setattr(suites, "monus", lambda y, x: ZERO)
+    result = runner.invoke(main, ["suite", "run", "--module", "quantale"])
+    assert result.exit_code == 1
+    head, *failures = result.output.splitlines()
+    assert head.startswith("FAIL residuation: ")
+    assert len(failures) == 12 and all(line.startswith("  - ") for line in failures)
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises, and it has no
+    file descriptor."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["witt", "theta", "--r", "1", "--degree", "2"], ["suite", "run", "--module", "quantale"]],
+    ids=["witt-theta", "suite-run"],
+)
+def test_a_closed_stdout_ends_the_command_with_no_second_write(args):
+    # not an unreadable input: no JSON error object goes after the result,
+    # and no exception other than the exit leaves main
+    out = _ClosedPipe()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exited:
+        main(args)
+    assert exited.value.code == 1
+    assert out.writes == 1
+
+
 def test_suite_run_report_times_each_suite(runner, tmp_path):
     out = tmp_path / "suites.json"
     result = runner.invoke(main, ["suite", "run", "--module", "quantale", "--output", str(out)])
@@ -424,6 +472,24 @@ def test_failing_input_reports_and_exit_codes(runner, tmp_path):
     spath = write(tmp_path, "space.json", data)
     result = runner.invoke(main, ["cat", "slice", "--input", spath, "--lambda", "2"])
     assert "('a', 'b')" in error_of(result, 1)["detail"]
+
+
+@pytest.mark.parametrize(
+    "args, doc, code, detail",
+    [
+        (["cat", "validate"], {"points": ["a"], "dist": []}, 2,
+         "space JSON needs a 'dist' object"),
+        (["cat", "validate"], {"points": ["a"], "dist": {}}, 2, "empty 'dist' object"),
+        (["cat", "validate"], {"points": ["a", "a"], "dist": {"a|a": "0"}}, 2,
+         "point names must be distinct"),
+        (["cat", "slice", "--h", "7"], None, 1, "n = 7 outside 1..6"),
+    ],
+    ids=["dist-list", "dist-empty", "points-repeated", "slice-h-above-bound"],
+)
+def test_cat_errors_name_the_fault(runner, tmp_path, args, doc, code, detail):
+    # doc None: the degree-6 space of ``cli_inputs``
+    path = cli_inputs(tmp_path)["space"] if doc is None else write(tmp_path, "doc.json", doc)
+    assert error_of(runner.invoke(main, [*args, "--input", path]), code)["detail"] == detail
 
 
 def test_cat_validate_refuses_mixed_entries(runner, tmp_path):
@@ -606,3 +672,58 @@ def test_json_integer_past_the_conversion_limit_is_a_format_error(runner, tmp_pa
     error = error_of(result, 2)
     assert error["kind"] == "format"
     assert "at most 1000 digits" in error["detail"]
+
+
+_SYM = st.just({"degree_bound": 4, "coeffs": {"1": 1, "2": 1}})
+_WITT = near_miss_elem_documents()
+_SPACES = st.one_of(near_miss_witt_space_documents(), near_miss_metric_documents())
+_DEGREE = st.sampled_from(["1", "4", "0", "13", "x"]).map(lambda d: ["--degree", d])
+_NONE = st.just([])
+
+# each witt and cat command: its input documents by option, and its other options
+_CALLS = {
+    ("witt", "add"): ({"input": _WITT, "other": _WITT}, _NONE),
+    ("witt", "mul"): ({"input": _WITT, "other": _WITT}, _NONE),
+    ("witt", "validate"): ({"input": _WITT}, _NONE),
+    ("witt", "tau"): ({"input": _WITT}, _NONE),
+    ("witt", "in-l"): ({"input": _WITT}, _NONE),
+    ("witt", "eval"): ({"input": _WITT, "sym": _SYM}, _NONE),
+    ("witt", "theta"): ({}, st.builds(lambda r, d: ["--r", r, *d],
+                                      near_miss_tokens.filter(lambda t: isinstance(t, str)), _DEGREE)),
+    ("cat", "validate"): ({"input": _SPACES}, _NONE),
+    ("cat", "slice"): ({"input": _SPACES}, st.sampled_from(
+        [["--lambda", "2,1"], ["--lambda", ""], ["--lambda", "2,x"], ["--h", "3"], ["--h", "7"],
+         ["--h", "0"], []])),
+    ("cat", "theta"): ({"input": _SPACES}, _DEGREE),
+    ("cat", "tau"): ({"input": _SPACES}, _NONE),
+    ("cat", "act"): ({"input": _SPACES, "g": _SYM, "f": _SYM}, _NONE),
+}
+
+
+@st.composite
+def witt_and_cat_calls(draw):
+    """A witt or cat command on near-miss documents: its group, name and
+    options, and its documents by the option that names each file."""
+    key = draw(st.sampled_from(sorted(_CALLS)))
+    files, extra = _CALLS[key]
+    docs = {option: draw(doc) for option, doc in files.items()}
+    # a degree bound above the CLI's ceiling, which it refuses before loading
+    big = draw(st.sampled_from([None] * 8 + [13, 10**100]))
+    if big is not None and isinstance(docs.get("input"), dict):
+        docs["input"]["degree_bound"] = big
+    options = list(draw(extra))  # a copy: st.just and sampled_from share their lists
+    if key not in (("witt", "theta"), ("witt", "validate"), ("cat", "validate")) and draw(st.booleans()):
+        options.append("--unchecked")
+    return [*key, *options], docs
+
+
+@given(witt_and_cat_calls())
+def test_witt_and_cat_commands_on_near_miss_documents(tmp_path_factory, call):
+    # exit 0, 1 or 2, one JSON object on stdout, and nothing raised but the exit
+    args, docs = call
+    folder = tmp_path_factory.mktemp("docs")
+    for option, doc in docs.items():
+        args += [f"--{option}", write(folder, f"{option}.json", doc)]
+    result = Runner().invoke(main, args)
+    assert result.exit_code in (0, 1, 2)
+    assert isinstance(json.loads(result.output), dict)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
 from tropwitt.enriched import (
     MetricSpace,
@@ -21,6 +22,8 @@ from tropwitt.plancherel import observe, sample_path
 from tropwitt.quantale import INF, ZERO, LValue
 from tropwitt.symfunc import complete, monomial
 from tropwitt.witt import from_points, theta
+
+from documents import loaded, near_miss_witt_space_documents
 
 N = 6
 
@@ -370,6 +373,12 @@ def test_constructor_and_loader_errors(cls, points, dist, error, text, json_text
     with pytest.raises(FormatError) as got:
         cls.from_json(doc)
     assert str(got.value) == (json_text or text)
+
+
+@given(near_miss_witt_space_documents())
+def test_witt_space_loader_on_near_miss_documents(doc):
+    got = loaded(WittSpace.from_json, doc)
+    assert got is FormatError or WittSpace.from_json(got.to_json()) == got
 
 
 def test_point_names_cannot_contain_separator():

@@ -6,15 +6,14 @@ homomorphisms (tropical point evaluation), some are corrupted at a few
 partitions, and some are arbitrary value tables.  Values, equality, the
 JSON form and every report (order, witnesses and detail text) must agree.
 Entries with numerators up to 10³⁰ make packed fields wider than a
-machine word.  The JSON token parser is checked against ``Fraction``
-itself, up to a limit of 1000 digits past which tokens are refused, and
-the loader against the Partition-keyed one, also on unreduced fractions.
+machine word.  The loader is checked against the Partition-keyed one,
+also on unreduced fractions; the token reader itself is checked against
+``Fraction`` in ``tests/test_quantale.py``.
 """
 
 from __future__ import annotations
 
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -31,7 +30,7 @@ from tropwitt.enriched import (
 from tropwitt.errors import DegreeOverflowError, FormatError
 from tropwitt.generate import random_point_eval_space
 from tropwitt.partitions import Partition, partitions_of, partitions_up_to
-from tropwitt.quantale import INF, ZERO, LValue, _parse_token
+from tropwitt.quantale import INF, ZERO, LValue
 from tropwitt.symfunc import SymFunc, _labels, complete, coproduct_mult, monomial, plethysm
 from tropwitt.witt import (
     WittElem,
@@ -520,6 +519,7 @@ def _doc(values: dict, bound: int = 4) -> dict:
 @example(_doc({"1": 1.5, "2": True}))
 @example(_doc({"1": -1}))
 @example(_doc({"1": "inf", "2": "∞", "1,1": " 7/2 "}))
+@example(_doc({"1": "9" * 1001}))
 def test_from_json_matches_partition_keyed_loader(data):
     assert _loaded(WittElem.from_json, data) == _loaded(witt_from_json_by_partitions, data)
 
@@ -633,45 +633,3 @@ def test_from_json_reduces_unreduced_tokens(data):
     # ASCII tokens are read to integer pairs and reduced once per element;
     # the stored form must still be the canonical one
     assert _loaded(WittElem.from_json, data) == _loaded(witt_from_json_by_partitions, data)
-
-
-def _parsed(parse, s: str):
-    try:
-        return parse(s)
-    except (ValueError, ZeroDivisionError, FormatError) as exc:
-        return type(exc)
-
-
-def _fraction_within_the_digit_limit(s: str):
-    """Fraction's value as a reduced pair, or its error class, with a zero
-    denominator read as a ValueError; FormatError, without calling
-    Fraction, once the token's length plus its exponent exceeds 1000."""
-    t = s.strip()
-    exponent = re.search(r"e([-+]?[0-9]+)$", t)
-    if len(t) + (abs(int(exponent[1])) if exponent else 0) > 1000:
-        return FormatError
-    q = _parsed(Fraction, s)
-    if q is ZeroDivisionError:
-        return ValueError
-    return q if isinstance(q, type) else (q.numerator, q.denominator)
-
-
-@given(st.text(alphabet="0123456789/+-.e ", max_size=12))
-@example("007")
-@example("+3")
-@example("3/ 4")
-@example("0/0")
-@example("²")
-@example("٣")
-@example("4/06")
-@example("1e995")
-@example("1e996")
-@example("58e29169672")
-@example("2.5e-992")
-@example("2.5e-993")
-@example("1/2e999")
-def test_parse_token_agrees_with_fraction(s):
-    # digits and digits/digits take a path of their own; value or error
-    # class must be Fraction's, except past the digit limit and for a zero
-    # denominator, which is a ValueError naming the token
-    assert _parsed(_parse_token, s) == _fraction_within_the_digit_limit(s)

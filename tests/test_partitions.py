@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tropwitt.errors import FormatError
@@ -12,6 +12,7 @@ from tropwitt.partitions import (
     partitions_up_to,
 )
 
+from documents import loaded, near_miss_keys, near_miss_partitions
 from oracles import count_syt, partition_count, partitions_brute
 
 small_parts = st.lists(st.integers(min_value=1, max_value=6), max_size=6)
@@ -135,3 +136,17 @@ def test_from_json_rejects_bad_shapes():
     for key in ("2,x", "0", "2,0", "-1"):
         with pytest.raises(FormatError):
             Partition.from_key(key)
+
+
+@given(near_miss_partitions)
+def test_partition_loader_on_near_miss_documents(data):
+    got = loaded(Partition.from_json, data)
+    assert got is FormatError or Partition.from_json(got.to_json()) == got
+
+
+@given(near_miss_keys)
+@example("9" * 5000)
+@example("1,,2")
+def test_partition_key_reader_on_near_miss_keys(key):
+    got = loaded(Partition.from_key, key)
+    assert got is FormatError or Partition.from_key(got.key()) == got

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from documents import loaded, near_miss_growth_documents
 from oracles import sample_path_by_fractions
 from tropwitt import plancherel
 from tropwitt.enriched import theta_space
@@ -153,6 +154,12 @@ def test_growth_path_json_round_trip():
 def test_growth_path_from_json_rejects_bad_input(data):
     with pytest.raises(FormatError):
         GrowthPath.from_json(data)
+
+
+@given(near_miss_growth_documents())
+def test_growth_path_loader_on_near_miss_documents(data):
+    got = loaded(GrowthPath.from_json, data)
+    assert got is FormatError or GrowthPath.from_json(got.to_json()) == got
 
 
 def test_observe_on_theta_image_flags_rows_only():

@@ -10,6 +10,8 @@ from tropwitt.enriched import MetricSpace
 from tropwitt.errors import FormatError
 from tropwitt.quantale import INF, ZERO, LValue, leq, monus, tropical_add, tropical_mul
 
+from documents import loaded, near_miss_metric_documents, near_miss_tokens
+
 finite = st.fractions(min_value=0, max_value=12, max_denominator=6).map(LValue)
 lvalues = st.one_of(st.just(INF), finite)
 
@@ -165,6 +167,12 @@ def test_constructor_rejects_junk():
             LValue(text)
     with pytest.raises(ValueError, match="bad LValue '1/0'"):
         MetricSpace(["a"], {("a", "a"): "1/0"})
+    # so is a token past the digit limit; only the loaders make it a FormatError
+    for text in ["9" * 1001, "1e2000"]:
+        with pytest.raises(ValueError, match="more than 1000 digits"):
+            LValue(text)
+    with pytest.raises(ValueError, match="more than 1000 digits"):
+        MetricSpace(["a"], {("a", "a"): "9" * 1001})
 
 
 def test_scalar_multiple():
@@ -297,37 +305,6 @@ def test_every_operation_matches_a_fraction_or_infinity_oracle(p, q, k, n):
 
 # -- near-miss JSON tokens and metric-space documents ---------------------------------
 
-_SIGNS = st.sampled_from(["", "+", "-", " ", "-0"])
-_SEPARATORS = st.sampled_from(["", "/", ".", "e", "E-", "e+", "/-", " / ", "_", "//"])
-_DIGITS = st.text("0123456789", min_size=0, max_size=4)
-_NEAR_LIMIT = st.sampled_from([998, 999, 1000, 1001])
-
-near_miss_tokens = st.one_of(
-    st.sampled_from(
-        [
-            "", " ", "/", "1/", "/2", "1/0", "0/0", "-0", "-0/1", "+0", "-1", "-1/2", " 3 ",
-            "\t3/4\n", "1 /2", "007/014", "inf", "INF", " Infinity ", "∞", "-inf", "+inf",
-            "infinite", "inf/1", "nan", "1e3", "1E-2", "-1e-2", "1e+2", "1.5", ".5", "5.",
-            "1_000", "1_0/3", "0x10", "٣", "²", "1/2/3", "--1", "1e", "e3", "1.5/2",
-        ]
-    ),
-    st.builds("{}{}{}{}".format, _SIGNS, _DIGITS, _SEPARATORS, _DIGITS),
-    # digit counts just under and over the limit of 1000
-    _NEAR_LIMIT.map(lambda n: "9" * n),
-    _NEAR_LIMIT.map(lambda n: "1/" + "7" * (n - 2)),
-    _NEAR_LIMIT.map(lambda n: "-" + "0" * (n - 1)),
-    # exponents whose size takes the token to the limit and just past it
-    st.builds("{}e{}{}".format, st.sampled_from(["1", "2.5", "-0", "+3"]),
-              st.sampled_from(["", "+", "-"]), st.integers(990, 999)),
-    st.sampled_from([0, 2, -1, 10**1000 - 1, 10**1000, -(10**1000)]),
-    st.integers(0, _BIG),
-    st.booleans(),
-    st.floats(),
-    st.none(),
-    st.lists(st.integers(0, 3), max_size=2),
-    st.just({}),
-)
-
 
 def _token_oracle(token):
     """A JSON token's value as a Fraction, None for ∞, or FormatError.  A
@@ -352,15 +329,6 @@ def _token_oracle(token):
     return q if q >= 0 else FormatError
 
 
-def _loaded(load, data):
-    """load(data), or FormatError when it raises one; any other exception
-    propagates and fails the test."""
-    try:
-        return load(data)
-    except FormatError:
-        return FormatError
-
-
 @given(near_miss_tokens)
 @example("9" * 1000)
 @example("1e996")
@@ -368,34 +336,53 @@ def _loaded(load, data):
 @example("+1/0")
 def test_lvalue_loader_on_near_miss_tokens(token):
     want = _token_oracle(token)
-    got = _loaded(LValue.from_json, token)
+    got = loaded(LValue.from_json, token)
     if want is FormatError:
         assert got is FormatError
     else:
         assert got is not FormatError and _is(got, want)
 
 
-@st.composite
-def near_miss_metric_documents(draw):
-    """A metric-space document on up to three points, with none, one or two
-    faults among a bad value, a bad or repeated point name, a missing pair
-    and a bad or extra key, and now and then the wrong shape."""
-    points = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True))
-    values = st.sampled_from(["0", "1", "3/2", "6/4", "inf", 2, "0.5"])
-    dist = {f"{x}|{y}": draw(values) for x in points for y in points}
-    for fault in draw(st.lists(st.sampled_from(["value", "point", "missing", "key"]), max_size=2)):
-        if fault == "value" and dist:
-            dist[draw(st.sampled_from(sorted(dist)))] = draw(near_miss_tokens)
-        elif fault == "point":
-            points.append(draw(st.sampled_from([points[0], "x|y", "", 1, True, None, ["a"]])))
-        elif fault == "missing" and dist:
-            del dist[draw(st.sampled_from(sorted(dist)))]
-        elif fault == "key":
-            dist[draw(st.sampled_from(["ab", "a|b|c", "|a", "a|", "z|a", "a|a "]))] = draw(values)
-    doc = {"points": points, "dist": dist}
-    shapes = [doc] * 12 + [[doc], {"points": points}, {"dist": dist}, {**doc, "dist": list(dist)},
-                           {**doc, "points": "ab"}]
-    return draw(st.sampled_from(shapes))
+def _built(token):
+    """LValue(token), or the class of the ValueError or TypeError it
+    raises; any other exception propagates and fails the test."""
+    try:
+        return LValue(token)
+    except (ValueError, TypeError) as exc:
+        return type(exc)
+
+
+@given(near_miss_tokens)
+@example("007")
+@example("+3")
+@example("3/ 4")
+@example("0/0")
+@example("²")
+@example("٣")
+@example("4/06")
+@example("1e995")
+@example("1e996")
+@example("58e29169672")
+@example("2.5e-992")
+@example("2.5e-993")
+@example("1/2e999")
+def test_constructor_and_loader_read_a_token_alike(token):
+    # one reader serves both: the loader gives the oracle's value or a
+    # FormatError; the constructor the same value or a ValueError for a
+    # string, and for any other token takes every nonnegative int, the
+    # digit limit on integers being the loader's
+    want = _token_oracle(token)
+    got, built = loaded(LValue.from_json, token), _built(token)
+    if want is FormatError:
+        assert got is FormatError
+    else:
+        assert got is not FormatError and _is(got, want)
+    if isinstance(token, str):
+        assert built is ValueError if want is FormatError else _is(built, want)
+    elif isinstance(token, int) and not isinstance(token, bool):
+        assert built is ValueError if token < 0 else _is(built, Fraction(token))
+    else:
+        assert built is TypeError
 
 
 def _metric_oracle(doc):
@@ -425,7 +412,7 @@ def _metric_oracle(doc):
 @example({"points": ["a"], "dist": {"a|a": "-0"}})
 def test_metric_space_loader_on_near_miss_documents(doc):
     want = _metric_oracle(doc)
-    got = _loaded(MetricSpace.from_json, doc)
+    got = loaded(MetricSpace.from_json, doc)
     if want is FormatError:
         assert got is FormatError
     else:

@@ -328,3 +328,31 @@ def test_degree_bound_mismatch_raises():
 def test_constructor_rejects_nonzero_empty_partition():
     with pytest.raises(ValueError):
         WittElem(3, {Partition(): lv(1)})
+
+
+_BUILDERS = {
+    "WittElem": lambda n: WittElem(n, {}),
+    "from_points": lambda n: from_points([lv(1)], n),
+    "theta": lambda n: theta(ZERO, n),
+    "additive_unit": additive_unit,
+    "multiplicative_unit": multiplicative_unit,
+}
+
+
+@pytest.mark.parametrize("build", _BUILDERS.values(), ids=list(_BUILDERS))
+@pytest.mark.parametrize(
+    "bound, error, text",
+    [
+        (True, TypeError, "degree bound must be int, got True"),
+        (2.0, TypeError, "degree bound must be int, got 2.0"),
+        (2.5, TypeError, "degree bound must be int, got 2.5"),
+        (0, ValueError, "degree bound must be ≥ 1, got 0"),
+    ],
+)
+def test_degree_bound_is_an_int_of_at_least_one(build, bound, error, text):
+    # one check, the one SymFunc uses with a least bound of 0: a bool bound
+    # once built an element whose JSON did not load back
+    with pytest.raises(error) as got:
+        build(bound)
+    assert str(got.value) == text
+    assert build(1).degree_bound == 1
