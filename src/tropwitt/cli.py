@@ -21,28 +21,20 @@ import contextlib
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
-# the standard library and the base modules only: a command imports the
-# modules it computes with in its body, so a cold process loads only what
+# the standard library, the package and its base modules only: a command
+# reads every other public name as T.<name>, which loads just the module
+# that the package's table names for it, so a cold process loads only what
 # it runs
+import tropwitt as T
+
 from .errors import FormatError, TropwittError
-from .partitions import MAX_MEASURE_N, Partition
+from .partitions import MAX_DEGREE, MAX_MEASURE_N, Partition, _check_degree
 from .quantale import _MAX_DIGITS, LValue
 from .report import DEFAULT_SEED, Report
 
-if TYPE_CHECKING:
-    from .enriched import WittSpace
-    from .witt import WittElem
-
 DEFAULT_DEGREE = 8
-# Largest degree bound accepted from options and input files.  A cold process
-# at degree 12 spends about 0.1 s on the power-sum transitions that every
-# structure table reads, 0.1 s on the products that validation checks and
-# 0.15 s on the multiplicative coproduct; a cold `witt validate` takes about
-# 0.4 s, and one warm WittElem.mul 2.5 ms (2-vCPU Xeon); the tables grow
-# about 2.5-fold per degree.
-MAX_DEGREE = 12
 # Largest point count of a space in an input file.  Validation tests every
 # triple of points, one packed step per middle point over all coproduct
 # groups and all (x, z): a cold `cat validate` of a valid space at degree
@@ -206,8 +198,8 @@ def _read_json(path: str):
         node = nodes.pop()
         if isinstance(node, dict):
             bound = node.get("degree_bound")
-            if isinstance(bound, int) and bound > MAX_DEGREE:
-                raise FormatError(f"degree_bound {bound} exceeds the maximum {MAX_DEGREE}")
+            if isinstance(bound, int):
+                _check_degree(bound)
             points = node.get("points")
             if isinstance(points, list) and len(points) > MAX_POINTS:
                 raise FormatError(f"{len(points)} points exceed the maximum {MAX_POINTS}")
@@ -264,16 +256,12 @@ def _checked(value, unchecked: bool):
     return value
 
 
-def _load_witt(path: str, unchecked: bool) -> WittElem:
-    from .witt import WittElem
-
-    return _checked(_load(WittElem, path), unchecked)
+def _load_witt(path: str, unchecked: bool) -> T.WittElem:
+    return _checked(_load(T.WittElem, path), unchecked)
 
 
-def _load_witt_space(path: str, unchecked: bool) -> WittSpace:
-    from .enriched import WittSpace
-
-    space = _load(WittSpace, path)
+def _load_witt_space(path: str, unchecked: bool) -> T.WittSpace:
+    space = _load(T.WittSpace, path)
     if not unchecked:
         bad = space.failing_entries()
         if bad:
@@ -293,23 +281,17 @@ def _table_json(space_points, table) -> dict:
 
 @command("sym", "mul", INPUT, OTHER, _flag("--strict", "reject terms beyond the degree bound"))
 def sym_mul(input_, other, strict):
-    from .symfunc import SymFunc, multiply
-
-    return multiply(_load(SymFunc, input_), _load(SymFunc, other), strict=strict)
+    return T.multiply(_load(T.SymFunc, input_), _load(T.SymFunc, other), strict=strict)
 
 
 @command("sym", "coprod-add", INPUT)
 def sym_coprod_add(input_):
-    from .symfunc import SymFunc, coproduct_add
-
-    return coproduct_add(_load(SymFunc, input_))
+    return T.coproduct_add(_load(T.SymFunc, input_))
 
 
 @command("sym", "coprod-mult", INPUT)
 def sym_coprod_mult(input_):
-    from .symfunc import SymFunc, coproduct_mult
-
-    return coproduct_mult(_load(SymFunc, input_))
+    return T.coproduct_mult(_load(T.SymFunc, input_))
 
 
 @command(
@@ -319,18 +301,14 @@ def sym_coprod_mult(input_):
     _option("--other", required=True, help="inner factor"),
 )
 def sym_plethysm(input_, other):
-    from .symfunc import SymFunc, plethysm
-
-    return plethysm(_load(SymFunc, input_), _load(SymFunc, other))
+    return T.plethysm(_load(T.SymFunc, input_), _load(T.SymFunc, other))
 
 
 @command("sym", "bases", _option("--n", required=True, ints=(0, MAX_DEGREE)), DEGREE)
 def sym_bases(n, degree):
-    from .symfunc import complete, elementary
-
     return {
-        "elementary": elementary(n, degree).to_json(),
-        "complete": complete(n, degree).to_json(),
+        "elementary": T.elementary(n, degree).to_json(),
+        "complete": T.complete(n, degree).to_json(),
     }
 
 
@@ -349,32 +327,24 @@ def witt_mul(input_, other, unchecked):
 
 @command("witt", "validate", INPUT)
 def witt_validate(input_):
-    from .witt import WittElem
-
-    return _load(WittElem, input_).validate()
+    return _load(T.WittElem, input_).validate()
 
 
 @command("witt", "theta", _option("--r", required=True, help="a rational like 3/2, or inf"), DEGREE)
 def witt_theta(r, degree):
-    from .witt import theta
-
     # read as a JSON value is: a malformed one is a format error
-    return theta(LValue.from_json(r), degree)
+    return T.theta(LValue.from_json(r), degree)
 
 
 @command("witt", "tau", INPUT, UNCHECKED)
 def witt_tau(input_, unchecked):
-    from .witt import tau
-
-    return {"value": tau(_load_witt(input_, unchecked)).to_json()}
+    return {"value": T.tau(_load_witt(input_, unchecked)).to_json()}
 
 
 @command("witt", "eval", INPUT, _option("--sym", "sym_path", required=True), UNCHECKED)
 def witt_eval(input_, sym_path, unchecked):
-    from .symfunc import SymFunc
-
     f = _load_witt(input_, unchecked)
-    return {"value": f.eval(_load(SymFunc, sym_path)).to_json()}
+    return {"value": f.eval(_load(T.SymFunc, sym_path)).to_json()}
 
 
 @command("witt", "in-l", INPUT, UNCHECKED)
@@ -386,8 +356,6 @@ def witt_in_l(input_, unchecked):
 
 
 def _detect_space(data):
-    from .enriched import MetricSpace, WittSpace
-
     if not isinstance(data, dict) or not isinstance(data.get("dist"), dict):
         raise FormatError("space JSON needs a 'dist' object")
     kinds = {isinstance(v, dict) for v in data["dist"].values()}
@@ -395,7 +363,7 @@ def _detect_space(data):
         raise FormatError("empty 'dist' object")
     if len(kinds) > 1:
         raise FormatError("'dist' mixes WittElem objects and scalar distances")
-    return (WittSpace if kinds.pop() else MetricSpace).from_json(data)
+    return (T.WittSpace if kinds.pop() else T.MetricSpace).from_json(data)
 
 
 @command("cat", "validate", INPUT)
@@ -412,17 +380,15 @@ def cat_validate(input_):
     UNCHECKED,
 )
 def cat_slice(input_, lam, h_n, unchecked):
-    from .enriched import slice_complete, slice_table
-
     if (lam is None) == (h_n is None):
         raise FormatError("exactly one of --lambda and --h is required")
     space = _load_witt_space(input_, unchecked)
     if lam is not None:
         p = Partition.from_key(lam)
-        table = slice_table(space, p)
+        table = T.slice_table(space, p)
         payload = {"partition": p.to_json()}
     else:
-        table = slice_complete(space, h_n)
+        table = T.slice_complete(space, h_n)
         payload = {"n": h_n}
     payload.update(_table_json(space.points, table))
     return payload
@@ -430,16 +396,12 @@ def cat_slice(input_, lam, h_n, unchecked):
 
 @command("cat", "theta", INPUT, DEGREE, UNCHECKED)
 def cat_theta(input_, degree, unchecked):
-    from .enriched import MetricSpace, theta_space
-
-    return theta_space(_checked(_load(MetricSpace, input_), unchecked), degree)
+    return T.theta_space(_checked(_load(T.MetricSpace, input_), unchecked), degree)
 
 
 @command("cat", "tau", INPUT, UNCHECKED)
 def cat_tau(input_, unchecked):
-    from .enriched import tau_space
-
-    return tau_space(_load_witt_space(input_, unchecked))
+    return T.tau_space(_load_witt_space(input_, unchecked))
 
 
 @command(
@@ -451,12 +413,9 @@ def cat_tau(input_, unchecked):
     UNCHECKED,
 )
 def cat_act(input_, g_path, f_path, unchecked):
-    from .enriched import lambda_action
-    from .symfunc import SymFunc
-
     space = _load_witt_space(input_, unchecked)
-    g, f = _load(SymFunc, g_path), _load(SymFunc, f_path)
-    return _table_json(space.points, lambda_action(space, g, f))
+    g, f = _load(T.SymFunc, g_path), _load(T.SymFunc, f_path)
+    return _table_json(space.points, T.lambda_action(space, g, f))
 
 
 # -- plancherel ------------------------------------------------------------------------
@@ -464,28 +423,22 @@ def cat_act(input_, g_path, f_path, unchecked):
 
 @command("plancherel", "measure", _option("--n", required=True, ints=(1, MAX_MEASURE_N)))
 def plancherel_measure_cmd(n):
-    from .plancherel import plancherel_measure
-
-    measure = plancherel_measure(n)
+    measure = T.plancherel_measure(n)
     return {"n": n, "measure": {lam.key(): str(p) for lam, p in sorted(measure.items())}}
 
 
 @command("plancherel", "sample", *STEPS_SEED)
 def plancherel_sample(steps, seed):
-    from .plancherel import sample_path
-
-    return sample_path(steps, seed)
+    return T.sample_path(steps, seed)
 
 
 @command(
     "plancherel", "observe", _option("--cat", "cat_path", required=True), *STEPS_SEED, UNCHECKED
 )
 def plancherel_observe(cat_path, steps, seed, unchecked):
-    from .plancherel import observe, sample_path
-
     space = _load_witt_space(cat_path, unchecked)
     steps_json = []
-    for step in observe(space, sample_path(steps, seed)):
+    for step in T.observe(space, T.sample_path(steps, seed)):
         entry = {"partition": step.partition.to_json(), "is_metric": step.is_metric}
         entry.update(_table_json(space.points, step.table))
         steps_json.append(entry)

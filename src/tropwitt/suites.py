@@ -4,6 +4,9 @@ Each suite returns exact pass/fail counts; the CLI's ``suite run`` and the
 acceptance tests both call these functions, so there is a single place
 where the laws are spelled out.  All arithmetic is exact; a failure lists
 the witness that broke.
+
+A suite reads each public name beyond the base modules as ``T.<name>``,
+which loads just its module, so one suite loads only what it computes with.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ import time
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-# the base modules, which the CLI loads anyway; each suite imports the
-# modules it computes with in its own body
+import tropwitt as T
+
+# the base modules, which the CLI loads anyway; the residuation suite reads
+# leq, monus and tropical_* in its innermost loop
 from .partitions import EMPTY, Partition, partitions_of, partitions_up_to
 from .quantale import INF, ZERO, LValue, _ratio, leq, monus, tropical_add, tropical_mul
 from .report import DEFAULT_SEED
@@ -98,23 +103,12 @@ def _rationals_with_units(rng: random.Random, count: int) -> list[LValue]:
 
 @_suite("identities", "symfunc")
 def suite_identities(res: SuiteResult, seed: int) -> None:
-    from .symfunc import (
-        SymFunc,
-        complete,
-        coproduct_add,
-        coproduct_mult,
-        counit_add,
-        counit_mult,
-        monomial,
-        plethysm,
-    )
-
     N = 8
-    m = lambda *parts: monomial(Partition(parts), N)
-    one = SymFunc.one(N)
+    m = lambda *parts: T.monomial(Partition(parts), N)
+    one = T.SymFunc.one(N)
 
     for n in range(1, N + 1):
-        cop = coproduct_add(m(n))
+        cop = T.coproduct_add(m(n))
         expected = {
             (Partition([n]), EMPTY): 1,
             (EMPTY, Partition([n])): 1,
@@ -122,7 +116,7 @@ def suite_identities(res: SuiteResult, seed: int) -> None:
         res.check(
             dict(cop.items()) == expected, f"coproduct_add(m({n})) two-term form"
         )
-    cop21 = coproduct_add(m(2, 1))
+    cop21 = T.coproduct_add(m(2, 1))
     expected21 = {
         (Partition([2, 1]), EMPTY): 1,
         (Partition([2]), Partition([1])): 1,
@@ -132,38 +126,38 @@ def suite_identities(res: SuiteResult, seed: int) -> None:
     res.check(dict(cop21.items()) == expected21, "coproduct_add(m(2,1)) four-term form")
 
     for n in range(1, N + 1):
-        cop = coproduct_mult(m(n))
+        cop = T.coproduct_mult(m(n))
         res.check(
             dict(cop.items()) == {(Partition([n]), Partition([n])): 1},
             f"coproduct_mult(m({n})) = m({n})⊗m({n})",
         )
 
     for lam in partitions_up_to(6):
-        f = monomial(lam, N)
+        f = T.monomial(lam, N)
         res.check(
-            counit_add(f) == (1 if lam.is_empty() else 0),
+            T.counit_add(f) == (1 if lam.is_empty() else 0),
             f"counit_add(m{lam})",
         )
         res.check(
-            counit_mult(f) == (1 if lam.is_empty() or lam.is_row() else 0),
+            T.counit_mult(f) == (1 if lam.is_empty() or lam.is_row() else 0),
             f"counit_mult(m{lam})",
         )
 
     for n in range(1, N + 1):
-        total = SymFunc.zero(N)
+        total = T.SymFunc.zero(N)
         for lam in partitions_of(n):
-            total = total + monomial(lam, N)
-        res.check(complete(n, N) == total, f"h_{n} = sum of m over size {n}")
+            total = total + T.monomial(lam, N)
+        res.check(T.complete(n, N) == total, f"h_{n} = sum of m over size {n}")
 
     for n in range(1, N + 1):
         for np in range(1, N + 1):
             if n * np > N:
                 continue
             res.check(
-                plethysm(m(n), m(np)) == monomial(Partition([n * np]), N),
+                T.plethysm(m(n), m(np)) == T.monomial(Partition([n * np]), N),
                 f"m({n}) ∘ m({np}) = m({n * np})",
             )
-    res.check(plethysm(m(2), m(3)) == m(6), "composition sends rows to their product")
+    res.check(T.plethysm(m(2), m(3)) == m(6), "composition sends rows to their product")
     res.check(one * m(2, 1) == m(2, 1), "multiplicative unit")
 
 
@@ -173,12 +167,11 @@ def suite_identities(res: SuiteResult, seed: int) -> None:
 @_suite("witt-rig-laws", "witt")
 def suite_witt_rig_laws(res: SuiteResult, seed: int, triples: int = 200) -> None:
     from . import generate
-    from .witt import additive_unit, multiplicative_unit
 
     N = 6
     rng = random.Random(seed)
-    zero = additive_unit(N)
-    one = multiplicative_unit(N)
+    zero = T.additive_unit(N)
+    one = T.multiplicative_unit(N)
     for i in range(triples):
         f = generate.random_witt_elem(rng, N)
         g = generate.random_witt_elem(rng, N)
@@ -200,12 +193,11 @@ def suite_witt_rig_laws(res: SuiteResult, seed: int, triples: int = 200) -> None
 @_suite("theta-functor", "witt")
 def suite_theta_functor(res: SuiteResult, seed: int, pairs: int = 200) -> None:
     from . import generate
-    from .witt import multiplicative_unit, theta
 
     N = 8
     rng = random.Random(seed)
     values = _rationals_with_units(rng, pairs)
-    res.check(theta(ZERO, N) == multiplicative_unit(N), "theta(0) is the unit")
+    res.check(T.theta(ZERO, N) == T.multiplicative_unit(N), "theta(0) is the unit")
     boundary = [
         (ZERO, ZERO),
         (ZERO, INF),
@@ -219,14 +211,14 @@ def suite_theta_functor(res: SuiteResult, seed: int, pairs: int = 200) -> None:
         else:
             r = values[rng.randrange(len(values))]
             rp = values[rng.randrange(len(values))]
-        res.check(theta(r, N).validate().ok, f"theta({r}) validates #{i}")
+        res.check(T.theta(r, N).validate().ok, f"theta({r}) validates #{i}")
         res.check(
-            theta(r, N).mul(theta(rp, N)) == theta(r + rp, N),
+            T.theta(r, N).mul(T.theta(rp, N)) == T.theta(r + rp, N),
             f"theta({r})·theta({rp}) = theta({r}+{rp}) #{i}",
         )
         lo, hi = (r, rp) if leq(r, rp) else (rp, r)
         res.check(
-            theta(lo, N).leq(theta(hi, N)), f"theta monotone at ({r},{rp}) #{i}"
+            T.theta(lo, N).leq(T.theta(hi, N)), f"theta monotone at ({r},{rp}) #{i}"
         )
 
 
@@ -236,12 +228,11 @@ def suite_theta_functor(res: SuiteResult, seed: int, pairs: int = 200) -> None:
 @_suite("negative-results", "witt")
 def suite_negative_results(res: SuiteResult, seed: int, pairs: int = 50) -> None:
     from . import generate
-    from .witt import multiplicative_unit, theta
 
     N = 6
     rng = random.Random(seed)
     lam = Partition([2, 1])
-    one = multiplicative_unit(N)
+    one = T.multiplicative_unit(N)
     doubled = one.add(one)
     res.check(doubled.value(lam) == ZERO, "unit ⊕ unit hits 0 at (2,1)")
     res.check(one.value(lam) == INF, "unit itself is ∞ at (2,1)")
@@ -249,11 +240,11 @@ def suite_negative_results(res: SuiteResult, seed: int, pairs: int = 50) -> None
     for i in range(pairs):
         r = generate.random_rational(rng)
         rp = generate.random_rational(rng)
-        got = theta(r, N).add(theta(rp, N)).value(lam)
+        got = T.theta(r, N).add(T.theta(rp, N)).value(lam)
         want = tropical_add(2 * r + rp, r + 2 * rp)
         res.check(got == want, f"(θ{r} ⊕ θ{rp})(m(2,1)) = min(2r+r', r+2r') #{i}")
         res.check(
-            theta(tropical_add(r, rp), N).value(lam) == INF
+            T.theta(tropical_add(r, rp), N).value(lam) == INF
             and got != INF,
             f"θ(min) differs from θ⊕θ at (2,1) for ({r},{rp}) #{i}",
         )
@@ -265,7 +256,6 @@ def suite_negative_results(res: SuiteResult, seed: int, pairs: int = 50) -> None
 @_suite("adjunction", "witt")
 def suite_adjunction(res: SuiteResult, seed: int, samples: int = 500) -> None:
     from . import generate
-    from .witt import tau, theta
 
     N = 6
     rng = random.Random(seed)
@@ -278,14 +268,14 @@ def suite_adjunction(res: SuiteResult, seed: int, samples: int = 500) -> None:
             continue
         mode = i % 3
         if mode == 0:
-            r = tau(f)  # boundary case
+            r = T.tau(f)  # boundary case
         elif mode == 1:
             r = generate.random_lvalue(rng)
         else:
-            r = tau(f) + generate.random_rational(rng, 4)
-        lhs = theta(r, N).leq(f)
-        rhs = leq(r, tau(f))
-        res.check(lhs == rhs, f"adjunction at r={r}, tau={tau(f)} #{i}")
+            r = T.tau(f) + generate.random_rational(rng, 4)
+        lhs = T.theta(r, N).leq(f)
+        rhs = leq(r, T.tau(f))
+        res.check(lhs == rhs, f"adjunction at r={r}, tau={T.tau(f)} #{i}")
 
 
 # -- 6: enriched axioms and slice propositions -----------------------------------------
@@ -294,7 +284,6 @@ def suite_adjunction(res: SuiteResult, seed: int, samples: int = 500) -> None:
 @_suite("enriched-axioms", "enriched")
 def suite_enriched(res: SuiteResult, seed: int, spaces: int = 50) -> None:
     from . import generate
-    from .enriched import slice_complete, slice_table, table_space
 
     N = 6
     rng = random.Random(seed)
@@ -307,14 +296,14 @@ def suite_enriched(res: SuiteResult, seed: int, spaces: int = 50) -> None:
             space = generate.random_point_eval_space(rng, labels, N)
         res.check(space.validate().ok, f"space #{i} validates")
         for n in range(1, N + 1):
-            row = table_space(space, slice_table(space, Partition([n])))
+            row = T.table_space(space, T.slice_table(space, Partition([n])))
             res.check(row.validate().ok, f"space #{i} slice ({n}) is metric")
-            hn = table_space(space, slice_complete(space, n))
+            hn = T.table_space(space, T.slice_complete(space, n))
             res.check(hn.validate().ok, f"space #{i} complete slice {n} is metric")
         for lam in partitions_up_to(N):
             if lam.is_empty():
                 continue
-            table = slice_table(space, lam)
+            table = T.slice_table(space, lam)
             ok = all(
                 table[(x, z)] <= table[(x, y)] + table[(y, z)]
                 for x in labels
@@ -337,20 +326,19 @@ def suite_enriched(res: SuiteResult, seed: int, spaces: int = 50) -> None:
 @_suite("root-calculus", "witt")
 def suite_root_calculus(res: SuiteResult, seed: int, samples: int = 100) -> None:
     from . import generate
-    from .witt import from_points
 
     N = 6
     rng = random.Random(seed)
     for i in range(samples):
         a = [generate.random_rational(rng) for _ in range(rng.randint(1, 3))]
         b = [generate.random_rational(rng) for _ in range(rng.randint(1, 3))]
-        fa, fb = from_points(a, N), from_points(b, N)
+        fa, fb = T.from_points(a, N), T.from_points(b, N)
         res.check(
-            fa.add(fb) == from_points(a + b, N),
+            fa.add(fb) == T.from_points(a + b, N),
             f"addition is multiset union #{i}",
         )
         res.check(
-            fa.mul(fb) == from_points([x + y for x in a for y in b], N),
+            fa.mul(fb) == T.from_points([x + y for x in a for y in b], N),
             f"multiplication is pairwise sum #{i}",
         )
 
@@ -382,22 +370,20 @@ def suite_residuation(res: SuiteResult, seed: int) -> None:
 
 @_suite("plancherel", "plancherel")
 def suite_plancherel(res: SuiteResult, seed: int, paths: int = 10_000) -> None:
-    from .plancherel import growth_step, plancherel_measure, sample_path
-
     for n in range(1, 13):
-        total = sum(plancherel_measure(n).values())
+        total = sum(T.plancherel_measure(n).values())
         res.check(total == 1, f"measure on size {n} sums to 1")
     for n in range(1, 9):
         pushed: dict[Partition, Fraction] = {}
-        for lam, p in plancherel_measure(n).items():
-            for mu, q in growth_step(lam).items():
+        for lam, p in T.plancherel_measure(n).items():
+            for mu, q in T.growth_step(lam).items():
                 pushed[mu] = pushed.get(mu, Fraction(0)) + p * q
         res.check(
-            pushed == plancherel_measure(n + 1),
+            pushed == T.plancherel_measure(n + 1),
             f"pushforward of size-{n} measure is the size-{n + 1} measure",
         )
     res.check(
-        sample_path(6, seed) == sample_path(6, seed), "same seed, same path"
+        T.sample_path(6, seed) == T.sample_path(6, seed), "same seed, same path"
     )
 
     horizon = 5
@@ -405,11 +391,11 @@ def suite_plancherel(res: SuiteResult, seed: int, paths: int = 10_000) -> None:
         n: {} for n in range(1, horizon + 1)
     }
     for i in range(paths):
-        path = sample_path(horizon, seed + i)
+        path = T.sample_path(horizon, seed + i)
         for n, lam in enumerate(path.steps, start=1):
             counts[n][lam] = counts[n].get(lam, 0) + 1
     for n in range(1, horizon + 1):
-        for lam, p in plancherel_measure(n).items():
+        for lam, p in T.plancherel_measure(n).items():
             freq = Fraction(counts[n].get(lam, 0), paths)
             sigma = (float(p) * (1 - float(p)) / paths) ** 0.5
             res.check(
@@ -424,24 +410,15 @@ def suite_plancherel(res: SuiteResult, seed: int, paths: int = 10_000) -> None:
 
 @_suite("oracle-coherence", "symfunc")
 def suite_oracle_coherence(res: SuiteResult, seed: int) -> None:
-    from .symfunc import (
-        coproduct_add,
-        expand_in_vars,
-        from_polynomial,
-        monomial,
-        multiply,
-        poly_mul,
-    )
-
     for lam in partitions_up_to(6):
         if lam.is_empty():
             continue
         k = lam.size
-        poly = expand_in_vars(monomial(lam, k), 2 * k)
+        poly = T.expand_in_vars(T.monomial(lam, k), 2 * k)
         rebuilt: dict[tuple[int, ...], int] = {}
-        for (mu, nu), c in coproduct_add(monomial(lam, k)).items():
-            left = expand_in_vars(monomial(mu, k), k)
-            right = expand_in_vars(monomial(nu, k), k)
+        for (mu, nu), c in T.coproduct_add(T.monomial(lam, k)).items():
+            left = T.expand_in_vars(T.monomial(mu, k), k)
+            right = T.expand_in_vars(T.monomial(nu, k), k)
             for el, cl in left.items():
                 for er, cr in right.items():
                     key = el + er
@@ -458,11 +435,11 @@ def suite_oracle_coherence(res: SuiteResult, seed: int) -> None:
             d = mu.size + nu.size
             if d > 6:
                 continue
-            direct = multiply(monomial(mu, d), monomial(nu, d))
-            oracle = from_polynomial(
-                poly_mul(
-                    expand_in_vars(monomial(mu, d), d),
-                    expand_in_vars(monomial(nu, d), d),
+            direct = T.multiply(T.monomial(mu, d), T.monomial(nu, d))
+            oracle = T.from_polynomial(
+                T.poly_mul(
+                    T.expand_in_vars(T.monomial(mu, d), d),
+                    T.expand_in_vars(T.monomial(nu, d), d),
                 ),
                 d,
             )
@@ -471,11 +448,11 @@ def suite_oracle_coherence(res: SuiteResult, seed: int) -> None:
     for n in range(1, 5):
         for np in range(n, 9 - n):
             d = n + np
-            direct = multiply(monomial(Partition([n]), d), monomial(Partition([np]), d))
-            oracle = from_polynomial(
-                poly_mul(
-                    expand_in_vars(monomial(Partition([n]), d), d),
-                    expand_in_vars(monomial(Partition([np]), d), d),
+            direct = T.multiply(T.monomial(Partition([n]), d), T.monomial(Partition([np]), d))
+            oracle = T.from_polynomial(
+                T.poly_mul(
+                    T.expand_in_vars(T.monomial(Partition([n]), d), d),
+                    T.expand_in_vars(T.monomial(Partition([np]), d), d),
                 ),
                 d,
             )

@@ -63,7 +63,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegreeOverflowError, FormatError
-from .partitions import Partition, partitions_of
+from .partitions import Partition, _check_degree, partitions_of
 from .quantale import ZERO, LValue, _json_pair, _ratio, _text
 from .report import Report, Violation
 from .symfunc import SymFunc, _by_key, _check_bounds, _check_natural, _comult, _index, _is_natural
@@ -522,6 +522,7 @@ class WittElem:
         raw = data["values"]
         if not _is_natural(bound, 1) or not isinstance(raw, dict):
             raise FormatError("bad WittElem JSON")
+        _check_degree(bound)
         size = _prefix(bound)
         nums: list[int | None] = [None] * size
         dens = [1] * size

@@ -3,8 +3,9 @@ a few faults drawn in, and now and then the wrong shape.
 
 Every loader must give a ``FormatError`` or a value on each of them;
 ``loaded`` turns the one into its class and lets any other exception fail
-the test.  Degree bounds stay at 6 or below, and spaces at four points or
-fewer, so that a property test stays fast.
+the test.  Degree bounds stay at 6 or below, but for the bounds 13 and
+10**100 that the WittElem loader refuses before indexing, and spaces at
+four points or fewer, so that a property test stays fast.
 """
 
 from fractions import Fraction
@@ -47,9 +48,7 @@ near_miss_tokens = st.one_of(
     st.just({}),
 )
 
-# what a JSON document may hold where an int or a list belongs; no huge
-# degree bound, which the library loaders would enumerate up to (the CLI
-# refuses one above its ceiling before loading)
+# what a JSON document may hold where an int or a list belongs
 _WRONG = st.sampled_from([True, False, 0, -1, 1.5, 2.0, "2", None, [1], {}])
 
 
@@ -90,6 +89,8 @@ def near_miss_metric_documents(draw):
                    {**doc, "points": "ab"})
 
 
+# degree bounds above MAX_DEGREE, which the loader refuses before indexing
+_ABOVE_MAX = st.sampled_from([13, 10**100])
 _SMALL = st.builds(Fraction, st.integers(0, 6), st.integers(1, 3))
 
 
@@ -97,8 +98,8 @@ _SMALL = st.builds(Fraction, st.integers(0, 6), st.integers(1, 3))
 def near_miss_elem_documents(draw, bound=None):
     """A WittElem document of degree bound ``bound`` (drawn when None): a
     point evaluation at up to three small values, with none, one or two
-    faults among a bad value, a bad, oversized or repeated key, a wrong
-    degree bound and a missing or extra key, and now and then the wrong
+    faults among a bad value, a bad, oversized or repeated key, a wrong or
+    huge degree bound and a missing or extra key, and now and then the wrong
     shape."""
     if bound is None:
         bound = draw(st.integers(1, 6))
@@ -110,11 +111,12 @@ def near_miss_elem_documents(draw, bound=None):
             values[draw(st.sampled_from(sorted(values)))] = draw(near_miss_tokens)
         elif fault == "key":
             # "1,2" renames "2,1", which is present; a size above the bound
-            # is refused, and so is a part that is not a positive integer
+            # is refused, and so is a part that is not a positive integer in
+            # ASCII digits
             keys = ["", "0", "2,0", "x", " 1", "1,2", "1,", "-1", str(bound + 1)]
             values[draw(st.sampled_from(keys))] = draw(st.sampled_from(["0", "2", "inf", 1]))
         elif fault == "bound":
-            doc["degree_bound"] = draw(st.one_of(_WRONG, st.integers(1, 6)))
+            doc["degree_bound"] = draw(st.one_of(_WRONG, st.integers(1, 6), _ABOVE_MAX))
         elif fault == "missing" and doc:
             del doc[draw(st.sampled_from(sorted(doc)))]
         elif fault == "extra":

@@ -14,7 +14,7 @@ from itertools import combinations, permutations
 
 from tropwitt.enriched import WittSpace
 from tropwitt.errors import DegreeOverflowError, FormatError
-from tropwitt.partitions import Partition, partitions_of, partitions_up_to
+from tropwitt.partitions import MAX_DEGREE, Partition, partitions_of, partitions_up_to
 from tropwitt.plancherel import GrowthPath, growth_step
 from tropwitt.quantale import INF, ZERO, LValue, leq
 from tropwitt.report import Report, Violation
@@ -344,12 +344,13 @@ def _lvalue_from_json(data) -> LValue:
 
 
 def witt_from_json_by_partitions(data) -> WittElem:
-    """``WittElem.from_json`` by way of a Partition-keyed table: every key
-    through ``Partition.from_key``, every value through the ``LValue``
-    constructor, then the public constructor, whose errors become format
-    errors.  A partition within the bound that two keys name is reported at
-    the first key not in canonical form that names it after another key, or
-    whose canonical key is in the document."""
+    """``WittElem.from_json`` by way of a Partition-keyed table: a bound
+    above MAX_DEGREE refused first, every key through ``Partition.from_key``,
+    every value through the ``LValue`` constructor, then the public
+    constructor, whose errors become format errors.  A partition within the
+    bound that two keys name is reported at the first key not in canonical
+    form that names it after another key, or whose canonical key is in the
+    document."""
     if not isinstance(data, dict) or "degree_bound" not in data or "values" not in data:
         raise FormatError("WittElem JSON needs 'degree_bound' and 'values'")
     bound = data["degree_bound"]
@@ -357,6 +358,8 @@ def witt_from_json_by_partitions(data) -> WittElem:
     bad_bound = not isinstance(bound, int) or isinstance(bound, bool) or bound < 1
     if bad_bound or not isinstance(raw, dict):
         raise FormatError("bad WittElem JSON")
+    if bound > MAX_DEGREE:
+        raise FormatError(f"degree_bound {bound} exceeds the maximum {MAX_DEGREE}")
     values = {}
     for key, v in raw.items():
         lam = Partition.from_key(key)

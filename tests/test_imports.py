@@ -1,15 +1,15 @@
 """The package and the CLI load only the modules that are used.
 
-``tropwitt`` resolves its public names on first use, and each CLI command
-and each law suite imports the modules it computes with in its own body.
-The commands run in fresh interpreters, the way ``python -m tropwitt.cli``
-runs them.
+``tropwitt`` resolves its public names on first use, through its table of
+the module that defines each name.  The CLI and the law suites read every
+name beyond the base modules through that table, so each command and each
+suite loads only the modules it computes with.  The commands run in fresh
+interpreters, the way ``python -m tropwitt.cli`` runs them.
 """
 
 import importlib
 import json
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 import tropwitt
-from tropwitt.generate import random_metric_space
+
+from test_cli import EVERY_COMMAND, cli_inputs
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -61,35 +62,46 @@ def _run_cli(argv: list[str]) -> tuple[int, str, set[str], list[str]]:
 
 
 @pytest.fixture(scope="module")
-def metric_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("imports") / "metric.json"
-    space = random_metric_space(random.Random(3), ("a", "b", "c"))
-    path.write_text(json.dumps(space.to_json()))
-    return str(path)
+def inputs(tmp_path_factory):
+    return cli_inputs(tmp_path_factory.mktemp("imports"))
 
 
-@pytest.mark.parametrize(
-    "argv, modules",
-    [
-        (["witt", "theta", "--r", "1", "--degree", "4"], BASE | {"tropwitt.symfunc", "tropwitt.witt"}),
-        (["sym", "bases", "--n", "2", "--degree", "3"], BASE | {"tropwitt.symfunc"}),
-        (
-            ["cat", "validate", "--input", "{metric}"],
-            BASE | {"tropwitt.symfunc", "tropwitt.witt", "tropwitt.enriched"},
-        ),
-        (["plancherel", "sample", "--steps", "5"], BASE | {"tropwitt.plancherel"}),
-        (["suite", "run", "--module", "quantale"], BASE | {"tropwitt.suites"}),
-    ],
-    ids=lambda v: "-".join(v[:2]) if isinstance(v, list) else None,
-)
-def test_a_command_loads_only_its_modules(metric_path, argv, modules):
-    code, stdout, loaded, heavy = _run_cli([a.format(metric=metric_path) for a in argv])
+_SYMFUNC, _WITT = {"symfunc"}, {"symfunc", "witt"}
+_ENRICHED = _WITT | {"enriched"}
+# beyond BASE, the modules that each command loads: by group, by command
+# where its group's do not serve, and by the module a suite run names
+LOADS = {
+    "sym": _SYMFUNC,
+    "witt": _WITT,
+    "cat": _ENRICHED,
+    "plancherel": {"plancherel"},
+    "plancherel observe": _ENRICHED | {"plancherel"},
+    "suite run quantale": {"suites"},
+    "suite run plancherel": {"plancherel", "suites"},
+    "suite run symfunc": {"suites", "symfunc"},
+    "suite run witt": _ENRICHED | {"generate", "suites"},
+    "suite run enriched": _ENRICHED | {"generate", "suites"},
+}
+SUITE_RUNS = [["suite", "run", "--module", module] for module in
+              ("quantale", "plancherel", "symfunc", "witt", "enriched")]
+
+
+def _name(argv: list[str]) -> str:
+    return " ".join(argv[:2] + argv[3:4] if argv[0] == "suite" else argv[:2])
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND + SUITE_RUNS, ids=lambda v: _name(v).replace(" ", "-"))
+def test_a_command_loads_only_its_modules(inputs, argv):
+    code, stdout, loaded, heavy = _run_cli([a.format(**inputs) for a in argv])
     assert code == 0, stdout
-    if argv[0] == "suite":
+    if argv == SUITE_RUNS[0]:
         assert stdout == "PASS residuation: 22736 passed, 0 failed\n"
+    elif argv[0] == "suite":
+        assert stdout and all(line.startswith("PASS ") for line in stdout.splitlines())
     else:
         json.loads(stdout)
-    assert loaded == modules
+    modules = LOADS.get(_name(argv)) or LOADS[argv[0]]
+    assert loaded == BASE | {f"tropwitt.{m}" for m in modules}
     assert heavy == []
 
 

@@ -520,6 +520,8 @@ def _doc(values: dict, bound: int = 4) -> dict:
 @example(_doc({"1": -1}))
 @example(_doc({"1": "inf", "2": "∞", "1,1": " 7/2 "}))
 @example(_doc({"1": "9" * 1001}))
+@example(_doc({"1": "1"}, 13))
+@example(_doc({}, 10**100))
 def test_from_json_matches_partition_keyed_loader(data):
     assert _loaded(WittElem.from_json, data) == _loaded(witt_from_json_by_partitions, data)
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -144,9 +146,31 @@ def test_partition_loader_on_near_miss_documents(data):
     assert got is FormatError or Partition.from_json(got.to_json()) == got
 
 
+def _key_oracle(key: str):
+    """The partition that a key names, or FormatError.  A key is "" for ∅,
+    or positive parts joined by commas, each part one or more ASCII digits
+    (leading zeros allowed) and at most the 4300 digits that int() reads."""
+    if key == "":
+        return Partition()
+    if not re.fullmatch(r"[0-9]+(,[0-9]+)*", key):
+        return FormatError
+    texts = key.split(",")
+    if any(len(t) > 4300 or t.strip("0") == "" for t in texts):
+        return FormatError
+    return Partition(int(t) for t in texts)
+
+
 @given(near_miss_keys)
 @example("9" * 5000)
 @example("1,,2")
+@example(" 1")
+@example("+1")
+@example("1_0")
+@example("٣")
+@example("2, 1")
+@example("01")
 def test_partition_key_reader_on_near_miss_keys(key):
+    want = _key_oracle(key)
     got = loaded(Partition.from_key, key)
+    assert got == want
     assert got is FormatError or Partition.from_key(got.key()) == got

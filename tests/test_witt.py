@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from tropwitt.enriched import WittSpace
 from tropwitt.errors import DegreeOverflowError, FormatError
 from tropwitt.generate import random_rational, random_witt_elem
-from tropwitt.partitions import Partition, partitions_of, partitions_up_to
+from tropwitt.partitions import MAX_DEGREE, Partition, partitions_of, partitions_up_to
 from tropwitt.quantale import INF, ZERO, LValue
 from tropwitt.symfunc import SymFunc, complete, coproduct_mult, monomial
 from tropwitt.witt import (
@@ -356,3 +357,16 @@ def test_degree_bound_is_an_int_of_at_least_one(build, bound, error, text):
         build(bound)
     assert str(got.value) == text
     assert build(1).degree_bound == 1
+
+
+@pytest.mark.parametrize("bound", [13, 10**100], ids=["13", "10**100"])
+def test_loaders_refuse_a_bound_above_the_maximum(bound):
+    # before any partition up to the bound is indexed, with the CLI's text;
+    # the constructor and from_points take any bound
+    elem = {"degree_bound": bound, "values": {}}
+    space = {"points": ["a"], "dist": {"a|a": elem}}
+    for load, doc in [(WittElem.from_json, elem), (WittSpace.from_json, space)]:
+        with pytest.raises(FormatError) as got:
+            load(doc)
+        assert str(got.value) == f"degree_bound {bound} exceeds the maximum {MAX_DEGREE}"
+    assert WittElem.from_json({"degree_bound": MAX_DEGREE, "values": {}}) == additive_unit(MAX_DEGREE)
