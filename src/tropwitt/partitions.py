@@ -1,70 +1,91 @@
 """Integer partitions and the Young-lattice combinatorics built on them.
 
-Partitions are stored in canonical form (weakly decreasing positive parts);
-the empty partition is a first-class value and stands for the constant
-monomial 1.  The total order used everywhere for sorting and tie-breaking
-compares sizes first and then part lists left to right (missing parts count
-as 0), so within one size (1,1) < (2) and (2,1) < (3).
+A :class:`Partition` is the tuple of its parts in canonical form (weakly
+decreasing positive parts), so it iterates, indexes, compares equal and
+hashes as that tuple: ``Partition([1, 2]) == (2, 1)``.  The empty
+partition is a first-class value and stands for the constant monomial 1.
+The order used everywhere for sorting and tie-breaking is not the tuple's:
+it compares sizes first and then part lists left to right (missing parts
+count as 0), so within one size (1,1) < (2) and (2,1) < (3), and it
+orders partitions only among themselves.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from math import factorial
-from typing import Iterable, Iterator
+from operator import ge, gt, le, lt
+from typing import Callable, Iterable
 
 from .errors import FormatError
 
 
-class Partition:
+def _ordering(symbol: str, compare: Callable[[tuple, tuple], bool]):
+    """A size-first order method; any operand but a partition is a
+    TypeError, never the tuple's own lexicographic order."""
+
+    def method(self: Partition, other) -> bool:
+        if not isinstance(other, Partition):
+            name = type(other).__name__
+            raise TypeError(f"'{symbol}' not supported between 'Partition' and {name!r}")
+        return compare(self.sort_key(), other.sort_key())
+
+    return method
+
+
+class Partition(tuple):
     """A weakly decreasing tuple of positive integers, possibly empty."""
 
-    __slots__ = ("_parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
+    def __new__(cls, parts: Iterable[int] = ()):
         ps = sorted(parts, reverse=True)
         for p in ps:
             if not isinstance(p, int) or isinstance(p, bool):
                 raise TypeError(f"partition parts must be integers, got {p!r}")
         if ps and ps[-1] < 1:
             raise ValueError(f"partition parts must be positive, got {ps}")
-        self._parts = tuple(ps)
+        return tuple.__new__(cls, ps)
 
     @classmethod
-    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
-        """Wrap a tuple of positive ints that is already weakly decreasing,
-        without sorting or checking it."""
-        out = object.__new__(cls)
-        out._parts = parts
-        return out
+    def _trusted(cls, parts: Iterable[int]) -> "Partition":
+        """The partition of positive ints that are already weakly
+        decreasing, without sorting or checking them."""
+        return tuple.__new__(cls, parts)
 
     @property
-    def parts(self) -> tuple[int, ...]:
-        return self._parts
+    def parts(self) -> "Partition":
+        return self
 
     @property
     def size(self) -> int:
-        return sum(self._parts)
+        return sum(self)
 
     @property
     def length(self) -> int:
-        return len(self._parts)
+        return len(self)
 
     def is_empty(self) -> bool:
-        return not self._parts
+        return not self
 
     def is_row(self) -> bool:
         """True for single-part partitions (n); false for ∅ and all others."""
-        return len(self._parts) == 1
+        return len(self) == 1
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (self.size, self._parts)
+        # plain tuples, so that comparing two keys does not come back here
+        return (sum(self), tuple(self))
+
+    __lt__ = _ordering("<", lt)
+    __le__ = _ordering("<=", le)
+    __gt__ = _ordering(">", gt)
+    __ge__ = _ordering(">=", ge)
 
     # -- serialization ----------------------------------------------------
 
     def key(self) -> str:
         """Comma-joined string form used as a JSON map key ("" for ∅)."""
-        return ",".join(str(p) for p in self._parts)
+        return ",".join(map(str, self))
 
     @classmethod
     def from_key(cls, s: str) -> "Partition":
@@ -79,7 +100,7 @@ class Partition:
         raise FormatError(f"bad partition key {s!r}")
 
     def to_json(self) -> list[int]:
-        return list(self._parts)
+        return list(self)
 
     @classmethod
     def from_json(cls, data) -> "Partition":
@@ -89,40 +110,11 @@ class Partition:
             raise FormatError(f"partition must be a list of positive integers, got {data!r}")
         return cls(data)
 
-    # -- container & comparison protocol ----------------------------------
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._parts)
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self._parts[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self._parts == other._parts
-
-    def __hash__(self) -> int:
-        return hash(self._parts)
-
-    def __lt__(self, other: "Partition") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other: "Partition") -> bool:
-        return self.sort_key() <= other.sort_key()
-
-    def __gt__(self, other: "Partition") -> bool:
-        return other < self
-
-    def __ge__(self, other: "Partition") -> bool:
-        return other <= self
-
     def __repr__(self) -> str:
-        return f"Partition({self._parts!r})"
+        return f"Partition({tuple(self)!r})"
 
     def __str__(self) -> str:
-        return "()" if not self._parts else "(" + ",".join(map(str, self._parts)) + ")"
+        return f"({','.join(map(str, self))})"
 
 
 EMPTY = Partition()
@@ -141,7 +133,7 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     out: list[Partition] = []
     cur = [n]
     while True:
-        out.append(Partition._trusted(tuple(cur)))
+        out.append(Partition._trusted(cur))
         # find rightmost part > 1 to decrement, then redistribute remainder
         i = len(cur) - 1
         while i >= 0 and cur[i] == 1:
@@ -174,16 +166,15 @@ def covers(p: Partition) -> tuple[Partition, ...]:
     a new part 1; results are distinct and weakly decreasing.
     """
     out = []
-    parts = p.parts
-    for i, v in enumerate(parts):
-        if i == 0 or parts[i - 1] > v:
-            out.append(Partition._trusted(parts[:i] + (v + 1,) + parts[i + 1:]))
-    out.append(Partition._trusted(parts + (1,)))
+    for i, v in enumerate(p):
+        if i == 0 or p[i - 1] > v:
+            out.append(Partition._trusted(p[:i] + (v + 1,) + p[i + 1:]))
+    out.append(Partition._trusted(p + (1,)))
     return tuple(out)
 
 
-# Largest degree bound accepted from CLI options, input files and
-# WittElem.from_json.  A cold process at degree 12 spends about 0.1 s on the
+# Largest degree bound accepted from CLI options, input files, the WittElem
+# loader and its constructors.  A cold process at degree 12 spends about 0.1 s on the
 # power-sum transitions that every structure table reads, 0.1 s on the
 # products that validation checks and 0.15 s on the multiplicative
 # coproduct; a cold `witt validate` takes about 0.4 s, and one warm
@@ -192,10 +183,11 @@ def covers(p: Partition) -> tuple[Partition, ...]:
 MAX_DEGREE = 12
 
 
-def _check_degree(bound: int) -> None:
-    """Refuse a degree bound above MAX_DEGREE, before anything is indexed up to it."""
+def _check_degree(bound: int, error: type[Exception] = FormatError) -> None:
+    """Refuse a degree bound above MAX_DEGREE, before anything is indexed up
+    to it: a loader raises FormatError, a constructor ValueError."""
     if bound > MAX_DEGREE:
-        raise FormatError(f"degree_bound {bound} exceeds the maximum {MAX_DEGREE}")
+        raise error(f"degree_bound {bound} exceeds the maximum {MAX_DEGREE}")
 
 
 # Largest n whose whole Plancherel measure, hook_dimension(λ)²/n! over the
@@ -206,12 +198,11 @@ MAX_MEASURE_N = 20
 @cache
 def hook_dimension(p: Partition) -> int:
     """Number of standard Young tableaux of shape p (hook-length formula)."""
-    parts = p.parts
-    if not parts:
+    if not p:
         return 1
-    conj = _conjugate(parts)
+    conj = _conjugate(p)
     denom = 1
-    for i, row in enumerate(parts):
+    for i, row in enumerate(p):
         for j in range(row):
             denom *= (row - j) + (conj[j] - i) - 1
     num = factorial(p.size)

@@ -53,22 +53,21 @@ def growth_step(lam: Partition) -> dict[Partition, Fraction]:
     boxes left of it in row r and above it in column c, so the ratio is
     Π h/(h + 1) over those boxes' hook lengths h in λ.
     """
-    parts = lam.parts
-    conj = _conjugate(parts) if parts else ()
+    conj = _conjugate(lam) if lam else ()
     out = {}
     # the added box sits at row r, column c (0-based): at the end of row r
     # where r = 0 or λ_{r−1} > λ_r, or alone in a new row (c = 0)
-    for r, c in enumerate(parts + (0,)):
-        if r and parts[r - 1] == c:
+    for r, c in enumerate(lam + (0,)):
+        if r and lam[r - 1] == c:
             continue
         num = den = 1
         for j in range(c):  # row r: λ_r − j + λ'_j − r − 1
             h = c - j + conj[j] - r - 1
             num, den = num * h, den * (h + 1)
         for i in range(r):  # column c: λ_i − c + λ'_c − i − 1, λ'_c = r
-            h = parts[i] - c + r - i - 1
+            h = lam[i] - c + r - i - 1
             num, den = num * h, den * (h + 1)
-        out[Partition._trusted(parts[:r] + (c + 1,) + parts[r + 1:])] = Fraction(num, den)
+        out[Partition._trusted(lam[:r] + (c + 1,) + lam[r + 1:])] = Fraction(num, den)
     return out
 
 

@@ -267,7 +267,7 @@ def _power_sum_rows(parts: tuple[Partition, ...]) -> list[list[tuple[int, int]]]
         return memo[key]
 
     return [
-        [(m, c) for m in range(r + 1) if (c := count(rho.parts, parts[m].parts))]
+        [(m, c) for m in range(r + 1) if (c := count(rho, parts[m]))]
         for r, rho in enumerate(parts)
     ]
 
@@ -424,13 +424,12 @@ def _product_scaled(mu: Partition, nu: Partition) -> list[int]:
     """
     left, right = _transition(mu.size), _transition(nu.size)
     total = _transition(mu.size + nu.size)
+    top = _row(mu.size + nu.size)  # the rank of λ of this size is top − _index[λ]
     acc = [0] * len(total.parts)
     for r, a in left.inverse[_rank(mu)]:
         for s, b in right.inverse[_rank(nu)]:
-            union = Partition._trusted(
-                tuple(sorted(left.parts[r].parts + right.parts[s].parts, reverse=True))
-            )
-            for k, c in total.rows[_rank(union)]:
+            union = tuple(sorted(left.parts[r] + right.parts[s], reverse=True))
+            for k, c in total.rows[top - _index[union]]:
                 acc[k] += a * b * c
     return acc
 
@@ -439,12 +438,12 @@ def _product_scaled(mu: Partition, nu: Partition) -> list[int]:
 def _splittings(i: int) -> tuple[tuple[int, int], ...]:
     """The multiset splittings λ = μ ⊎ ν of λ at position i, as position
     pairs, each once."""
-    counts = Counter(_labels[i].parts)  # values in decreasing order
+    counts = Counter(_labels[i])  # values in decreasing order
     # μ takes t of the copies of each value; the choices run in
     # lexicographic order, so the k-th from the end is the k-th's complement
     takes = iter_product(*(range(k + 1) for k in counts.values()))
     lefts = [tuple(v for v, t in zip(counts, take) for _ in range(t)) for take in takes]
-    at = [_index[Partition._trusted(left)] for left in lefts]
+    at = [_index[left] for left in lefts]
     return tuple(zip(at, reversed(at)))
 
 
@@ -552,8 +551,8 @@ def _expand_monomial(lam: Partition, k: int) -> tuple[tuple[int, ...], ...]:
         return ((),)
     # the first variable takes exponent 0 or one of the distinct parts of λ
     out = [(0,) + rest for rest in _expand_monomial(lam, k - 1)]
-    for v in sorted(set(lam.parts)):
-        rest_parts = list(lam.parts)
+    for v in sorted(set(lam)):
+        rest_parts = list(lam)
         rest_parts.remove(v)
         out.extend((v,) + rest for rest in _expand_monomial(Partition(rest_parts), k - 1))
     return tuple(out)
@@ -641,12 +640,12 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
         )
     powers = {EMPTY: SymFunc.one(bound)}
 
-    def power(rho: Partition) -> SymFunc:
+    def power(rho: tuple[int, ...]) -> SymFunc:
         # p_ρ ∘ g, one part of ρ at a time
         if rho not in powers:
-            k = rho.parts[-1]
-            pk = {Partition(k * v for v in mu): c for mu, c in g._coeffs.items()}
-            powers[rho] = multiply(power(Partition(rho.parts[:-1])), SymFunc(pk, bound))
+            k = rho[-1]
+            pk = {Partition._trusted(k * v for v in mu): c for mu, c in g._coeffs.items()}
+            powers[rho] = multiply(power(rho[:-1]), SymFunc(pk, bound))
         return powers[rho]
 
     scale = factorial(f.degree())

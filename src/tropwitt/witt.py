@@ -392,6 +392,7 @@ class WittElem:
 
     def __init__(self, degree_bound: int, values: Mapping[Partition, LValue]):
         _check_natural("degree bound", degree_bound, 1)
+        _check_degree(degree_bound, ValueError)
         nums: list[int | None] = [None] * _prefix(degree_bound)
         dens = [1] * len(nums)
         for lam, v in values.items():
@@ -616,6 +617,7 @@ def from_points(points: Iterable[LValue], degree_bound: int) -> WittElem:
     products add without cancellation, so evaluation commutes with min.
     """
     _check_natural("degree bound", degree_bound, 1)
+    _check_degree(degree_bound, ValueError)
     pts = sorted(LValue(p) for p in points)
     size = _prefix(degree_bound)
     finite = [(p._n, p._d) for p in pts if p.is_finite]
@@ -624,7 +626,7 @@ def from_points(points: Iterable[LValue], degree_bound: int) -> WittElem:
     ints = [n * (den // d) for n, d in finite]
     nums = [
         # largest exponents on the smallest points minimizes the sum
-        sum(part * pt for part, pt in zip(lam.parts, ints)) if lam.length <= len(ints) else None
+        sum(part * pt for part, pt in zip(lam, ints)) if lam.length <= len(ints) else None
         for lam in islice(_labels, size)
     ]
     return _reduced(degree_bound, den, nums)

@@ -1,9 +1,13 @@
+import copy
+import operator
+import pickle
 import re
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from tropwitt import symfunc
 from tropwitt.errors import FormatError
 from tropwitt.partitions import (
     EMPTY,
@@ -174,3 +178,44 @@ def test_partition_key_reader_on_near_miss_keys(key):
     got = loaded(Partition.from_key, key)
     assert got == want
     assert got is FormatError or Partition.from_key(got.key()) == got
+
+
+tuple_parts = st.lists(st.integers(min_value=1, max_value=12), max_size=12)
+
+
+@given(st.lists(tuple_parts, min_size=1, max_size=6))
+def test_a_partition_is_the_tuple_of_its_parts(lists):
+    symfunc._prefix(6)  # index the basis up to size 6
+    ps = [Partition(parts) for parts in lists]
+    for parts, p in zip(lists, ps):
+        plain = tuple(sorted(parts, reverse=True))
+        assert p == plain and plain == p and hash(p) == hash(plain)
+        assert Partition.from_key(p.key()) == p
+        for back in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert type(back) is Partition and back == p
+        if p.size <= 6:
+            assert symfunc._index[tuple(p)] == symfunc._index[p]
+    # the size-first order, not the tuple's lexicographic one
+    def by_key(p):
+        return (sum(p), tuple(p))
+
+    assert sorted(ps) == sorted(ps, key=by_key)
+    assert max(ps) == max(ps, key=by_key)
+
+
+@given(st.one_of(st.tuples(st.integers(1, 3)), st.integers(), st.text(max_size=2), st.none()))
+@example((2,))
+@example(1)
+@example("1")
+@example(None)
+def test_partitions_are_ordered_only_among_themselves(other):
+    # once other < p recursed without end, and p < 1 raised AttributeError
+    p = Partition([1])
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(p, other)
+        with pytest.raises(TypeError):
+            compare(other, p)
+    for items in ([p, other], [other, p]):
+        with pytest.raises(TypeError):
+            sorted(items)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tropwitt import witt
 from tropwitt.enriched import WittSpace
 from tropwitt.errors import DegreeOverflowError, FormatError
 from tropwitt.generate import random_rational, random_witt_elem
@@ -361,8 +362,7 @@ def test_degree_bound_is_an_int_of_at_least_one(build, bound, error, text):
 
 @pytest.mark.parametrize("bound", [13, 10**100], ids=["13", "10**100"])
 def test_loaders_refuse_a_bound_above_the_maximum(bound):
-    # before any partition up to the bound is indexed, with the CLI's text;
-    # the constructor and from_points take any bound
+    # before any partition up to the bound is indexed, with the CLI's text
     elem = {"degree_bound": bound, "values": {}}
     space = {"points": ["a"], "dist": {"a|a": elem}}
     for load, doc in [(WittElem.from_json, elem), (WittSpace.from_json, space)]:
@@ -370,3 +370,19 @@ def test_loaders_refuse_a_bound_above_the_maximum(bound):
             load(doc)
         assert str(got.value) == f"degree_bound {bound} exceeds the maximum {MAX_DEGREE}"
     assert WittElem.from_json({"degree_bound": MAX_DEGREE, "values": {}}) == additive_unit(MAX_DEGREE)
+
+
+@pytest.mark.parametrize("build", _BUILDERS.values(), ids=list(_BUILDERS))
+@pytest.mark.parametrize("bound", [13, 10**100], ids=["13", "10**100"])
+def test_constructors_refuse_a_bound_above_the_maximum(build, bound, monkeypatch):
+    # the loaders' ceiling and text, as a ValueError, before the basis is
+    # indexed up to the bound: once ran until memory ran out at 10**100
+    def index(n):
+        raise AssertionError(f"indexed up to {n}")
+
+    monkeypatch.setattr(witt, "_prefix", index)
+    with pytest.raises(ValueError) as got:
+        build(bound)
+    assert str(got.value) == f"degree_bound {bound} exceeds the maximum {MAX_DEGREE}"
+    monkeypatch.undo()
+    assert build(MAX_DEGREE).degree_bound == MAX_DEGREE
