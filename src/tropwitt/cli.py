@@ -7,11 +7,11 @@ parser.  Options are spelled in full, as ``--opt value`` or ``--opt=value``;
 
 Exit codes: 0 success, 1 validation failure (an input fails its axioms, or
 a law suite fails), 2 malformed input (a bad or missing option or command,
-a malformed ``--r``, an unreadable file, bad JSON, a schema mismatch, a
-degree bound above ``MAX_DEGREE``, a space with more points than
-``MAX_POINTS``).  Errors are reported as one JSON object on stdout.  Every
-command takes ``--output`` to write its JSON result to a file instead of
-stdout.
+a malformed ``--r``, an unreadable file, bad JSON, a schema mismatch, or a
+value past a limit that its loader checks: a degree bound above
+``MAX_DEGREE``, more points than ``enriched.MAX_POINTS``).  Errors are
+reported as one JSON object on stdout.  Every command takes ``--output``
+to write its JSON result to a file instead of stdout.
 """
 
 from __future__ import annotations
@@ -30,17 +30,11 @@ from typing import Callable
 import tropwitt as T
 
 from .errors import FormatError, TropwittError
-from .partitions import MAX_DEGREE, MAX_MEASURE_N, Partition, _check_degree
+from .partitions import MAX_DEGREE, MAX_MEASURE_N, Partition
 from .quantale import _MAX_DIGITS, LValue
 from .report import DEFAULT_SEED, Report
 
 DEFAULT_DEGREE = 8
-# Largest point count of a space in an input file.  Validation tests every
-# triple of points, one packed step per middle point over all coproduct
-# groups and all (x, z): a cold `cat validate` of a valid space at degree
-# 12 took 0.61 s at 6 points and 0.74 s at 8 (2-vCPU Xeon, median of 5;
-# 0.83 and 1.13 s before the packed kernel).
-MAX_POINTS = 8
 # Largest --steps of a growth path.  A cold `plancherel sample` takes 0.28 s
 # at 500 steps; in-process, sampling takes 0.49 s at 1,000 and 1.6 s at 2,000
 # (2-vCPU Xeon).
@@ -189,24 +183,7 @@ def _json_int(token: str) -> int:
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh, parse_int=_json_int)
-    # check before any object is built: WittElem enumerates every partition
-    # up to its bound on construction, and validating a space multiplies its
-    # entries over every triple of points
-    nodes = [data]
-    while nodes:
-        node = nodes.pop()
-        if isinstance(node, dict):
-            bound = node.get("degree_bound")
-            if isinstance(bound, int):
-                _check_degree(bound)
-            points = node.get("points")
-            if isinstance(points, list) and len(points) > MAX_POINTS:
-                raise FormatError(f"{len(points)} points exceed the maximum {MAX_POINTS}")
-            nodes.extend(node.values())
-        elif isinstance(node, list):
-            nodes.extend(node)
-    return data
+        return json.load(fh, parse_int=_json_int)
 
 
 def _emit(data, output: str | None) -> None:

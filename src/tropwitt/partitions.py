@@ -17,7 +17,7 @@ from math import factorial
 from operator import ge, gt, le, lt
 from typing import Callable, Iterable
 
-from .errors import FormatError
+from .errors import FormatError, _shown
 
 
 def _ordering(symbol: str, compare: Callable[[tuple, tuple], bool]):
@@ -44,7 +44,7 @@ class Partition(tuple):
             if not isinstance(p, int) or isinstance(p, bool):
                 raise TypeError(f"partition parts must be integers, got {p!r}")
         if ps and ps[-1] < 1:
-            raise ValueError(f"partition parts must be positive, got {ps}")
+            raise ValueError(f"partition parts must be positive, got {_shown(ps)}")
         return tuple.__new__(cls, ps)
 
     @classmethod
@@ -107,14 +107,14 @@ class Partition(tuple):
         if not isinstance(data, list) or not all(
             isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in data
         ):
-            raise FormatError(f"partition must be a list of positive integers, got {data!r}")
+            raise FormatError(f"partition must be a list of positive integers, got {_shown(data)}")
         return cls(data)
 
     def __repr__(self) -> str:
         return f"Partition({tuple(self)!r})"
 
     def __str__(self) -> str:
-        return f"({','.join(map(str, self))})"
+        return f"({','.join(map(_shown, self))})"
 
 
 EMPTY = Partition()
@@ -173,13 +173,13 @@ def covers(p: Partition) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-# Largest degree bound accepted from CLI options, input files, the WittElem
-# loader and its constructors.  A cold process at degree 12 spends about 0.1 s on the
-# power-sum transitions that every structure table reads, 0.1 s on the
-# products that validation checks and 0.15 s on the multiplicative
-# coproduct; a cold `witt validate` takes about 0.4 s, and one warm
-# WittElem.mul 2.5 ms (2-vCPU Xeon); the tables grow about 2.5-fold per
-# degree.
+# Largest degree bound accepted from CLI options, from the loaders that read
+# one (SymFunc, TensorSymFunc, WittElem) and from the WittElem constructors.
+# A cold process at degree 12 spends about 0.1 s on the power-sum
+# transitions that every structure table reads, 0.1 s on the products that
+# validation checks and 0.15 s on the multiplicative coproduct; a cold
+# `witt validate` takes about 0.4 s, and one warm WittElem.mul 2.5 ms
+# (2-vCPU Xeon); the tables grow about 2.5-fold per degree.
 MAX_DEGREE = 12
 
 
@@ -187,7 +187,7 @@ def _check_degree(bound: int, error: type[Exception] = FormatError) -> None:
     """Refuse a degree bound above MAX_DEGREE, before anything is indexed up
     to it: a loader raises FormatError, a constructor ValueError."""
     if bound > MAX_DEGREE:
-        raise error(f"degree_bound {bound} exceeds the maximum {MAX_DEGREE}")
+        raise error(f"degree_bound {_shown(bound)} exceeds the maximum {MAX_DEGREE}")
 
 
 # Largest n whose whole Plancherel measure, hook_dimension(λ)²/n! over the

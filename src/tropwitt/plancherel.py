@@ -18,7 +18,7 @@ from functools import cache
 from math import factorial
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DegreeOverflowError, FormatError
+from .errors import DegreeOverflowError, FormatError, _shown
 from .partitions import (
     MAX_MEASURE_N,
     Partition,
@@ -105,7 +105,7 @@ class GrowthPath(NamedTuple):
             raise FormatError("GrowthPath JSON needs 'seed' and 'steps'")
         seed, raw = data["seed"], data["steps"]
         if not isinstance(seed, int) or isinstance(seed, bool):
-            raise FormatError(f"GrowthPath seed must be an integer, got {seed!r}")
+            raise FormatError(f"GrowthPath seed must be an integer, got {_shown(seed)}")
         if not isinstance(raw, list):
             raise FormatError("GrowthPath 'steps' must be a list")
         steps = tuple(Partition.from_json(s) for s in raw)

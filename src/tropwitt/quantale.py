@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Union
 
-from .errors import FormatError
+from .errors import FormatError, _shown
 
 _INF_TOKEN = "inf"
 
@@ -198,11 +198,11 @@ def _json_pair(data) -> tuple[int | None, int]:
             raise FormatError(text if text.endswith(_TOO_LONG) else f"bad LValue {data!r}") from exc
     if isinstance(data, int) and not isinstance(data, bool):
         if data < 0:
-            raise FormatError(f"LValue must be nonnegative, got {data}")
+            raise FormatError(f"LValue must be nonnegative, got {_shown(data)}")
         if data >= _TOO_LARGE:
             raise FormatError(f"LValue must have at most {_MAX_DIGITS} digits")
         return data, 1
-    raise FormatError(f"LValue must be an integer or string, got {data!r}")
+    raise FormatError(f"LValue must be an integer or string, got {_shown(data)}")
 
 
 def _read(token: str) -> tuple[int | None, int]:

@@ -6,7 +6,8 @@ would land beyond it (or raise in strict mode).  The bound is sound for the
 rest of the package because both coproducts respect the grading: the
 additive one splits degree across the two factors and the multiplicative
 one preserves it on each side.  ``SymFunc`` and the tensors
-``TensorSymFunc`` are one structure, written once in :class:`_Combination`.
+``TensorSymFunc`` are one structure, written once in :class:`_Combination`;
+its loader refuses a degree bound above ``MAX_DEGREE`` before any key.
 
 The product, the multiplicative coproduct and composition (plethysm) are
 read off the power sums, the ghost coordinates (Macdonald, *Symmetric
@@ -34,8 +35,8 @@ from math import factorial, gcd
 from operator import attrgetter, floordiv
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import ConstantTermError, DegreeOverflowError, FormatError, NotSymmetricError
-from .partitions import EMPTY, Partition, partitions_of
+from .errors import ConstantTermError, DegreeOverflowError, FormatError, NotSymmetricError, _shown
+from .partitions import EMPTY, Partition, _check_degree, partitions_of
 
 Poly = dict[tuple[int, ...], int]
 
@@ -103,14 +104,15 @@ class _Combination:
             raise FormatError(f"{cls.__name__} JSON needs 'degree_bound' and 'coeffs'")
         bound = data["degree_bound"]
         if not _is_natural(bound):
-            raise FormatError(f"bad degree_bound {bound!r}")
+            raise FormatError(f"bad degree_bound {_shown(bound)}")
+        _check_degree(bound)
         raw = data["coeffs"]
         if not isinstance(raw, dict):
             raise FormatError("'coeffs' must be an object")
         coeffs = {}
         for key, c in raw.items():
             if not _is_natural(c):
-                raise FormatError(f"bad coefficient {c!r} for key {key!r}")
+                raise FormatError(f"bad coefficient {_shown(c)} for key {key!r}")
             term = cls._from_key(key)
             if term in coeffs:
                 raise FormatError(f"term {cls._term(term)} is named twice")
@@ -663,9 +665,9 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
 def _check_natural(what: str, x, least: int = 0) -> None:
     """Degree bounds and coefficients are plain ints, at least ``least``."""
     if not isinstance(x, int) or isinstance(x, bool):
-        raise TypeError(f"{what} must be int, got {x!r}")
+        raise TypeError(f"{what} must be int, got {_shown(x)}")
     if x < least:
-        raise ValueError(f"{what} must be ≥ {least}, got {x}")
+        raise ValueError(f"{what} must be ≥ {least}, got {_shown(x)}")
 
 
 def _is_natural(x, least: int = 0) -> bool:

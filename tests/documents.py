@@ -4,8 +4,10 @@ a few faults drawn in, and now and then the wrong shape.
 Every loader must give a ``FormatError`` or a value on each of them;
 ``loaded`` turns the one into its class and lets any other exception fail
 the test.  Degree bounds stay at 6 or below, but for the bounds 13 and
-10**100 that the WittElem loader refuses before indexing, and spaces at
-four points or fewer, so that a property test stays fast.
+10**100 that the loaders refuse before indexing, and spaces at four points
+or fewer, so that a property test stays fast.  Integers past Python's
+4,300 digits for int-to-str conversion appear among the tokens and the
+wrong values, so that every error text is checked to name them.
 """
 
 from fractions import Fraction
@@ -13,6 +15,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from tropwitt.errors import FormatError
+from tropwitt.partitions import partitions_up_to
 from tropwitt.plancherel import sample_path
 from tropwitt.quantale import ZERO
 from tropwitt.witt import from_points, theta
@@ -39,7 +42,7 @@ near_miss_tokens = st.one_of(
     # exponents whose size takes the token to the limit and just past it
     st.builds("{}e{}{}".format, st.sampled_from(["1", "2.5", "-0", "+3"]),
               st.sampled_from(["", "+", "-"]), st.integers(990, 999)),
-    st.sampled_from([0, 2, -1, 10**1000 - 1, 10**1000, -(10**1000)]),
+    st.sampled_from([0, 2, -1, 10**1000 - 1, 10**1000, -(10**1000), 10**5000, -(10**5000)]),
     st.integers(0, 10**300),
     st.booleans(),
     st.floats(),
@@ -49,7 +52,16 @@ near_miss_tokens = st.one_of(
 )
 
 # what a JSON document may hold where an int or a list belongs
-_WRONG = st.sampled_from([True, False, 0, -1, 1.5, 2.0, "2", None, [1], {}])
+_WRONG = st.sampled_from(
+    [True, False, 0, -1, 1.5, 2.0, "2", None, [1], {}, 10**5000, -(10**5000)]
+)
+# a field that no loader reads, some holding a value past a limit
+_JUNK = st.one_of(
+    _WRONG,
+    st.sampled_from(
+        [{"degree_bound": 13}, {"degree_bound": 10**100}, [{"points": list("abcdefghi")}]]
+    ),
+)
 
 
 def loaded(load, data):
@@ -88,8 +100,7 @@ def near_miss_metric_documents(draw):
     return _shapes(draw, doc, {"points": points}, {"dist": dist}, {**doc, "dist": list(dist)},
                    {**doc, "points": "ab"})
 
-
-# degree bounds above MAX_DEGREE, which the loader refuses before indexing
+# degree bounds above MAX_DEGREE, which the loaders refuse before indexing
 _ABOVE_MAX = st.sampled_from([13, 10**100])
 _SMALL = st.builds(Fraction, st.integers(0, 6), st.integers(1, 3))
 
@@ -120,8 +131,34 @@ def near_miss_elem_documents(draw, bound=None):
         elif fault == "missing" and doc:
             del doc[draw(st.sampled_from(sorted(doc)))]
         elif fault == "extra":
-            doc["extra"] = draw(_WRONG)
+            doc["extra"] = draw(_JUNK)
     return _shapes(draw, doc, {**doc, "values": list(values)}, "x")
+
+
+@st.composite
+def near_miss_sym_documents(draw):
+    """A SymFunc document of degree bound at most 6 with up to four small
+    terms, with none, one or two faults among a bad or oversized key, a bad
+    coefficient, a wrong or huge degree bound, a missing key and a junk
+    field, and now and then the wrong shape."""
+    bound = draw(st.integers(0, 6))
+    keys = st.sampled_from([lam.key() for lam in partitions_up_to(bound)])
+    coeffs = draw(st.dictionaries(keys, st.integers(0, 3), max_size=4))
+    doc = {"degree_bound": bound, "coeffs": coeffs}
+    faults = ["key", "coefficient", "bound", "missing", "extra"]
+    for fault in draw(st.lists(st.sampled_from(faults), max_size=2)):
+        if fault == "key":
+            bad = ["0", "2,0", "x", " 1", "1,2", "1,", "-1", "1|1", str(bound + 1)]
+            coeffs[draw(st.sampled_from(bad))] = draw(st.integers(0, 3))
+        elif fault == "coefficient" and coeffs:
+            coeffs[draw(st.sampled_from(sorted(coeffs)))] = draw(_WRONG)
+        elif fault == "bound":
+            doc["degree_bound"] = draw(st.one_of(_WRONG, st.integers(0, 6), _ABOVE_MAX))
+        elif fault == "missing" and doc:
+            del doc[draw(st.sampled_from(sorted(doc)))]
+        elif fault == "extra":
+            doc["extra"] = draw(_JUNK)
+    return _shapes(draw, doc, {**doc, "coeffs": list(coeffs)}, "x")
 
 
 @st.composite

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import random
+import sys
 import time
 from types import SimpleNamespace
 
@@ -10,8 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tropwitt import suites
-from tropwitt.cli import COMMANDS, MAX_POINTS, MAX_STEPS, main
-from tropwitt.enriched import MetricSpace, WittSpace, theta_space
+from tropwitt.cli import COMMANDS, MAX_STEPS, main
+from tropwitt.enriched import MAX_POINTS, MetricSpace, WittSpace, theta_space
 from tropwitt.generate import random_metric_space, random_point_eval_space
 from tropwitt.partitions import Partition
 from tropwitt.quantale import ZERO, LValue
@@ -21,6 +22,7 @@ from tropwitt.witt import WittElem, theta
 from documents import (
     near_miss_elem_documents,
     near_miss_metric_documents,
+    near_miss_sym_documents,
     near_miss_tokens,
     near_miss_witt_space_documents,
 )
@@ -675,10 +677,14 @@ def test_json_integer_past_the_conversion_limit_is_a_format_error(runner, tmp_pa
 
 
 _SYM = st.just({"degree_bound": 4, "coeffs": {"1": 1, "2": 1}})
+_SYMS = near_miss_sym_documents()
 _WITT = near_miss_elem_documents()
 _SPACES = st.one_of(near_miss_witt_space_documents(), near_miss_metric_documents())
 _DEGREE = st.sampled_from(["1", "4", "0", "13", "x"]).map(lambda d: ["--degree", d])
 _NONE = st.just([])
+_STEPS = st.sampled_from(["1", "4", "7", "0", "501", "x"]).map(lambda n: ["--steps", n])
+_SEED = st.sampled_from(["0", "-3", " 7", "1.5", "x", "", str(10**100), "9" * 5000])
+_SEEDS = st.one_of(_NONE, _SEED.map(lambda s: ["--seed", s]))
 
 # each witt and cat command: its input documents by option, and its other options
 _CALLS = {
@@ -700,30 +706,89 @@ _CALLS = {
 }
 
 
-@st.composite
-def witt_and_cat_calls(draw):
-    """A witt or cat command on near-miss documents: its group, name and
+# each command that reads a symmetric function or a space for plancherel,
+# with its documents and its other options
+_SYM_CALLS = {
+    ("sym", "mul"): ({"input": _SYMS, "other": _SYMS}, st.sampled_from([[], ["--strict"]])),
+    ("sym", "coprod-add"): ({"input": _SYMS}, _NONE),
+    ("sym", "coprod-mult"): ({"input": _SYMS}, _NONE),
+    ("sym", "plethysm"): ({"input": _SYMS, "other": _SYMS}, _NONE),
+    ("witt", "eval"): ({"input": _WITT, "sym": _SYMS}, _NONE),
+    ("plancherel", "observe"): ({"cat": _SPACES}, st.builds(list.__add__, _STEPS, _SEEDS)),
+}
+
+
+def _near_miss_call(draw, calls):
+    """A command of ``calls`` on near-miss documents: its group, name and
     options, and its documents by the option that names each file."""
-    key = draw(st.sampled_from(sorted(_CALLS)))
-    files, extra = _CALLS[key]
+    key = draw(st.sampled_from(sorted(calls)))
+    files, extra = calls[key]
     docs = {option: draw(doc) for option, doc in files.items()}
-    # a degree bound above the CLI's ceiling, which it refuses before loading
+    # a degree bound above MAX_DEGREE, which the loaders refuse before indexing
     big = draw(st.sampled_from([None] * 8 + [13, 10**100]))
     if big is not None and isinstance(docs.get("input"), dict):
         docs["input"]["degree_bound"] = big
     options = list(draw(extra))  # a copy: st.just and sampled_from share their lists
-    if key not in (("witt", "theta"), ("witt", "validate"), ("cat", "validate")) and draw(st.booleans()):
+    takes_unchecked = any(flag == "--unchecked" for flag, _ in COMMANDS[key][1])
+    if takes_unchecked and draw(st.booleans()):
         options.append("--unchecked")
     return [*key, *options], docs
 
 
-@given(witt_and_cat_calls())
-def test_witt_and_cat_commands_on_near_miss_documents(tmp_path_factory, call):
-    # exit 0, 1 or 2, one JSON object on stdout, and nothing raised but the exit
+@st.composite
+def witt_and_cat_calls(draw):
+    return _near_miss_call(draw, _CALLS)
+
+
+@st.composite
+def sym_eval_and_observe_calls(draw):
+    return _near_miss_call(draw, _SYM_CALLS)
+
+
+@contextlib.contextmanager
+def _any_digits():
+    # json.dumps prints an int through int.__repr__, which refuses more
+    # than 4300 digits where the interpreter has that limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run_near_miss(folder, call):
+    """Run a near-miss call; exit 0, 1 or 2, one JSON object on
+    stdout, and nothing raised but the exit."""
     args, docs = call
-    folder = tmp_path_factory.mktemp("docs")
-    for option, doc in docs.items():
-        args += [f"--{option}", write(folder, f"{option}.json", doc)]
+    with _any_digits():
+        for option, doc in docs.items():
+            args += [f"--{option}", write(folder, f"{option}.json", doc)]
     result = Runner().invoke(main, args)
     assert result.exit_code in (0, 1, 2)
     assert isinstance(json.loads(result.output), dict)
+
+
+@given(witt_and_cat_calls())
+def test_witt_and_cat_commands_on_near_miss_documents(tmp_path_factory, call):
+    _run_near_miss(tmp_path_factory.mktemp("docs"), call)
+
+
+@given(sym_eval_and_observe_calls())
+def test_sym_eval_and_observe_commands_on_near_miss_documents(tmp_path_factory, call):
+    # the loaders are these commands' only guard against a bound past the cap
+    _run_near_miss(tmp_path_factory.mktemp("docs"), call)
+
+
+@given(st.sampled_from(["quantale", "plancherel", "", "x", "Quantale", " quantale", "quantale\n"]),
+       _SEEDS)
+def test_suite_run_on_near_miss_options(module, seed):
+    # one text line per suite on exit 0 or 1, one JSON error object on exit 2
+    result = Runner().invoke(main, ["suite", "run", "--module", module, *seed])
+    if result.exit_code == 2:
+        assert list(json.loads(result.output)) == ["error"]
+    else:
+        assert result.exit_code == 0
+        assert result.output.startswith("PASS ")

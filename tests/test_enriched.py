@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from tropwitt.enriched import (
+    MAX_POINTS,
     MetricSpace,
     WittSpace,
     argmin_partition,
@@ -325,6 +327,27 @@ def test_space_json_errors():
         MetricSpace.from_json({"points": [["a"]], "dist": {"a|a": "0"}})
 
 
+@pytest.mark.parametrize("cls", [MetricSpace, WittSpace])
+def test_loaders_refuse_more_points_than_the_maximum(cls, monkeypatch):
+    # before any entry is read: validation multiplies entries over every
+    # triple of points
+    entry = "1" if cls is MetricSpace else theta(ZERO, 2).to_json()
+
+    def doc(k):
+        names = [f"p{i}" for i in range(k)]
+        return {"points": names, "dist": {f"{x}|{y}": entry for x in names for y in names}}
+
+    def read(value):
+        raise AssertionError(f"read the entry {value!r}")
+
+    monkeypatch.setattr(cls, "_entry_type", SimpleNamespace(from_json=read))
+    with pytest.raises(FormatError) as got:
+        cls.from_json(doc(MAX_POINTS + 1))
+    assert str(got.value) == f"{MAX_POINTS + 1} points exceed the maximum {MAX_POINTS}"
+    monkeypatch.undo()
+    assert len(cls.from_json(doc(MAX_POINTS)).points) == MAX_POINTS
+
+
 _E3 = theta(ZERO, 3)
 
 
@@ -376,6 +399,9 @@ def test_constructor_and_loader_errors(cls, points, dist, error, text, json_text
 
 
 @given(near_miss_witt_space_documents())
+@example({"degree_bound": 10**5000, "points": ["a"], "dist": {"a|a": theta(ZERO, 1).to_json()}})
+@example({"points": ["a"], "dist": {"a|a": {"degree_bound": 10**5000, "values": {}}}})
+@example({"points": ["a"], "dist": {"a|a": {"degree_bound": 1, "values": {"1": -(10**5000)}}}})
 def test_witt_space_loader_on_near_miss_documents(doc):
     got = loaded(WittSpace.from_json, doc)
     assert got is FormatError or WittSpace.from_json(got.to_json()) == got

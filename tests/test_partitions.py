@@ -145,6 +145,7 @@ def test_from_json_rejects_bad_shapes():
 
 
 @given(near_miss_partitions)
+@example([-(10**5000)])
 def test_partition_loader_on_near_miss_documents(data):
     got = loaded(Partition.from_json, data)
     assert got is FormatError or Partition.from_json(got.to_json()) == got

@@ -6,7 +6,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from documents import loaded, near_miss_growth_documents
@@ -157,6 +157,7 @@ def test_growth_path_from_json_rejects_bad_input(data):
 
 
 @given(near_miss_growth_documents())
+@example({"seed": 1, "steps": [[1], [10**5000]]})
 def test_growth_path_loader_on_near_miss_documents(data):
     got = loaded(GrowthPath.from_json, data)
     assert got is FormatError or GrowthPath.from_json(got.to_json()) == got

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tropwitt.enriched import MetricSpace
-from tropwitt.errors import FormatError
+from tropwitt.errors import FormatError, _shown
 from tropwitt.quantale import INF, ZERO, LValue, leq, monus, tropical_add, tropical_mul
 
 from documents import loaded, near_miss_metric_documents, near_miss_tokens
@@ -339,6 +339,8 @@ def _built(token):
 
 
 @given(near_miss_tokens)
+@example(10**5000)
+@example(-(10**5000))
 @example("9" * 1000)
 @example("-0")
 @example("+1/0")
@@ -369,9 +371,33 @@ def test_constructor_and_loader_read_a_token_alike(token):
     if isinstance(token, str):
         assert built is ValueError if want is FormatError else _is(built, want)
     elif isinstance(token, int) and not isinstance(token, bool):
-        assert built is ValueError if token < 0 else _is(built, Fraction(token))
+        if token >= 10**4300:  # equal only: no int this long converts to text
+            assert built == token
+        else:
+            assert built is ValueError if token < 0 else _is(built, Fraction(token))
     else:
         assert built is TypeError
+
+
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=2), inner)
+    ),
+    max_leaves=6,
+)
+
+
+@given(_json_values)
+def test_error_texts_show_a_json_value_as_its_repr(value):
+    assert _shown(value) == repr(value)
+
+
+def test_error_texts_name_an_integer_past_the_digit_limit():
+    long = "<integer of more than 1000 digits>"
+    assert _shown(10**1000 - 1) == "9" * 1000
+    assert _shown(10**1000) == long and _shown(-(10**1000)) == "-" + long
+    assert _shown([1, {"a": -(10**5000)}, "x"]) == f"[1, {{'a': -{long}}}, 'x']"
 
 
 def _metric_oracle(doc):
@@ -399,6 +425,7 @@ def _metric_oracle(doc):
 @given(near_miss_metric_documents())
 @example({"points": ["a"], "dist": {"a|a": "1/0"}})
 @example({"points": ["a"], "dist": {"a|a": "-0"}})
+@example({"points": ["a"], "dist": {"a|a": -(10**5000)}})
 def test_metric_space_loader_on_near_miss_documents(doc):
     want = _metric_oracle(doc)
     got = loaded(MetricSpace.from_json, doc)

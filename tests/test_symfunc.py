@@ -6,11 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from tropwitt import symfunc
 from tropwitt.errors import ConstantTermError, DegreeOverflowError, FormatError, NotSymmetricError
-from tropwitt.partitions import EMPTY, Partition, partitions_of, partitions_up_to
+from tropwitt.partitions import EMPTY, MAX_DEGREE, Partition, partitions_of, partitions_up_to
 from tropwitt.symfunc import (
     SymFunc,
     TensorSymFunc,
@@ -519,6 +520,25 @@ def test_tensor_json_rejects_bad_bounds_as_format_errors():
         TensorSymFunc.from_json({"degree_bound": 2, "coeffs": {"3|1,1,1": 1}})
 
 
+@pytest.mark.parametrize("cls", [SymFunc, TensorSymFunc])
+@pytest.mark.parametrize("bound", [13, 10**100], ids=["13", "10**100"])
+def test_loaders_refuse_a_bound_above_the_maximum(cls, bound, monkeypatch):
+    # before any key is read (this one is malformed) or any partition is
+    # indexed: with a term m(30) under a bound of 40, coproduct_mult would
+    # build the size-30 coproduct table without end
+    def index(n):
+        raise AssertionError(f"indexed up to {n}")
+
+    monkeypatch.setattr(symfunc, "_prefix", index)
+    with pytest.raises(FormatError) as got:
+        cls.from_json({"degree_bound": bound, "coeffs": {"x": 1}})
+    assert str(got.value) == f"degree_bound {bound} exceeds the maximum {MAX_DEGREE}"
+    monkeypatch.undo()
+    key = "12" if cls is SymFunc else "12|1"
+    loaded = cls.from_json({"degree_bound": MAX_DEGREE, "coeffs": {key: 1}})
+    assert loaded.degree_bound == MAX_DEGREE and loaded.to_json()["coeffs"] == {key: 1}
+
+
 _F = SymFunc({Partition([2, 1]): 3, EMPTY: 1, Partition([1, 1]): 1, Partition([3]): 2, Partition([1]): 0},
              4)
 
@@ -657,9 +677,13 @@ def near_miss_documents(draw):
             bad = draw(st.sampled_from(["0", "1,,1", "x", "1||1", "", "|", "-1", str(bound + 1)]))
             body[bad] = draw(value)
         elif fault == "value" and body:
-            body[draw(st.sampled_from(sorted(body)))] = draw(st.sampled_from([-1, True, 1.5, None, "x"]))
+            body[draw(st.sampled_from(sorted(body)))] = draw(
+                st.sampled_from([-1, True, 1.5, None, "x", 10**5000, -(10**5000)])
+            )
         elif fault == "bound":
-            doc["degree_bound"] = draw(st.sampled_from([0, -1, True, False, 1.5, "3", None]))
+            doc["degree_bound"] = draw(st.sampled_from(
+                [0, -1, True, False, 1.5, "3", None, 13, 10**100, 10**5000, -(10**5000)]
+            ))
         elif fault == "repeat" and body:
             again = _respelled(draw(st.sampled_from(sorted(body))))
             if again is not None:
@@ -669,6 +693,11 @@ def near_miss_documents(draw):
 
 
 @given(near_miss_documents())
+@example((SymFunc, {"degree_bound": -(10**5000), "coeffs": {}}))
+@example((SymFunc, {"degree_bound": 4, "coeffs": {"1": -(10**5000)}}))
+@example((TensorSymFunc, {"degree_bound": 4, "coeffs": {"1|1": -(10**5000)}}))
+@example((WittElem, {"degree_bound": 10**5000, "values": {}}))
+@example((WittElem, {"degree_bound": 4, "values": {"1": -(10**5000)}}))
 def test_loaders_on_near_miss_documents(case):
     # a loader raises only FormatError; what loads round-trips; a document
     # whose keys name one partition, or pair, twice never loads

@@ -349,6 +349,9 @@ _BUILDERS = {
         (2.0, TypeError, "degree bound must be int, got 2.0"),
         (2.5, TypeError, "degree bound must be int, got 2.5"),
         (0, ValueError, "degree bound must be ≥ 1, got 0"),
+        pytest.param(-(10**5000), ValueError,
+                     "degree bound must be ≥ 1, got -<integer of more than 1000 digits>",
+                     id="-10**5000"),
     ],
 )
 def test_degree_bound_is_an_int_of_at_least_one(build, bound, error, text):
@@ -373,8 +376,13 @@ def test_loaders_refuse_a_bound_above_the_maximum(bound):
 
 
 @pytest.mark.parametrize("build", _BUILDERS.values(), ids=list(_BUILDERS))
-@pytest.mark.parametrize("bound", [13, 10**100], ids=["13", "10**100"])
-def test_constructors_refuse_a_bound_above_the_maximum(build, bound, monkeypatch):
+@pytest.mark.parametrize(
+    "bound, shown",
+    # past 4300 digits, int-to-str conversion raises a ValueError of its own
+    [(13, "13"), (10**100, str(10**100)), (10**5000, "<integer of more than 1000 digits>")],
+    ids=["13", "10**100", "10**5000"],
+)
+def test_constructors_refuse_a_bound_above_the_maximum(build, bound, shown, monkeypatch):
     # the loaders' ceiling and text, as a ValueError, before the basis is
     # indexed up to the bound: once ran until memory ran out at 10**100
     def index(n):
@@ -383,6 +391,6 @@ def test_constructors_refuse_a_bound_above_the_maximum(build, bound, monkeypatch
     monkeypatch.setattr(witt, "_prefix", index)
     with pytest.raises(ValueError) as got:
         build(bound)
-    assert str(got.value) == f"degree_bound {bound} exceeds the maximum {MAX_DEGREE}"
+    assert str(got.value) == f"degree_bound {shown} exceeds the maximum {MAX_DEGREE}"
     monkeypatch.undo()
     assert build(MAX_DEGREE).degree_bound == MAX_DEGREE
