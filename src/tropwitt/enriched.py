@@ -13,7 +13,10 @@ exhibit.
 Both are one structure, a point set with one hom-object per ordered pair,
 written once in ``_Space``: the table, its JSON form and its errors.  Each
 class adds its entry check and its axioms; the Witt-space check, with its
-report texts, is :mod:`tropwitt.witt`'s.
+report texts, is :mod:`tropwitt.witt`'s, and so is the reader of a Witt
+entry, which parses each distinct string token once per document (a
+space of k points repeats its values over k² entries).  A metric space
+keeps an ``LValue`` entry as it is, values being immutable.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ def _check_points(points: Iterable[str]) -> tuple[str, ...]:
 
 class _Space:
     """Finite point set with one entry per ordered pair, held x-major.  A
-    subclass checks an entry in ``_entry`` and reads one with ``_entry_type``."""
+    subclass checks an entry in ``_entry`` and reads one with ``_read``,
+    through its ``_entry_type``."""
 
     __slots__ = ("_points", "_dist")
 
@@ -96,16 +100,21 @@ class _Space:
             raise FormatError("bad space JSON")
         if len(points) > MAX_POINTS:
             raise FormatError(f"{len(points)} points exceed the maximum {MAX_POINTS}")
-        dist = {}
+        dist, memo = {}, {}  # memo: what each string token of this document reads as
         for key, v in raw.items():
             if key.count("|") != 1:
                 raise FormatError(f"distance key must be 'x|y', got {key!r}")
             x, y = key.split("|")
-            dist[(x, y)] = cls._entry_type.from_json(v)
+            dist[(x, y)] = cls._read(v, memo)
         try:
             return cls(points, dist)
         except (ValueError, TypeError) as exc:
             raise FormatError(str(exc)) from exc
+
+    @classmethod
+    def _read(cls, data, memo: dict):
+        """One entry of a document; memo lives for that document."""
+        return cls._entry_type.from_json(data)
 
 
 class MetricSpace(_Space):
@@ -116,7 +125,7 @@ class MetricSpace(_Space):
 
     @staticmethod
     def _entry(x: str, y: str, entry) -> LValue:
-        return LValue(entry)
+        return entry if type(entry) is LValue else LValue(entry)  # values are immutable
 
     def table(self) -> DistTable:
         return dict(self._dist)
@@ -162,6 +171,11 @@ class WittSpace(_Space):
         if not isinstance(entry, WittElem):
             raise TypeError(f"distance for ({x}, {y}) must be a WittElem")
         return entry
+
+    @classmethod
+    def _read(cls, data, memo: dict) -> WittElem:
+        """One entry of a document, each string token read once per document."""
+        return cls._entry_type._load(data, memo)
 
     @property
     def degree_bound(self) -> int:

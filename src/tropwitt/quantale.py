@@ -71,7 +71,10 @@ class LValue:
         elif isinstance(value, (int, Fraction)):
             n, d = value.numerator, value.denominator
             if n < 0:
-                raise ValueError(f"LValue must be nonnegative, got {value}")
+                shown = _shown(n) if d == 1 else f"{_shown(n)}/{_shown(d)}"
+                raise ValueError(f"LValue must be nonnegative, got {shown}")
+            if n >= _TOO_LARGE or d >= _TOO_LARGE:  # the loaders' limit
+                raise ValueError(f"LValue must have at most {_MAX_DIGITS} digits")
         else:
             raise TypeError(f"cannot build LValue from {type(value).__name__}")
         self._n, self._d = n, d

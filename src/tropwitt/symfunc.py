@@ -7,7 +7,9 @@ rest of the package because both coproducts respect the grading: the
 additive one splits degree across the two factors and the multiplicative
 one preserves it on each side.  ``SymFunc`` and the tensors
 ``TensorSymFunc`` are one structure, written once in :class:`_Combination`;
-its loader refuses a degree bound above ``MAX_DEGREE`` before any key.
+its loader refuses a degree bound above ``MAX_DEGREE`` before any key.  An
+element may have a larger bound, but no table is built, and no partition
+indexed, for a size above ``MAX_DEGREE`` (:func:`_prefix`).
 
 The product, the multiplicative coproduct and composition (plethysm) are
 read off the power sums, the ghost coordinates (Macdonald, *Symmetric
@@ -36,7 +38,7 @@ from operator import attrgetter, floordiv
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ConstantTermError, DegreeOverflowError, FormatError, NotSymmetricError, _shown
-from .partitions import EMPTY, Partition, _check_degree, partitions_of
+from .partitions import EMPTY, MAX_DEGREE, Partition, _check_degree, partitions_of
 
 Poly = dict[tuple[int, ...], int]
 
@@ -299,6 +301,7 @@ class _Transition(NamedTuple):
 
 @cache
 def _transition(n: int) -> _Transition:
+    _prefix(n)  # index the size, or refuse one above MAX_DEGREE
     parts = partitions_of(n)
     rows = _power_sum_rows(parts)
     scale = factorial(n)
@@ -352,15 +355,20 @@ _ends: list[int] = [0]  # at n, the number of nonempty partitions of size ≤ n
 
 def _prefix(n: int) -> int:
     """The number of nonempty partitions of size ≤ n, the positions of the
-    degree bound n, each size indexed on first use."""
-    while len(_ends) <= n:
-        parts = partitions_of(len(_ends))[::-1]
-        keys = [lam.key() for lam in parts]
-        _index.update(zip(parts, count(len(_keys))))
-        _by_key.update(zip(keys, count(len(_keys))))
-        _labels[-1:-1] = parts
-        _keys.extend(keys)
-        _ends.append(len(_keys))
+    degree bound n, each size indexed on first use.  Every table of one
+    size comes here first, so a size above MAX_DEGREE is refused before
+    anything is indexed or built."""
+    if len(_ends) <= n:  # true of every size above MAX_DEGREE
+        if n > MAX_DEGREE:
+            raise DegreeOverflowError(f"degree {_shown(n)} exceeds the maximum {MAX_DEGREE}")
+        while len(_ends) <= n:
+            parts = partitions_of(len(_ends))[::-1]
+            keys = [lam.key() for lam in parts]
+            _index.update(zip(parts, count(len(_keys))))
+            _by_key.update(zip(keys, count(len(_keys))))
+            _labels[-1:-1] = parts
+            _keys.extend(keys)
+            _ends.append(len(_keys))
     return _ends[n]
 
 

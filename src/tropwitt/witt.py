@@ -35,7 +35,12 @@ with full-word instructions", CACM 18(8), 1975).  :class:`_Packed` lifts
 a batch of elements to one denominator and one ∞ mark and lays out each
 basis position as one column, a field of whole bytes per element; the
 fields are wide enough that 2·∞ stays below each field's top bit, the
-guard bit, and Python integers make the word as wide as the batch.  A
+guard bit, and Python integers make the word as wide as the batch.
+Fields of 1, 2, 4 or 8 bytes are cut from one ``array`` of every value,
+column-major; wider ones are written value by value.  The masks of a
+layout (guard bits, row and column selectors, repeat constants) depend on
+its shape alone and are kept for the next batch of that shape, the small
+ones only and a bounded number of them.  A
 :class:`_Family` orders a fixed family of position sets by decreasing
 size, so round r reads the r-th member of a prefix of the sets, and one
 fieldwise min per round (guard-bit subtract, mask, select) takes the
@@ -51,12 +56,18 @@ from its flagged groups; nothing is looked at again.
 
 The whole check of a space on k points, with its report texts, lives here
 (:func:`_space_violations`), and so does the entry check of the ``cat``
-commands (:func:`_failing_pairs`); both read d(x, y) at x·k + y.
+commands (:func:`_failing_pairs`); both read d(x, y) at x·k + y.  So does
+the loader of one entry, ``WittElem._load``, which reads each distinct
+string token of a space document once, through a memo that lives for that
+document.  θ(r) is written on its rows directly, m·r at (m), with
+:func:`from_points` at the one point r as its oracle in the tests.
 """
 
 from __future__ import annotations
 
-from functools import cache
+import sys
+from array import array
+from functools import cache, lru_cache
 from itertools import compress, count, islice, repeat
 from math import gcd, lcm
 from operator import itemgetter
@@ -160,6 +171,25 @@ def _lift(elems: Sequence["WittElem"]) -> tuple[int, int, list[list[int]]]:
     return den, inf, [[inf if n is None else n * k for n in nums] for k, nums in scaled]
 
 
+# The array typecode of each item size: the fields of 1, 2, 4 or 8 bytes
+# are packed by one array, wider ones value by value.
+_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
+
+# The layout masks (guard bits, row and column selectors, repeat constants)
+# of at most this many bytes are kept, the _MASKS most recently used: at
+# degree 6 that holds every mask of a space on up to 8 points with fields of
+# up to 9 bytes, and bounds the cache, with its keys, at 16 MiB.  A larger
+# mask is built anew: at degree 12 on 8 points, one composition mask takes
+# 0.27 MB per byte of field.
+_MASK_BYTES = 1 << 16
+_MASKS = 128
+
+
+@lru_cache(maxsize=_MASKS)
+def _tiled(pattern: bytes, n: int) -> int:
+    return int.from_bytes(pattern * n, "little")
+
+
 class _Packed:
     """Elements of one degree bound, lifted to one denominator and one ∞
     mark, with each basis position laid out as one packed column: the
@@ -178,13 +208,24 @@ class _Packed:
         self.count = len(elems)
         self.size = size = (2 * self.inf).bit_length() // 8 + 1
         self.bits = 8 * size
-        to_bytes = int.to_bytes
-        fields = [list(map(to_bytes, xs, repeat(size), repeat("little"))) for xs in self.lists]
-        self.cols = list(map(b"".join, zip(*fields)))
+        code = _TYPECODES.get(size)
+        if code:  # one array of every value, column-major, cut into columns
+            values = array(code, [v for col in zip(*self.lists) for v in col])
+            if sys.byteorder == "big":
+                values.byteswap()
+            raw, step = values.tobytes(), self.count * size
+            self.cols = [raw[i : i + step] for i in range(0, len(raw), step)]
+        else:
+            to_bytes = int.to_bytes
+            fields = [list(map(to_bytes, xs, repeat(size), repeat("little"))) for xs in self.lists]
+            self.cols = list(map(b"".join, zip(*fields)))
 
     def tiled(self, pattern: bytes, n: int) -> int:
-        """The packed integer whose bytes are pattern, n times."""
-        return int.from_bytes(pattern * n, "little")
+        """The packed integer whose bytes are pattern, n times; a mask of
+        at most _MASK_BYTES bytes is kept for the next layout of its shape."""
+        if len(pattern) * n > _MASK_BYTES:
+            return int.from_bytes(pattern * n, "little")
+        return _tiled(pattern, n)
 
     def guards(self, n: int) -> int:
         """The guard bits of n fields."""
@@ -369,7 +410,7 @@ def _failing_pairs(points: Sequence[str], entries: Sequence["WittElem"]) -> list
 
 def _reduced(bound: int, den: int, nums: list[int | None]) -> "WittElem":
     """The canonical element with values nums/den."""
-    g = gcd(den, *(n for n in nums if n is not None))
+    g = gcd(den, *filter(None, nums))  # ∞ and 0 leave the gcd as it is
     if g > 1:
         den //= g
         nums = [None if n is None else n // g for n in nums]
@@ -517,6 +558,15 @@ class WittElem:
 
     @classmethod
     def from_json(cls, data) -> "WittElem":
+        return cls._load(data, {})
+
+    @staticmethod
+    def _load(data, memo: dict) -> "WittElem":
+        """The element of a JSON document, reading each string value once per
+        memo: memo maps a string token to its (n, d), and lives for one
+        document.  Only successfully read tokens are kept, so a bad token
+        raises where it first occurs; only ``str`` tokens, since as dict keys
+        ``True == 1 == 1.0``."""
         if not isinstance(data, dict) or "degree_bound" not in data or "values" not in data:
             raise FormatError("WittElem JSON needs 'degree_bound' and 'values'")
         bound = data["degree_bound"]
@@ -546,7 +596,13 @@ class WittElem:
                 if _keys[i] in raw or i in renamed:
                     raise FormatError(f"partition {lam} is named twice")
                 renamed.add(i)
-            nums[i], dens[i] = _json_pair(v)
+            if type(v) is str:
+                pair = memo.get(v)
+                if pair is None:
+                    pair = memo[v] = _json_pair(v)
+            else:
+                pair = _json_pair(v)
+            nums[i], dens[i] = pair
         if oversized is not None:
             raise FormatError(f"partition {oversized} exceeds degree bound {bound}")
         return _over_lcm(bound, nums, dens)
@@ -598,9 +654,18 @@ def theta(r: LValue, degree_bound: int) -> WittElem:
     This is tropical evaluation at the one point r: a partition with more
     than one part has no injective assignment to it.  Monoidal
     (θ(r)·θ(r′) = θ(r + r′)) and monotone, but does not preserve addition;
-    θ(0) is the multiplicative unit.
+    θ(0) is the multiplicative unit.  Written on the rows directly, over
+    r's own reduced denominator, with the checks of :func:`from_points`,
+    the one-point evaluation that it equals.
     """
-    return from_points([r], degree_bound)
+    _check_natural("degree bound", degree_bound, 1)
+    _check_degree(degree_bound, ValueError)
+    r = LValue(r)
+    nums: list[int | None] = [None] * _prefix(degree_bound)
+    if r._n is not None:
+        for m in range(1, degree_bound + 1):
+            nums[_row(m)] = m * r._n
+    return WittElem._dense(degree_bound, r._d, tuple(nums))
 
 
 def tau(f: WittElem) -> LValue:

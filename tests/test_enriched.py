@@ -3,7 +3,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings, strategies as st
 
 from tropwitt.enriched import (
     MAX_POINTS,
@@ -23,9 +23,10 @@ from tropwitt.partitions import Partition, partitions_of, partitions_up_to
 from tropwitt.plancherel import observe, sample_path
 from tropwitt.quantale import INF, ZERO, LValue
 from tropwitt.symfunc import complete, monomial
-from tropwitt.witt import from_points, theta
+from tropwitt.witt import WittElem, from_points, theta
 
 from documents import loaded, near_miss_witt_space_documents
+from test_kernel import witt_spaces
 
 N = 6
 
@@ -405,6 +406,76 @@ def test_constructor_and_loader_errors(cls, points, dist, error, text, json_text
 def test_witt_space_loader_on_near_miss_documents(doc):
     got = loaded(WittSpace.from_json, doc)
     assert got is FormatError or WittSpace.from_json(got.to_json()) == got
+
+
+@settings(max_examples=40)
+@given(witt_spaces())
+def test_space_loader_reads_each_entry_as_the_element_loader_does(space):
+    # the space loader reads each string token once per document; each of
+    # its entries is the element that a load of that entry alone gives
+    doc = space.to_json()
+    got = WittSpace.from_json(doc)
+    assert got == space
+    for key, entry in doc["dist"].items():
+        assert got.dist(*key.split("|")) == WittElem.from_json(entry)
+
+
+# one value spelled several ways, tokens that only Fraction reads among
+# them, the int 1 and what equals it as a dict key, and bad tokens
+_SPELLINGS = [
+    "3/2", "6/4", " 3/2", "3/2 ", "1.5", "15e-1",
+    "7", "007", 7, "14/2", "0", 0, "000", "0/5",
+    "inf", " inf", "∞", "Infinity", 1, "1", True, 1.0,
+    "-1", "x", "1/0", -1, None,
+]
+
+
+def _read(load, data):
+    """load(data), or the text of the FormatError that it raises."""
+    try:
+        return load(data)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+@st.composite
+def shared_token_documents(draw):
+    """A Witt-space document whose entries draw their values from a few
+    spellings of a few tokens, so that tokens repeat within an entry and
+    across entries."""
+    bound = draw(st.integers(1, 4))
+    points = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    keys = [lam.key() for lam in partitions_up_to(bound) if not lam.is_empty()]
+    values = st.dictionaries(st.sampled_from(keys), st.sampled_from(_SPELLINGS), max_size=len(keys))
+    dist = {f"{x}|{y}": {"degree_bound": bound, "values": draw(values)} for x in points for y in points}
+    return {"points": points, "dist": dist}
+
+
+def _doc(*entries):
+    """A space on the points a and b whose entries, in order, have these values."""
+    keys = ["a|a", "a|b", "b|a", "b|b"]
+    return {"points": ["a", "b"], "dist": {k: {"degree_bound": 2, "values": v} for k, v in zip(keys, entries)}}
+
+
+@settings(max_examples=200)
+@given(shared_token_documents())
+@example(_doc({"1": "3/2", "2": "6/4"}, {"1": " 3/2", "1,1": "007"}, {"1": "6/4", "2": 7}, {"2": "007"}))
+@example(_doc({"1": 1}, {"1": True}, {}, {}))
+@example(_doc({"1": 1}, {"1": 1.0}, {}, {}))
+@example(_doc({"1": "3/2"}, {"1": "3/2", "2": "x"}, {"1": "x"}, {}))
+def test_space_loader_reads_shared_tokens_as_entry_by_entry(doc):
+    # the same values, or the same first FormatError text, as loading the
+    # entries one at a time, each with nothing remembered from another
+    dist = {}
+    for key, entry in doc["dist"].items():
+        elem = _read(WittElem.from_json, entry)
+        if isinstance(elem, str):
+            want = elem
+            break
+        dist[tuple(key.split("|"))] = elem
+    else:
+        want = WittSpace(doc["points"], dist)
+    assert _read(WittSpace.from_json, doc) == want
 
 
 def test_point_names_cannot_contain_separator():

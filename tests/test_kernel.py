@@ -19,6 +19,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tropwitt import witt
 from tropwitt.enriched import (
     WittSpace,
     eval_slice,
@@ -269,11 +270,17 @@ def test_wide_fields_are_wider_than_a_machine_word():
     _same_space_reports(space)
 
 
-@pytest.mark.parametrize("top, size", [(31, 1), (32, 2), (8191, 2), (8192, 3)])
+@pytest.mark.parametrize(
+    "top, size",
+    [(31, 1), (32, 2), (8191, 2), (8192, 3)]
+    + [(2**21, 4), (2**29 - 1, 4), (2**53, 8), (2**61 - 1, 8), (2**61, 9)],
+)
 def test_fields_at_a_byte_boundary(top, size):
     # with integer values whose largest finite one is top, the ∞ mark is
     # 2·top + 1, and 2·∞ = 4·top + 2 lies just below or just above a whole
-    # number of bytes less the guard bit
+    # number of bytes less the guard bit; fields of 1, 2, 4 and 8 bytes are
+    # cut from one array of every value, wider ones written value by value,
+    # and both give the columns of the fieldwise route
     points = ("a", "b", "c")
     base = {(x, y): theta(LValue(0 if x == y else 1 + (x < y)), 3) for x in points for y in points}
     dist = dict(base)
@@ -281,10 +288,25 @@ def test_fields_at_a_byte_boundary(top, size):
     dist["a", "b"] = WittElem(3, {lam: LValue(top - i) for i, lam in enumerate(parts)})
     dist["c", "a"] = _with_value(base["c", "a"], parts[-1], LValue(top))
     space = WittSpace(points, dist)
-    assert _Packed(list(space._dist.values())).size == size
+    packed = _Packed(list(space._dist.values()))
+    assert packed.size == size
+    fieldwise = [b"".join(v.to_bytes(size, "little") for v in col) for col in zip(*packed.lists)]
+    assert packed.cols == fieldwise
     for entry in dist.values():
         assert entry.validate().to_json() == validate_by_partitions(entry).to_json()
     _same_space_reports(space)
+
+
+def test_only_small_layout_masks_are_kept():
+    # a mask of more than _MASK_BYTES is built anew each time, so the cache
+    # stays within _MASKS masks of that size
+    packed = _Packed([theta(ZERO, 2)])
+    before = witt._tiled.cache_info()
+    wide = packed.tiled(b"\x01", witt._MASK_BYTES + 1)
+    assert wide == int.from_bytes(b"\x01" * (witt._MASK_BYTES + 1), "little")
+    assert witt._tiled.cache_info()[:2] == before[:2]
+    assert packed.tiled(b"\x80", 3) == 0x808080 == packed.tiled(b"\x80", 3)
+    assert witt._tiled.cache_info().maxsize == witt._MASKS
 
 
 def test_violation_in_the_last_field_of_the_last_group():

@@ -219,6 +219,36 @@ def test_product_at_a_large_bound_indexes_only_the_sizes_it_reaches():
     assert (indexed, largest) == (11, 4)
 
 
+@pytest.mark.parametrize(
+    "build, size",
+    [
+        (lambda: monomial(Partition([13]), 40) * monomial(Partition([1]), 40), 13),
+        (lambda: monomial(Partition([6]), 40) * monomial(Partition([7]), 40), 13),
+        (lambda: coproduct_mult(monomial(Partition([30]), 40)), 30),
+        (lambda: coproduct_add(monomial(Partition([13]), 40)), 13),
+        (lambda: plethysm(monomial(Partition([30]), 40), monomial(Partition([1]), 40)), 30),
+        (lambda: plethysm(monomial(Partition([13]), 40), SymFunc({}, 40)), 13),
+        (lambda: plethysm(complete(4, 40), complete(4, 40)), 16),
+    ],
+    ids=["m13*m1", "m6*m7", "coprod-mult-m30", "coprod-add-m13", "m30-of-m1", "m13-of-0", "h4-of-h4"],
+)
+def test_tables_refuse_a_size_above_the_maximum(build, size, monkeypatch):
+    # at a bound above MAX_DEGREE an element is built, but no table of a
+    # size above it, before anything of that size is indexed or built: a
+    # size-30 coproduct once ran for more than 20 s
+    real = symfunc.partitions_of
+
+    def parts(n):
+        assert n <= MAX_DEGREE, f"listed the partitions of {n}"
+        return real(n)
+
+    monkeypatch.setattr(symfunc, "partitions_of", parts)
+    with pytest.raises(DegreeOverflowError) as got:
+        build()
+    assert str(got.value) == f"degree {size} exceeds the maximum {MAX_DEGREE}"
+    assert len(symfunc._ends) <= MAX_DEGREE + 1
+
+
 def test_product_row_times_row():
     for n in range(1, 4):
         for np in range(1, 4):

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from tropwitt import witt
 from tropwitt.enriched import WittSpace
-from tropwitt.errors import DegreeOverflowError, FormatError
+from tropwitt.errors import DegreeOverflowError, FormatError, _shown
 from tropwitt.generate import random_rational, random_witt_elem
 from tropwitt.partitions import MAX_DEGREE, Partition, partitions_of, partitions_up_to
 from tropwitt.quantale import INF, ZERO, LValue
@@ -136,6 +137,48 @@ def test_theta_values():
                 parts = len(lam.parts)
                 want = ZERO if parts == 0 else row(lam.size) if parts == 1 else INF
                 assert th.value(lam) == want, (bound, r, lam)
+
+
+# scalars as θ takes them: LValues, and ints, Fractions and tokens that it
+# coerces; among them 0, ∞, unreduced ratios and values past 2⁶⁴
+_SCALARS = st.one_of(
+    st.sampled_from([ZERO, INF, 0, "inf", "6/4", " 3/2 ", Fraction(6, 4)]),
+    st.builds(lambda p, q: LValue(Fraction(p, q)), st.integers(0, 10**6), st.integers(1, 10**6)),
+    st.integers(2**64, 2**200),
+    st.builds(Fraction, st.integers(2**64, 2**200), st.integers(1, 2**70)),
+)
+
+
+@given(_SCALARS, st.integers(1, MAX_DEGREE))
+@example(ZERO, MAX_DEGREE)
+@example(INF, 1)
+@example("6/4", 12)
+@example(10**30, 7)
+def test_theta_is_one_point_evaluation(r, bound):
+    # θ is written on the rows directly; from_points is its oracle, down to
+    # the stored form (shared denominator and numerators)
+    got, want = theta(r, bound), from_points([r], bound)
+    assert got == want
+    assert (got._den, got._nums) == (want._den, want._nums)
+    assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize(
+    "r, bound",
+    [
+        (ZERO, 0), (ZERO, True), (ZERO, 2.5), (ZERO, MAX_DEGREE + 1), (ZERO, 10**5000),
+        (-1, 3), (Fraction(-1, 2), 3), (-(10**5000), 3), (10**5000, 3), (1.5, 3), (True, 3),
+        (None, 3), ("x", 3), ("-1", 3), ("1/0", 3), (-1, 0), (1.5, MAX_DEGREE + 1),
+    ],
+    ids=_shown,
+)
+def test_theta_refuses_what_one_point_evaluation_refuses(r, bound):
+    # the same checks in the same order: the bound, then the value
+    with pytest.raises(Exception) as want:
+        from_points([r], bound)
+    with pytest.raises(Exception) as got:
+        theta(r, bound)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
 def test_tau_examples():
