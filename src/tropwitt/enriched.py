@@ -100,10 +100,14 @@ class _Space:
             raise FormatError("bad space JSON")
         if len(points) > MAX_POINTS:
             raise FormatError(f"{len(points)} points exceed the maximum {MAX_POINTS}")
+        if len(raw) > len(points) ** 2:  # so MAX_POINTS also bounds the entries read
+            pairs = {f"{x}|{y}" for x in points for y in points}
+            extra = next(key for key in raw if key not in pairs)
+            raise FormatError(f"distance key {_shown(extra)} is not a pair of the points")
         dist, memo = {}, {}  # memo: what each string token of this document reads as
         for key, v in raw.items():
-            if key.count("|") != 1:
-                raise FormatError(f"distance key must be 'x|y', got {key!r}")
+            if not isinstance(key, str) or key.count("|") != 1:
+                raise FormatError(f"distance key must be 'x|y', got {_shown(key)}")
             x, y = key.split("|")
             dist[(x, y)] = cls._read(v, memo)
         try:

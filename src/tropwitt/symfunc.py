@@ -15,7 +15,9 @@ The product, the multiplicative coproduct and composition (plethysm) are
 read off the power sums, the ghost coordinates (Macdonald, *Symmetric
 Functions and Hall Polynomials*, ch. I): p_ρ·p_σ = p_{ρ∪σ},
 Δ×(p_ρ) = p_ρ ⊗ p_ρ and p_k ∘ m_μ = m_{kμ}, through one cached p↔m
-transition per degree in exact integer arithmetic (:func:`_transition`).
+transition per degree in exact integer arithmetic (:func:`_transition`),
+whose row p_ρ is p_ρ′·p_k, ρ′ being ρ without its last part k, read off
+the cached transition of degree n − k.
 One basis serves every degree bound: it indexes the partitions one size
 at a time, on first use, and the positions up to a bound are a prefix
 shared by all larger bounds, with m_∅ at position −1.  The structure
@@ -114,7 +116,7 @@ class _Combination:
         coeffs = {}
         for key, c in raw.items():
             if not _is_natural(c):
-                raise FormatError(f"bad coefficient {_shown(c)} for key {key!r}")
+                raise FormatError(f"bad coefficient {_shown(c)} for key {_shown(key)}")
             term = cls._from_key(key)
             if term in coeffs:
                 raise FormatError(f"term {cls._term(term)} is named twice")
@@ -203,9 +205,9 @@ class TensorSymFunc(_Combination):
 
     @staticmethod
     def _from_key(key: str) -> tuple[Partition, Partition]:
-        sides = key.split("|")
+        sides = key.split("|") if isinstance(key, str) else ()
         if len(sides) != 2:
-            raise FormatError(f"tensor key must be 'mu|nu', got {key!r}")
+            raise FormatError(f"tensor key must be 'mu|nu', got {_shown(key)}")
         return (Partition.from_key(sides[0]), Partition.from_key(sides[1]))
 
     @staticmethod
@@ -240,42 +242,6 @@ def complete(n: int, degree_bound: int) -> SymFunc:
 # -- power sums ------------------------------------------------------------
 
 
-def _power_sum_rows(parts: tuple[Partition, ...]) -> list[list[tuple[int, int]]]:
-    """Sparse rows of L, the power-sum-to-monomial transition matrix on the
-    partitions of one size, indexed by position in ``parts``.
-
-    Row ρ lists (μ, L[ρ][μ]) for each nonzero coefficient of m_μ in p_ρ.
-    That coefficient counts the maps from the parts of ρ to the positions
-    of μ under which each position receives parts summing to its own
-    value.  It vanishes unless μ dominates ρ, so with ``parts`` in
-    ``partitions_of`` order every row ends at its diagonal entry
-    L[ρ][ρ] = Π m_i(ρ)!, and L is lower triangular.
-    """
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-
-    def count(rho: tuple[int, ...], mu: tuple[int, ...]) -> int:
-        # send the last part of ρ to each position of μ that can take it
-        if not rho:
-            return 0 if mu else 1
-        key = (rho, mu)
-        if key not in memo:
-            r, rest = rho[-1], rho[:-1]
-            total = 0
-            for i, v in enumerate(mu):
-                if v == r:
-                    total += count(rest, mu[:i] + mu[i + 1:])
-                elif v > r:
-                    smaller = sorted(mu[:i] + (v - r,) + mu[i + 1:], reverse=True)
-                    total += count(rest, tuple(smaller))
-            memo[key] = total
-        return memo[key]
-
-    return [
-        [(m, c) for m in range(r + 1) if (c := count(rho, parts[m]))]
-        for r, rho in enumerate(parts)
-    ]
-
-
 def _exact_counts(scaled: Iterable[int], scale: int, what: str) -> Iterator[int]:
     """The nonzero scaled counts, in order, divided exactly by ``scale``.
     A remainder or a negative count means a wrong table."""
@@ -291,7 +257,11 @@ class _Transition(NamedTuple):
     """The power-sum transition on the partitions of one size n, in
     ``partitions_of`` order: the sparse rows of L (p_ρ = Σ_μ L[ρ][μ] m_μ)
     and of n!·A, A = L⁻¹, both lower triangular and integral, as
-    (column, entry) pairs."""
+    (column, entry) pairs.  Row ρ of L is p_ρ′·p_k, ρ′ being ρ without its
+    last part k, read off row ρ′ of size n − k: m_μ·p_k adds k to one
+    distinct part value v of μ, or appends it (v = 0), times the
+    multiplicity of v + k in the result.  L[ρ][μ] = 0 unless μ dominates
+    ρ, so each row of L ends at its diagonal entry, read as ``row[-1]``."""
 
     parts: tuple[Partition, ...]
     rows: list[list[tuple[int, int]]]
@@ -301,9 +271,24 @@ class _Transition(NamedTuple):
 
 @cache
 def _transition(n: int) -> _Transition:
-    _prefix(n)  # index the size, or refuse one above MAX_DEGREE
+    top = _row(n)  # index the size, or refuse one above MAX_DEGREE; λ's rank is top − _index[λ]
     parts = partitions_of(n)
-    rows = _power_sum_rows(parts)
+    if n == 0:
+        return _Transition(parts, [[(0, 1)]], [[(0, 1)]], 1)  # p_∅ = m_∅
+    rows = []
+    for r, rho in enumerate(parts):
+        k = rho[-1]
+        smaller, terms = _transition(n - k), Counter()
+        for m, c in smaller.rows[_row(n - k) - _index[rho[:-1]]]:
+            mu = smaller.parts[m]
+            for v in {0, *mu}:
+                i = mu.index(v) if v else len(mu)
+                lam = tuple(sorted((*mu[:i], v + k, *mu[i + 1:]), reverse=True))
+                terms[top - _index[lam]] += c * lam.count(v + k)
+        row = sorted(terms.items())
+        if row[-1][0] != r:
+            raise ArithmeticError(f"row {r} of L at n = {n} does not end at its diagonal")
+        rows.append(row)
     scale = factorial(n)
     # L·A = I gives row ρ of n!·A from the rows of A above it
     inverse: list[list[tuple[int, int]]] = []

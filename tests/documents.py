@@ -25,7 +25,10 @@ _SEPARATORS = st.sampled_from(["", "/", ".", "e", "E-", "e+", "/-", " / ", "_", 
 _DIGITS = st.text("0123456789", min_size=0, max_size=4)
 _NEAR_LIMIT = st.sampled_from([998, 999, 1000, 1001])
 
-near_miss_tokens = st.one_of(
+# the string tokens, drawn without a filter: a filter that rejects a draw
+# from a strategy names that strategy by its repr, which fails on the
+# integers past 4300 digits below
+near_miss_text_tokens = st.one_of(
     st.sampled_from(
         [
             "", " ", "/", "1/", "/2", "1/0", "0/0", "-0", "-0/1", "+0", "-1", "-1/2", " 3 ",
@@ -42,6 +45,9 @@ near_miss_tokens = st.one_of(
     # exponents whose size takes the token to the limit and just past it
     st.builds("{}e{}{}".format, st.sampled_from(["1", "2.5", "-0", "+3"]),
               st.sampled_from(["", "+", "-"]), st.integers(990, 999)),
+)
+near_miss_tokens = st.one_of(
+    near_miss_text_tokens,
     st.sampled_from([0, 2, -1, 10**1000 - 1, 10**1000, -(10**1000), 10**5000, -(10**5000)]),
     st.integers(0, 10**300),
     st.booleans(),
@@ -95,7 +101,9 @@ def near_miss_metric_documents(draw):
         elif fault == "missing" and dist:
             del dist[draw(st.sampled_from(sorted(dist)))]
         elif fault == "key":
-            dist[draw(st.sampled_from(["ab", "a|b|c", "|a", "a|", "z|a", "a|a "]))] = draw(values)
+            # "z|a", "a|z" and "a|a " name no pair of the points
+            keys = ["ab", "a|b|c", "|a", "a|", "z|a", "a|z", "a|a "]
+            dist[draw(st.sampled_from(keys))] = draw(values)
     doc = {"points": points, "dist": dist}
     return _shapes(draw, doc, {"points": points}, {"dist": dist}, {**doc, "dist": list(dist)},
                    {**doc, "points": "ab"})
@@ -166,8 +174,8 @@ def near_miss_witt_space_documents(draw):
     """A Witt-space document on up to four points at a degree bound of at
     most 6, θ of a small value on each pair and of 0 on the diagonal, with
     none, one or two faults among a faulty entry, a bad, repeated or extra
-    point, a missing pair, a bad key and a wrong degree bound, and now and
-    then the wrong shape."""
+    point, a missing pair, a bad or extra key and a wrong degree bound, and
+    now and then the wrong shape."""
     bound = draw(st.integers(1, 6))
     points = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
     dist = {
@@ -185,7 +193,9 @@ def near_miss_witt_space_documents(draw):
         elif fault == "missing" and dist:
             del dist[draw(st.sampled_from(sorted(dist)))]
         elif fault == "key":
-            dist[draw(st.sampled_from(["ab", "a|b|c", "|a", "z|a"]))] = theta(ZERO, bound).to_json()
+            # "z|a" and "a|z" name no pair of the points
+            keys = ["ab", "a|b|c", "|a", "z|a", "a|z"]
+            dist[draw(st.sampled_from(keys))] = theta(ZERO, bound).to_json()
         elif fault == "bound":
             doc["degree_bound"] = draw(st.one_of(_WRONG, st.integers(1, 6)))
     return _shapes(draw, doc, {"points": points}, {**doc, "dist": list(dist)},

@@ -49,6 +49,43 @@ def partition_count(n: int, max_part: int | None = None) -> int:
     return partition_count(n, max_part - 1) + partition_count(n - max_part, max_part)
 
 
+def power_sums_by_map_count(parts: tuple[Partition, ...]) -> list[list[tuple[int, int]]]:
+    """Sparse rows of L, the power-sum-to-monomial transition matrix on the
+    partitions of one size, indexed by position in ``parts``.
+
+    Row ρ lists (μ, L[ρ][μ]) for each nonzero coefficient of m_μ in p_ρ.
+    That coefficient counts the maps from the parts of ρ to the positions
+    of μ under which each position receives parts summing to its own
+    value.  It vanishes unless μ dominates ρ, so with ``parts`` in
+    ``partitions_of`` order every row ends at its diagonal entry
+    L[ρ][ρ] = Π m_i(ρ)!, and L is lower triangular; every column is
+    counted here, so a comparison checks that too.
+    """
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+
+    def count(rho: tuple[int, ...], mu: tuple[int, ...]) -> int:
+        # send the last part of ρ to each position of μ that can take it
+        if not rho:
+            return 0 if mu else 1
+        key = (rho, mu)
+        if key not in memo:
+            r, rest = rho[-1], rho[:-1]
+            total = 0
+            for i, v in enumerate(mu):
+                if v == r:
+                    total += count(rest, mu[:i] + mu[i + 1:])
+                elif v > r:
+                    smaller = sorted(mu[:i] + (v - r,) + mu[i + 1:], reverse=True)
+                    total += count(rest, tuple(smaller))
+            memo[key] = total
+        return memo[key]
+
+    return [
+        [(m, c) for m, mu in enumerate(parts) if (c := count(tuple(rho), tuple(mu)))]
+        for rho in parts
+    ]
+
+
 @cache
 def count_syt(shape: tuple[int, ...]) -> int:
     """Standard Young tableaux of a shape, by removing the largest entry.

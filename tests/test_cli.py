@@ -23,7 +23,7 @@ from documents import (
     near_miss_elem_documents,
     near_miss_metric_documents,
     near_miss_sym_documents,
-    near_miss_tokens,
+    near_miss_text_tokens,
     near_miss_witt_space_documents,
 )
 
@@ -617,6 +617,20 @@ def test_space_above_the_point_cap_is_refused(runner, tmp_path):
                 assert "points exceed the maximum" in error_of(result, 2)["detail"]
 
 
+def test_space_with_a_key_that_is_no_pair_of_the_points_is_refused(runner, tmp_path):
+    # a|c names a point outside the space, b|zz a second degree bound too
+    pairs = {"a|a": "0", "a|b": "1", "b|a": "1", "b|b": "0"}
+    metric = write(tmp_path, "metric.json", {"points": ["a", "b"], "dist": {**pairs, "a|c": "7"}})
+    extra = {"degree_bound": 5, "values": {}}
+    witt = write(tmp_path, "witt.json",
+                 {"points": ["a"], "dist": {"a|a": theta(ZERO, 2).to_json(), "b|zz": extra}})
+    for args, key in ((["cat", "validate", "--input", metric], "a|c"),
+                      (["cat", "tau", "--input", witt], "b|zz")):
+        error = error_of(runner.invoke(main, args), 2)
+        detail = f"distance key {key!r} is not a pair of the points"
+        assert error == {"kind": "format", "detail": detail}
+
+
 def test_non_positive_partition_key_is_a_format_error(runner, tmp_path):
     sym = write(tmp_path, "sym.json", {"degree_bound": 4, "coeffs": {"0": 1}})
     result = runner.invoke(main, ["sym", "coprod-add", "--input", sym])
@@ -695,7 +709,7 @@ _CALLS = {
     ("witt", "in-l"): ({"input": _WITT}, _NONE),
     ("witt", "eval"): ({"input": _WITT, "sym": _SYM}, _NONE),
     ("witt", "theta"): ({}, st.builds(lambda r, d: ["--r", r, *d],
-                                      near_miss_tokens.filter(lambda t: isinstance(t, str)), _DEGREE)),
+                                      near_miss_text_tokens, _DEGREE)),
     ("cat", "validate"): ({"input": _SPACES}, _NONE),
     ("cat", "slice"): ({"input": _SPACES}, st.sampled_from(
         [["--lambda", "2,1"], ["--lambda", ""], ["--lambda", "2,x"], ["--h", "3"], ["--h", "7"],

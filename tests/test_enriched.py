@@ -22,7 +22,7 @@ from tropwitt.generate import random_metric_space, random_point_eval_space
 from tropwitt.partitions import Partition, partitions_of, partitions_up_to
 from tropwitt.plancherel import observe, sample_path
 from tropwitt.quantale import INF, ZERO, LValue
-from tropwitt.symfunc import complete, monomial
+from tropwitt.symfunc import SymFunc, TensorSymFunc, complete, monomial
 from tropwitt.witt import WittElem, from_points, theta
 
 from documents import loaded, near_miss_witt_space_documents
@@ -406,6 +406,44 @@ def test_constructor_and_loader_errors(cls, points, dist, error, text, json_text
 def test_witt_space_loader_on_near_miss_documents(doc):
     got = loaded(WittSpace.from_json, doc)
     assert got is FormatError or WittSpace.from_json(got.to_json()) == got
+    if got is not FormatError:  # the document names each pair, and no other key
+        assert set(doc["dist"]) == {f"{x}|{y}" for x in got.points for y in got.points}
+
+
+@pytest.mark.parametrize("cls, entry", [(MetricSpace, "1"), (WittSpace, theta(lv(1), 2).to_json())])
+@pytest.mark.parametrize("extra", ["a|c", "c|a", "a|a ", "b|zz"])
+def test_loaders_refuse_a_key_that_is_no_pair_of_the_points(cls, entry, extra):
+    # refused before any entry is read: the extra entry itself is malformed
+    dist = {f"{x}|{y}": entry for x in "ab" for y in "ab"}
+    for doc in ({**dist, extra: entry}, {extra: "x", **dist}, {extra: {"degree_bound": 5}, **dist}):
+        with pytest.raises(FormatError) as got:
+            cls.from_json({"points": ["a", "b"], "dist": doc})
+        assert str(got.value) == f"distance key {extra!r} is not a pair of the points"
+
+
+@pytest.mark.parametrize(
+    "load, data, text",
+    [
+        (WittElem.from_json, {"degree_bound": 2, "values": {1: "0"}}, "bad partition key 1"),
+        (SymFunc.from_json, {"degree_bound": 2, "coeffs": {1: 1}}, "bad partition key 1"),
+        (SymFunc.from_json, {"degree_bound": 2, "coeffs": {10**5000: "x"}},
+         "bad coefficient 'x' for key <integer of more than 1000 digits>"),
+        (TensorSymFunc.from_json, {"degree_bound": 2, "coeffs": {1: 1}},
+         "tensor key must be 'mu|nu', got 1"),
+        (WittSpace.from_json, {"points": ["a"], "dist": {1: theta(ZERO, 1).to_json()}},
+         "distance key must be 'x|y', got 1"),
+        (MetricSpace.from_json, {"points": ["a"], "dist": {(1, 2): "0"}},
+         "distance key must be 'x|y', got (1, 2)"),
+        (Partition.from_key, 12, "bad partition key 12"),
+        (Partition.from_key, 10**5000, "bad partition key <integer of more than 1000 digits>"),
+    ],
+    ids=["witt-elem", "sym", "sym-long", "tensor", "witt-space", "metric", "key", "key-long"],
+)
+def test_loaders_refuse_a_key_that_is_not_a_string(load, data, text):
+    # JSON text has only string keys, but a library caller's dict may not
+    with pytest.raises(FormatError) as got:
+        load(data)
+    assert str(got.value) == text
 
 
 @settings(max_examples=40)

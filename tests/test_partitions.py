@@ -32,9 +32,22 @@ def test_enumerate_three():
     assert [p.parts for p in partitions_of(3)] == [(3,), (2, 1), (1, 1, 1)]
 
 
-@pytest.mark.parametrize("n", range(11))
+@pytest.mark.parametrize("n", range(21))
 def test_enumerate_matches_brute_oracle(n):
     assert [p.parts for p in partitions_of(n)] == partitions_brute(n)
+
+
+def test_enumerate_refuses_a_negative_size():
+    with pytest.raises(ValueError) as got:
+        partitions_of(-1)
+    assert str(got.value) == "n must be nonnegative"
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_partitions_up_to_is_every_size_sorted(n):
+    # partitions_up_to reverses each size's list, without sorting
+    every = [lam for k in range(n + 1) for lam in partitions_of(k)]
+    assert partitions_up_to(n) == tuple(sorted(every))
 
 
 @pytest.mark.parametrize("n", range(13))
@@ -124,6 +137,13 @@ def test_key_round_trip(parts):
     p = Partition(parts)
     assert Partition.from_key(p.key()) == p
     assert Partition.from_json(p.to_json()) == p
+
+
+def test_printed_form_names_only_a_part_past_the_digit_limit():
+    for p in partitions_up_to(6):
+        assert str(p) == f"({','.join(map(str, p))})"
+    assert str(Partition([10**1000 - 1, 2])) == f"({'9' * 1000},2)"
+    assert str(Partition([10**1000, 2])) == "(<integer of more than 1000 digits>,2)"
 
 
 def test_rejects_bad_parts():

@@ -431,13 +431,13 @@ def _metric_oracle(doc):
     table = {}
     for key, token in raw.items():
         value = _token_oracle(token)
-        if key.count("|") != 1 or value is FormatError:
+        if not isinstance(key, str) or key.count("|") != 1 or value is FormatError:
             return FormatError
         table[tuple(key.split("|"))] = value
     names_ok = all(isinstance(p, str) and "|" not in p for p in points)
     if not points or not names_ok or len(set(points)) != len(points):
         return FormatError
-    if any((x, y) not in table for x in points for y in points):
+    if table.keys() != {(x, y) for x in points for y in points}:  # each pair, and no other
         return FormatError
     return {(x, y): table[x, y] for x in points for y in points}
 

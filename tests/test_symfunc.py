@@ -43,6 +43,7 @@ from oracles import (
     naive_comult,
     nat_combination_exists,
     plethysm_by_substitution,
+    power_sums_by_map_count,
     product_by_alignment_count,
     three_way_splittings,
 )
@@ -177,6 +178,38 @@ def test_basis_product_matches_polynomial_route_at_degree_twelve():
         12,
     )
     assert SymFunc(dict(product_rows(mu, nu)), 12) == want
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_transition_rows_match_the_map_count(n):
+    # each row p_ρ′·p_k, read off a smaller size, against the map count
+    assert symfunc._transition(n).rows == power_sums_by_map_count(partitions_of(n))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_power_sums_match_the_polynomial_route(n):
+    # p_ρ as the product of the polynomials p_k = m_(k) in n variables
+    t = symfunc._transition(n)
+    for rho, row in zip(t.parts, t.rows):
+        poly = expand_in_vars(SymFunc.one(n), n)
+        for k in rho:
+            poly = poly_mul(poly, expand_in_vars(m(k, bound=n), n))
+        assert from_polynomial(poly, n, n) == SymFunc({t.parts[c]: v for c, v in row}, n), rho
+
+
+def test_a_transition_row_past_its_diagonal_is_refused(monkeypatch):
+    # with size 3 listed in ascending order, row 0 is p_(1,1,1), whose last
+    # term, m_(3), sits at rank 2 of the basis: past the diagonal
+    _prefix(3)  # index size 3 in its own order first
+    real = symfunc.partitions_of
+    monkeypatch.setattr(symfunc, "partitions_of", lambda n: real(n)[::-1] if n == 3 else real(n))
+    symfunc._transition.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError) as got:
+            symfunc._transition(3)
+    finally:
+        symfunc._transition.cache_clear()
+    assert str(got.value) == "row 0 of L at n = 3 does not end at its diagonal"
 
 
 # -- one basis for every degree bound -------------------------------------------------
