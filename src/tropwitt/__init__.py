@@ -14,7 +14,6 @@ _MODULES = {
         "ConstantTermError",
         "DegreeOverflowError",
         "FormatError",
-        "NotSymmetricError",
         "TropwittError",
     ),
     "partitions": (
@@ -35,12 +34,9 @@ _MODULES = {
         "counit_add",
         "counit_mult",
         "elementary",
-        "expand_in_vars",
-        "from_polynomial",
         "monomial",
         "multiply",
         "plethysm",
-        "poly_mul",
     ),
     "witt": (
         "WittElem",

@@ -7,11 +7,13 @@ parser.  Options are spelled in full, as ``--opt value`` or ``--opt=value``;
 
 Exit codes: 0 success, 1 validation failure (an input fails its axioms, or
 a law suite fails), 2 malformed input (a bad or missing option or command,
-a malformed ``--r``, an unreadable file, bad JSON, a schema mismatch, or a
-value past a limit that its loader checks: a degree bound above
-``MAX_DEGREE``, more points than ``enriched.MAX_POINTS``).  Errors are
-reported as one JSON object on stdout.  Every command takes ``--output``
-to write its JSON result to a file instead of stdout.
+a malformed ``--r``, an unreadable file, bad JSON, a key that one JSON
+object names twice, a schema mismatch, or a value past a limit: a degree
+bound above ``MAX_DEGREE`` or more points than ``enriched.MAX_POINTS``,
+checked by the loader that reads it, or values too wide to check, past
+``witt.MAX_PACKED_BYTES``).  Errors are reported as one JSON object on
+stdout.  Every command takes ``--output`` to write its JSON result to a
+file instead of stdout.
 """
 
 from __future__ import annotations
@@ -181,9 +183,19 @@ def _json_int(token: str) -> int:
     return int(token)
 
 
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    # a key that an object repeats is malformed, where a dict keeps its last value
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise FormatError(f"key {key!r} is named twice in one object")
+    return obj
+
+
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_int=_json_int)
+        return json.load(fh, parse_int=_json_int, object_pairs_hook=_json_object)
 
 
 def _emit(data, output: str | None) -> None:

@@ -35,8 +35,10 @@ DistTable = dict[tuple[str, str], LValue]
 # Largest point count of a space that the loader reads.  Validation tests
 # every triple of points, one packed step per middle point over all coproduct
 # groups and all (x, z): a cold `cat validate` of a valid space at degree 12
-# took 0.61 s at 6 points and 0.74 s at 8 (2-vCPU Xeon, median of 5; 0.83
-# and 1.13 s before the packed kernel).
+# with values of a few digits took 0.61 s at 6 points and 0.75 s at 8 (2-vCPU
+# Xeon, median of 5; 0.83 and 1.13 s before the packed kernel).  Wider
+# values cost more: ``validate`` and the entry check ``failing_entries``
+# refuse a batch past ``witt.MAX_PACKED_BYTES`` before packing it.
 MAX_POINTS = 8
 
 

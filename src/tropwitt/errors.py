@@ -9,10 +9,6 @@ class DegreeOverflowError(TropwittError):
     """An operation would need terms beyond the configured degree bound."""
 
 
-class NotSymmetricError(TropwittError):
-    """A polynomial claimed to be symmetric is not."""
-
-
 class ConstantTermError(TropwittError):
     """The inner argument of a composition has a nonzero constant term."""
 

@@ -3,7 +3,8 @@
 Each suite returns exact pass/fail counts; the CLI's ``suite run`` and the
 acceptance tests both call these functions, so there is a single place
 where the laws are spelled out.  All arithmetic is exact; a failure lists
-the witness that broke.
+the witness that broke.  The structure tables are not laws: the tests
+check them against brute-force routes kept in ``tests/oracles.py``.
 
 A suite reads each public name beyond the base modules as ``T.<name>``,
 which loads just its module, so one suite loads only what it computes with.
@@ -403,60 +404,6 @@ def suite_plancherel(res: SuiteResult, seed: int, paths: int = 10_000) -> None:
                 f"marginal at size {n}, partition {lam}: freq {float(freq):.4f} "
                 f"vs exact {float(p):.4f}",
             )
-
-
-# -- 10: combinatorial routes match the brute-force expansions -------------------------------
-
-
-@_suite("oracle-coherence", "symfunc")
-def suite_oracle_coherence(res: SuiteResult, seed: int) -> None:
-    for lam in partitions_up_to(6):
-        if lam.is_empty():
-            continue
-        k = lam.size
-        poly = T.expand_in_vars(T.monomial(lam, k), 2 * k)
-        rebuilt: dict[tuple[int, ...], int] = {}
-        for (mu, nu), c in T.coproduct_add(T.monomial(lam, k)).items():
-            left = T.expand_in_vars(T.monomial(mu, k), k)
-            right = T.expand_in_vars(T.monomial(nu, k), k)
-            for el, cl in left.items():
-                for er, cr in right.items():
-                    key = el + er
-                    rebuilt[key] = rebuilt.get(key, 0) + c * cl * cr
-        res.check(
-            rebuilt == poly,
-            f"two-alphabet expansion matches splittings at {lam}",
-        )
-
-    for mu in partitions_up_to(5):
-        for nu in partitions_up_to(5):
-            if mu.is_empty() or nu.is_empty():
-                continue
-            d = mu.size + nu.size
-            if d > 6:
-                continue
-            direct = T.multiply(T.monomial(mu, d), T.monomial(nu, d))
-            oracle = T.from_polynomial(
-                T.poly_mul(
-                    T.expand_in_vars(T.monomial(mu, d), d),
-                    T.expand_in_vars(T.monomial(nu, d), d),
-                ),
-                d,
-            )
-            res.check(direct == oracle, f"product at ({mu}, {nu}) matches expansion")
-
-    for n in range(1, 5):
-        for np in range(n, 9 - n):
-            d = n + np
-            direct = T.multiply(T.monomial(Partition([n]), d), T.monomial(Partition([np]), d))
-            oracle = T.from_polynomial(
-                T.poly_mul(
-                    T.expand_in_vars(T.monomial(Partition([n]), d), d),
-                    T.expand_in_vars(T.monomial(Partition([np]), d), d),
-                ),
-                d,
-            )
-            res.check(direct == oracle, f"row product ({n})·({np}) matches expansion")
 
 
 def run_all(module: str | None = None, seed: int = DEFAULT_SEED) -> list[SuiteResult]:

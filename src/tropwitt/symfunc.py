@@ -24,10 +24,9 @@ shared by all larger bounds, with m_∅ at position −1.  The structure
 tables are kept by position, per size, per λ or per unordered pair: the
 product rows, the multiplicative-coproduct groups with their counts and
 the multiset splittings.  This module's arithmetic and the Witt rig of
-:mod:`tropwitt.witt` both read them.  The brute-force polynomial route
-(:func:`expand_in_vars`, :func:`poly_mul`, :func:`from_polynomial`) is
-the reference that the ``oracle-coherence`` suite and the tests check
-them against.
+:mod:`tropwitt.witt` both read them.  The tests check them against the
+brute-force polynomial route, which lives with the other oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -39,10 +38,8 @@ from math import factorial, gcd
 from operator import attrgetter, floordiv
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import ConstantTermError, DegreeOverflowError, FormatError, NotSymmetricError, _shown
+from .errors import ConstantTermError, DegreeOverflowError, FormatError, _shown
 from .partitions import EMPTY, MAX_DEGREE, Partition, _check_degree, partitions_of
-
-Poly = dict[tuple[int, ...], int]
 
 
 class _Combination:
@@ -531,85 +528,6 @@ def _tensor_counit(t: TensorSymFunc, kind: str, side: int) -> SymFunc:
             other = pair[1 - side]
             out[other] = out.get(other, 0) + c
     return SymFunc(out, t.degree_bound)
-
-
-# -- brute-force polynomial route ---------------------------------------------------
-
-
-@cache
-def _expand_monomial(lam: Partition, k: int) -> tuple[tuple[int, ...], ...]:
-    """All distinct exponent vectors of m_λ in k variables (empty if λ has
-    more parts than there are variables), in lexicographic order."""
-    if lam.length > k:
-        return ()
-    if k == 0:
-        return ((),)
-    # the first variable takes exponent 0 or one of the distinct parts of λ
-    out = [(0,) + rest for rest in _expand_monomial(lam, k - 1)]
-    for v in sorted(set(lam)):
-        rest_parts = list(lam)
-        rest_parts.remove(v)
-        out.extend((v,) + rest for rest in _expand_monomial(Partition(rest_parts), k - 1))
-    return tuple(out)
-
-
-def expand_in_vars(f: SymFunc, k: int) -> Poly:
-    """Substitute x_{k+1} = x_{k+2} = … = 0 and expand into monomials."""
-    out: Poly = {}
-    for lam, c in f._coeffs.items():
-        for expo in _expand_monomial(lam, k):
-            out[expo] = out.get(expo, 0) + c
-    return out
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    """Multiply two polynomials given as exponent-tuple → coefficient maps."""
-    out: Poly = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
-    return out
-
-
-def from_polynomial(p: Poly, k: int, degree_bound: int | None = None) -> SymFunc:
-    """Recover a SymFunc from a symmetric polynomial in k variables.
-
-    Greedily peels the lexicographically leading monomial into an m_λ term
-    and subtracts its full orbit; raises NotSymmetricError if a coefficient
-    would go negative or the residual cannot reach zero.
-    """
-    work: Poly = {}
-    for expo, c in p.items():
-        if len(expo) != k:
-            raise ValueError(f"exponent tuple {expo} does not have {k} entries")
-        if c < 0:
-            raise NotSymmetricError("negative coefficient in input polynomial")
-        if c:
-            work[expo] = c
-    if degree_bound is None:
-        degree_bound = max((sum(e) for e in work), default=0)
-    out: dict[Partition, int] = {}
-    while work:
-        lead = max(work)
-        c = work[lead]
-        lam = Partition(e for e in lead if e)
-        if lam.size > degree_bound:
-            raise DegreeOverflowError(
-                f"term m{lam} exceeds degree bound {degree_bound}"
-            )
-        for expo in _expand_monomial(lam, k):
-            residual = work.get(expo, 0) - c
-            if residual < 0:
-                raise NotSymmetricError(
-                    f"polynomial is not symmetric (short at {expo})"
-                )
-            if residual:
-                work[expo] = residual
-            else:
-                work.pop(expo, None)
-        out[lam] = out.get(lam, 0) + c
-    return SymFunc(out, degree_bound)
 
 
 # -- composition ------------------------------------------------------------------------

@@ -40,7 +40,9 @@ Fields of 1, 2, 4 or 8 bytes are cut from one ``array`` of every value,
 column-major; wider ones are written value by value.  The masks of a
 layout (guard bits, row and column selectors, repeat constants) depend on
 its shape alone and are kept for the next batch of that shape, the small
-ones only and a bounded number of them.  A
+ones only and a bounded number of them.  A batch whose columns would
+take more than ``MAX_PACKED_BYTES`` is refused, as a ``FormatError``,
+before any column is built.  A
 :class:`_Family` orders a fixed family of position sets by decreasing
 size, so round r reads the r-th member of a prefix of the sets, and one
 fieldwise min per round (guard-bit subtract, mask, select) takes the
@@ -184,6 +186,17 @@ _TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
 _MASK_BYTES = 1 << 16
 _MASKS = 128
 
+# The most bytes of packed columns that one check lays out: the positions up
+# to the bound, times the elements, times the field width.  Time and memory
+# grow faster than that.  Unrefused, at degree 12, a space with 1000-digit
+# values (416-byte fields) took 2.6 s and 107 MB to validate at 2 points
+# (451 KB) and 15.5 s and 407 MB at 4; one element whose 271 values have
+# distinct 200-digit denominators (22 KB fields over their lcm, 6.0 MB)
+# took 6.2 s and 312 MB.  Under the cap, 8 points at degree 12 with 7-byte
+# fields (121 KB) take 1.4 s and 49 MB in a cold `cat validate` (2-vCPU
+# Xeon, median of 5).
+MAX_PACKED_BYTES = 1 << 17
+
 
 @lru_cache(maxsize=_MASKS)
 def _tiled(pattern: bytes, n: int) -> int:
@@ -207,6 +220,12 @@ class _Packed:
         self.den, self.inf, self.lists = _lift(elems)
         self.count = len(elems)
         self.size = size = (2 * self.inf).bit_length() // 8 + 1
+        packed = len(self.lists[0]) * self.count * size
+        if packed > MAX_PACKED_BYTES:  # refused before any column is built
+            raise FormatError(
+                f"{self.count} elements of {len(self.lists[0])} values in {size}-byte fields "
+                f"pack to {packed} bytes, above the maximum {MAX_PACKED_BYTES}"
+            )
         self.bits = 8 * size
         code = _TYPECODES.get(size)
         if code:  # one array of every value, column-major, cut into columns

@@ -1,7 +1,10 @@
 """Brute-force oracles kept independent of the library's own algorithms.
 
 Each function here recomputes something the package computes smarter, by
-the most literal route available, so the tests can compare the two.
+the most literal route available, so the tests can compare the two.  The
+polynomial route expands a symmetric function in finitely many variables,
+multiplies there and peels the result back into the monomial basis; no
+library path calls it.
 """
 
 from __future__ import annotations
@@ -13,12 +16,12 @@ from functools import cache
 from itertools import combinations, permutations
 
 from tropwitt.enriched import WittSpace
-from tropwitt.errors import DegreeOverflowError, FormatError
+from tropwitt.errors import DegreeOverflowError, FormatError, TropwittError
 from tropwitt.partitions import MAX_DEGREE, Partition, partitions_of, partitions_up_to
 from tropwitt.plancherel import GrowthPath, growth_step
 from tropwitt.quantale import INF, ZERO, LValue, leq
 from tropwitt.report import Report, Violation
-from tropwitt.symfunc import SymFunc, coproduct_mult, expand_in_vars, from_polynomial, monomial
+from tropwitt.symfunc import SymFunc, coproduct_mult, monomial
 from tropwitt.witt import WittElem
 
 
@@ -47,6 +50,87 @@ def partition_count(n: int, max_part: int | None = None) -> int:
     if max_part > n:
         max_part = n
     return partition_count(n, max_part - 1) + partition_count(n - max_part, max_part)
+
+
+# -- the polynomial route (Macdonald, *Symmetric Functions and Hall Polynomials*, ch. I) ----
+
+Poly = dict[tuple[int, ...], int]
+
+
+class NotSymmetricError(TropwittError):
+    """A polynomial claimed to be symmetric is not."""
+
+
+@cache
+def _expand_monomial(lam: Partition, k: int) -> tuple[tuple[int, ...], ...]:
+    """All distinct exponent vectors of m_λ in k variables (empty if λ has
+    more parts than there are variables), in lexicographic order."""
+    if lam.length > k:
+        return ()
+    if k == 0:
+        return ((),)
+    # the first variable takes exponent 0 or one of the distinct parts of λ
+    out = [(0,) + rest for rest in _expand_monomial(lam, k - 1)]
+    for v in sorted(set(lam)):
+        rest_parts = list(lam)
+        rest_parts.remove(v)
+        out.extend((v,) + rest for rest in _expand_monomial(Partition(rest_parts), k - 1))
+    return tuple(out)
+
+
+def expand_in_vars(f: SymFunc, k: int) -> Poly:
+    """Substitute x_{k+1} = x_{k+2} = … = 0 and expand into monomials."""
+    out: Poly = {}
+    for lam, c in f.items():
+        for expo in _expand_monomial(lam, k):
+            out[expo] = out.get(expo, 0) + c
+    return out
+
+
+def poly_mul(p: Poly, q: Poly) -> Poly:
+    """Multiply two polynomials given as exponent-tuple → coefficient maps."""
+    out: Poly = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+def from_polynomial(p: Poly, k: int, degree_bound: int | None = None) -> SymFunc:
+    """Recover a SymFunc from a symmetric polynomial in k variables.
+
+    Greedily peels the lexicographically leading monomial into an m_λ term
+    and subtracts its full orbit; raises NotSymmetricError if a coefficient
+    would go negative or the residual cannot reach zero.
+    """
+    work: Poly = {}
+    for expo, c in p.items():
+        if len(expo) != k:
+            raise ValueError(f"exponent tuple {expo} does not have {k} entries")
+        if c < 0:
+            raise NotSymmetricError("negative coefficient in input polynomial")
+        if c:
+            work[expo] = c
+    if degree_bound is None:
+        degree_bound = max((sum(e) for e in work), default=0)
+    out: dict[Partition, int] = {}
+    while work:
+        lead = max(work)
+        c = work[lead]
+        lam = Partition(e for e in lead if e)
+        if lam.size > degree_bound:
+            raise DegreeOverflowError(f"term m{lam} exceeds degree bound {degree_bound}")
+        for expo in _expand_monomial(lam, k):
+            residual = work.get(expo, 0) - c
+            if residual < 0:
+                raise NotSymmetricError(f"polynomial is not symmetric (short at {expo})")
+            if residual:
+                work[expo] = residual
+            else:
+                work.pop(expo, None)
+        out[lam] = out.get(lam, 0) + c
+    return SymFunc(out, degree_bound)
 
 
 def power_sums_by_map_count(parts: tuple[Partition, ...]) -> list[list[tuple[int, int]]]:

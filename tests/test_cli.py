@@ -11,12 +11,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tropwitt import suites
-from tropwitt.cli import COMMANDS, MAX_STEPS, main
+from tropwitt.cli import COMMANDS, MAX_STEPS, _read_json, main
 from tropwitt.enriched import MAX_POINTS, MetricSpace, WittSpace, theta_space
+from tropwitt.errors import FormatError
 from tropwitt.generate import random_metric_space, random_point_eval_space
-from tropwitt.partitions import Partition
+from tropwitt.partitions import Partition, partitions_up_to
 from tropwitt.quantale import ZERO, LValue
-from tropwitt.symfunc import SymFunc, monomial
+from tropwitt.symfunc import SymFunc, TensorSymFunc, monomial
 from tropwitt.witt import WittElem, theta
 
 from documents import (
@@ -629,6 +630,61 @@ def test_space_with_a_key_that_is_no_pair_of_the_points_is_refused(runner, tmp_p
         error = error_of(runner.invoke(main, args), 2)
         detail = f"distance key {key!r} is not a pair of the points"
         assert error == {"kind": "format", "detail": detail}
+
+
+_THETA_2 = '{"degree_bound": 2, "values": {"1": "0", "1,1": "inf", "2": "0"}}'
+_PAIRS = ("a|a", "a|b", "b|a", "b|b")
+
+
+@pytest.mark.parametrize(
+    "args, text, key",
+    [
+        (["witt", "validate"],
+         '{"degree_bound": 2, "values": {"1": "1", "2": "2", "1,1": "2", "1": "5"}}', "1"),
+        (["sym", "coprod-add"], '{"degree_bound": 4, "coeffs": {"1": 1, "2": 1, "1": 2}}', "1"),
+        (["cat", "validate"],
+         '{"points": ["a", "b"], "dist": {%s, "a|b": "2"}}'
+         % ", ".join(f'"{p}": "{int(p[0] != p[2])}"' for p in _PAIRS), "a|b"),
+        (["cat", "validate"],
+         '{"points": ["a", "b"], "dist": {%s, "a|b": %s}}'
+         % (", ".join(f'"{p}": {_THETA_2}' for p in _PAIRS), _THETA_2), "a|b"),
+        (["witt", "validate"],
+         '{"degree_bound": 2, "values": {"1": "1", "1,1": "inf", "2": "2"}, "degree_bound": 2}',
+         "degree_bound"),
+    ],
+    ids=["witt-elem", "sym-func", "metric-space", "witt-space", "top-level"],
+)
+def test_a_key_named_twice_in_a_document_is_refused(runner, tmp_path, args, text, key):
+    # json.load alone keeps the last value of a repeated key
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    error = error_of(runner.invoke(main, [*args, "--input", str(doc)]), 2)
+    assert error == {"kind": "format", "detail": f"key {key!r} is named twice in one object"}
+
+
+def test_a_tensor_key_named_twice_is_refused_by_the_reader(tmp_path):
+    # no command reads a tensor; the CLI's one JSON reader refuses it all the same
+    doc = tmp_path / "tensor.json"
+    doc.write_text('{"degree_bound": 2, "coeffs": {"1|1": 1, "|2": 1, "1|1": 3}}')
+    with pytest.raises(FormatError, match=r"^key '1\|1' is named twice in one object$"):
+        TensorSymFunc.from_json(_read_json(str(doc)))
+
+
+def test_values_too_wide_to_check_are_refused_at_once(runner, tmp_path):
+    # 999-digit distances at degree 12: 416-byte fields, 4 × 271 of them;
+    # checked, the 2-point space took 2.6 s, and an element whose values
+    # have distinct 50-digit denominators 1.1 s
+    metric = MetricSpace(["a", "b"], {(x, y): LValue(0 if x == y else 10**998) for x in "ab" for y in "ab"})
+    space = write(tmp_path, "space.json", theta_space(metric, 12).to_json())
+    parts = [lam.key() for lam in partitions_up_to(12) if not lam.is_empty()]
+    values = {key: f"1/{10**50 + 2 * i + 1}" for i, key in enumerate(parts)}
+    elem = write(tmp_path, "elem.json", {"degree_bound": 12, "values": values})
+    for args in (["cat", "validate", "--input", space], ["cat", "tau", "--input", space],
+                 ["witt", "validate", "--input", elem]):
+        start = time.perf_counter()
+        error = error_of(runner.invoke(main, args), 2)
+        assert time.perf_counter() - start < 1, args
+        assert error["kind"] == "format" and "above the maximum 131072" in error["detail"], error
 
 
 def test_non_positive_partition_key_is_a_format_error(runner, tmp_path):

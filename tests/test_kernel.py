@@ -309,6 +309,27 @@ def test_only_small_layout_masks_are_kept():
     assert witt._tiled.cache_info().maxsize == witt._MASKS
 
 
+def test_a_batch_past_the_packed_cap_is_refused(monkeypatch):
+    # the cap counts positions × elements × field bytes: a batch at it is
+    # checked, one a byte past it refused, by each of the three checks
+    points = ("a", "b")
+    space = WittSpace(points, {(x, y): theta(LValue(int(x != y)), 3) for x in points for y in points})
+    entries, entry = list(space._dist.values()), space.dist("a", "b")
+    for check, batch in ((space.validate, entries), (space.failing_entries, entries), (entry.validate, [entry])):
+        monkeypatch.undo()
+        packed = _Packed(batch)
+        at = 6 * packed.count * packed.size  # six partitions of size 1 to 3
+        monkeypatch.setattr(witt, "MAX_PACKED_BYTES", at)
+        check()
+        monkeypatch.setattr(witt, "MAX_PACKED_BYTES", at - 1)
+        with pytest.raises(FormatError) as got:
+            check()
+        assert str(got.value) == (
+            f"{packed.count} elements of 6 values in {packed.size}-byte fields "
+            f"pack to {at} bytes, above the maximum {at - 1}"
+        )
+
+
 def test_violation_in_the_last_field_of_the_last_group():
     # in family order the last coproduct group at degree 4 is λ = (1,1,1,1)
     # with left factor (4) and right set {(1,1,1,1)}; d(b, a) is finite

@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tropwitt import symfunc
-from tropwitt.errors import ConstantTermError, DegreeOverflowError, FormatError, NotSymmetricError
+from tropwitt.errors import ConstantTermError, DegreeOverflowError, FormatError
 from tropwitt.partitions import EMPTY, MAX_DEGREE, Partition, partitions_of, partitions_up_to
 from tropwitt.symfunc import (
     SymFunc,
@@ -21,12 +21,9 @@ from tropwitt.symfunc import (
     counit_add,
     counit_mult,
     elementary,
-    expand_in_vars,
-    from_polynomial,
     monomial,
     multiply,
     plethysm,
-    poly_mul,
     tensor_counit_left,
     tensor_counit_right,
     _comult,
@@ -39,10 +36,14 @@ from tropwitt.symfunc import (
 from tropwitt.witt import WittElem
 
 from oracles import (
+    NotSymmetricError,
     comult_by_matrix_count,
+    expand_in_vars,
+    from_polynomial,
     naive_comult,
     nat_combination_exists,
     plethysm_by_substitution,
+    poly_mul,
     power_sums_by_map_count,
     product_by_alignment_count,
     three_way_splittings,
@@ -336,6 +337,19 @@ def test_coproduct_add_bidegrees_split_the_degree():
     for lam in partitions_up_to(6):
         for (mu, nu), _ in coproduct_add(monomial(lam, 6)).items():
             assert mu.size + nu.size == lam.size
+
+
+def test_coproduct_add_matches_the_two_alphabet_expansion():
+    # m_λ in the k + k variables x, y is Σ c·m_μ(x)·m_ν(y) over the terms
+    # c·m_μ ⊗ m_ν of its splittings
+    for lam in partitions_up_to(6):
+        k = lam.size
+        rebuilt = {}
+        for (mu, nu), c in coproduct_add(monomial(lam, k)).items():
+            for x, a in expand_in_vars(monomial(mu, k), k).items():
+                for y, b in expand_in_vars(monomial(nu, k), k).items():
+                    rebuilt[x + y] = rebuilt.get(x + y, 0) + c * a * b
+        assert rebuilt == expand_in_vars(monomial(lam, k), 2 * k), lam
 
 
 def test_coproduct_add_coassociative():
