@@ -19,7 +19,6 @@ _MODULES = {
     "partitions": (
         "EMPTY",
         "Partition",
-        "covers",
         "hook_dimension",
         "partitions_of",
         "partitions_up_to",
@@ -41,7 +40,6 @@ _MODULES = {
     "witt": (
         "WittElem",
         "additive_unit",
-        "coaction",
         "from_points",
         "multiplicative_unit",
         "tau",
@@ -50,7 +48,6 @@ _MODULES = {
     "enriched": (
         "MetricSpace",
         "WittSpace",
-        "argmin_partition",
         "eval_slice",
         "lambda_action",
         "slice_complete",

@@ -12,11 +12,13 @@ exhibit.
 
 Both are one structure, a point set with one hom-object per ordered pair,
 written once in ``_Space``: the table, its JSON form and its errors.  Each
-class adds its entry check and its axioms; the Witt-space check, with its
+class adds its entry check, its reader of one entry of a document,
+``_read(data, memo)``, and its axioms.  The Witt-space check, with its
 report texts, is :mod:`tropwitt.witt`'s, and so is the reader of a Witt
 entry, which parses each distinct string token once per document (a
 space of k points repeats its values over k² entries).  A metric space
-keeps an ``LValue`` entry as it is, values being immutable.
+reads each entry with ``LValue.from_json`` and keeps an ``LValue`` entry
+as it is, values being immutable.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ def _check_points(points: Iterable[str]) -> tuple[str, ...]:
 
 class _Space:
     """Finite point set with one entry per ordered pair, held x-major.  A
-    subclass checks an entry in ``_entry`` and reads one with ``_read``,
-    through its ``_entry_type``."""
+    subclass checks an entry in ``_entry`` and reads one from a document
+    with ``_read(data, memo)``, memo living for that document."""
 
     __slots__ = ("_points", "_dist")
 
@@ -117,21 +119,19 @@ class _Space:
         except (ValueError, TypeError) as exc:
             raise FormatError(str(exc)) from exc
 
-    @classmethod
-    def _read(cls, data, memo: dict):
-        """One entry of a document; memo lives for that document."""
-        return cls._entry_type.from_json(data)
-
 
 class MetricSpace(_Space):
     """Finite point set with an extended-rational distance table."""
 
     __slots__ = ()
-    _entry_type = LValue
 
     @staticmethod
     def _entry(x: str, y: str, entry) -> LValue:
         return entry if type(entry) is LValue else LValue(entry)  # values are immutable
+
+    @staticmethod
+    def _read(data, memo: dict) -> LValue:
+        return LValue.from_json(data)
 
     def table(self) -> DistTable:
         return dict(self._dist)
@@ -163,7 +163,6 @@ class WittSpace(_Space):
     check, and the texts of its report, live in :mod:`tropwitt.witt`."""
 
     __slots__ = ("_degree_bound",)
-    _entry_type = WittElem
 
     def __init__(self, points: Iterable[str], dist: Mapping[tuple[str, str], WittElem]):
         super().__init__(points, dist)
@@ -178,10 +177,8 @@ class WittSpace(_Space):
             raise TypeError(f"distance for ({x}, {y}) must be a WittElem")
         return entry
 
-    @classmethod
-    def _read(cls, data, memo: dict) -> WittElem:
-        """One entry of a document, each string token read once per document."""
-        return cls._entry_type._load(data, memo)
+    # one entry of a document, each string token read once per document
+    _read = staticmethod(WittElem._load)
 
     @property
     def degree_bound(self) -> int:
@@ -240,15 +237,6 @@ def eval_slice(space: WittSpace, f: SymFunc) -> DistTable:
 def table_space(space: WittSpace, table: DistTable) -> MetricSpace:
     """Wrap a slice table as a MetricSpace (caller asserts the axioms)."""
     return MetricSpace(space.points, table)
-
-
-def argmin_partition(space: WittSpace, x: str, y: str, f: SymFunc) -> Partition:
-    """The partition in the support of f achieving d_λ(x, y)'s minimum,
-    smallest in the size-then-lex order on ties."""
-    support = f.support()
-    if not support:
-        raise ValueError("f has empty support")
-    return min(support, key=space.dist(x, y).value)
 
 
 # -- the induced functors ---------------------------------------------------------

@@ -146,20 +146,6 @@ def partitions_up_to(bound: int) -> tuple[Partition, ...]:
     return tuple(lam for n in range(bound + 1) for lam in reversed(partitions_of(n)))
 
 
-def covers(p: Partition) -> tuple[Partition, ...]:
-    """Partitions one box above p in the Young lattice.
-
-    Each result increments one part (where the staircase allows) or appends
-    a new part 1; results are distinct and weakly decreasing.
-    """
-    out = []
-    for i, v in enumerate(p):
-        if i == 0 or p[i - 1] > v:
-            out.append(Partition._trusted(p[:i] + (v + 1,) + p[i + 1:]))
-    out.append(Partition._trusted(p + (1,)))
-    return tuple(out)
-
-
 # Largest degree bound accepted from CLI options, from the loaders that read
 # one (SymFunc, TensorSymFunc, WittElem) and from the WittElem constructors.
 # A cold process at degree 12 spends about 0.02 s on the power-sum

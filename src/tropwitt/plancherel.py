@@ -6,7 +6,8 @@ probability dim(μ)/((|λ|+1)·dim(λ)).  Pushing the size-n measure through
 one step gives the size-(n+1) measure exactly, which the tests check in
 rational arithmetic.  Sampling compares a fixed-denominator uniform draw
 (64 random bits) against exact cumulative probabilities, so a seed pins
-the whole path.
+the whole path.  A path is written to JSON (``plancherel sample``) but
+never read: ``plancherel observe`` samples its own from a seed.
 """
 
 from __future__ import annotations
@@ -18,15 +19,8 @@ from functools import cache
 from math import factorial
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DegreeOverflowError, FormatError, _shown
-from .partitions import (
-    MAX_MEASURE_N,
-    Partition,
-    _conjugate,
-    covers,
-    hook_dimension,
-    partitions_of,
-)
+from .errors import DegreeOverflowError
+from .partitions import MAX_MEASURE_N, Partition, _conjugate, hook_dimension, partitions_of
 from .quantale import ZERO
 
 if TYPE_CHECKING:
@@ -98,23 +92,6 @@ class GrowthPath(NamedTuple):
 
     def to_json(self) -> dict:
         return {"seed": self.seed, "steps": [lam.to_json() for lam in self.steps]}
-
-    @classmethod
-    def from_json(cls, data) -> "GrowthPath":
-        if not isinstance(data, dict) or "seed" not in data or "steps" not in data:
-            raise FormatError("GrowthPath JSON needs 'seed' and 'steps'")
-        seed, raw = data["seed"], data["steps"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise FormatError(f"GrowthPath seed must be an integer, got {_shown(seed)}")
-        if not isinstance(raw, list):
-            raise FormatError("GrowthPath 'steps' must be a list")
-        steps = tuple(Partition.from_json(s) for s in raw)
-        if not steps or steps[0] != Partition([1]):
-            raise FormatError("a growth path starts at (1)")
-        for lam, mu in zip(steps, steps[1:]):
-            if mu not in covers(lam):
-                raise FormatError(f"growth path step {mu} does not cover {lam}")
-        return cls(seed, steps)
 
 
 def sample_path(steps: int, seed: int) -> GrowthPath:

@@ -63,8 +63,8 @@ class LValue:
 
     def __init__(self, value: LValueLike):
         if isinstance(value, str):
-            value = _ratio(*_read(value))
-        if isinstance(value, LValue):
+            n, d = _read(value)
+        elif isinstance(value, LValue):
             n, d = value._n, value._d
         elif isinstance(value, bool):
             raise TypeError("bool is not a valid LValue")
@@ -189,7 +189,8 @@ class LValue:
 
 def _json_pair(data) -> tuple[int | None, int]:
     """The value of a JSON token, an integer below the digit limit or a
-    string, as ``_read`` gives it; a FormatError for anything else."""
+    string, in lowest terms as ``_read`` gives it; a FormatError for
+    anything else."""
     if data == _INF_TOKEN:  # the form that ``to_json`` writes for ∞
         return None, 1
     if isinstance(data, str):
@@ -209,16 +210,19 @@ def _json_pair(data) -> tuple[int | None, int]:
 
 
 def _read(token: str) -> tuple[int | None, int]:
-    """The value of a token as integers n ≥ 0 and d ≥ 1, not necessarily
-    coprime, or (None, 1) for ∞; a ValueError for a negative value and,
-    naming the token, for any other text.  ASCII digits and digits/digits
-    go straight to integers, any other token is trimmed and read again,
-    and one still of neither form by Fraction."""
+    """The value of a token as coprime integers n ≥ 0 and d ≥ 1, or
+    (None, 1) for ∞; a ValueError for a negative value and, naming the
+    token, for any other text.  ASCII digits and digits/digits go straight
+    to integers, reduced by one gcd, any other token is trimmed and read
+    again, and one still of neither form by Fraction."""
     a, slash, b = token.partition("/")
     if token.isascii() and a.isdigit() and (b.isdigit() or not slash) and len(token) <= _MAX_DIGITS:
-        d = int(b) if slash else 1
+        if not slash:
+            return int(a), 1
+        n, d = int(a), int(b)
         if d:
-            return int(a), d
+            g = gcd(n, d)
+            return n // g, d // g
     s = token.strip()
     if s != token:
         return _read(s)
@@ -275,7 +279,7 @@ def _ratio(n: int | None, d: int) -> "LValue":
 
 
 ZERO = LValue(0)
-INF = _new(LValue)  # the one ∞, which _ratio and so the constructor return
+INF = _new(LValue)  # the one ∞, which _ratio returns
 INF._n, INF._d = None, 1
 
 

@@ -6,8 +6,11 @@ where the laws are spelled out.  All arithmetic is exact; a failure lists
 the witness that broke.  The structure tables are not laws: the tests
 check them against brute-force routes kept in ``tests/oracles.py``.
 
-A suite reads each public name beyond the base modules as ``T.<name>``,
-which loads just its module, so one suite loads only what it computes with.
+Each suite fixes its degree bound and its sample counts in its body and
+takes only a seed, so ``suite run``, the acceptance gate and the benchmark
+run the same checks.  A suite reads each public name beyond the base
+modules as ``T.<name>``, which loads just its module, so one suite loads
+only what it computes with.
 """
 
 from __future__ import annotations
@@ -63,17 +66,17 @@ class SuiteResult:
 
 
 class _Suite(NamedTuple):
-    """A registered law: ``suite(seed, **sizes)`` runs it on a fresh
-    ``SuiteResult`` tagged with the suite's name and module."""
+    """A registered law: ``suite(seed)`` runs it on a fresh ``SuiteResult``
+    tagged with the suite's name and module."""
 
     name: str
     module: str
-    law: Callable[..., None]
+    law: Callable[[SuiteResult, int], None]
 
-    def __call__(self, seed: int = DEFAULT_SEED, **sizes) -> SuiteResult:
+    def __call__(self, seed: int = DEFAULT_SEED) -> SuiteResult:
         res = SuiteResult(self.name, self.module)
         start = time.perf_counter()
-        self.law(res, seed, **sizes)
+        self.law(res, seed)
         res.seconds = time.perf_counter() - start
         return res
 
@@ -166,14 +169,15 @@ def suite_identities(res: SuiteResult, seed: int) -> None:
 
 
 @_suite("witt-rig-laws", "witt")
-def suite_witt_rig_laws(res: SuiteResult, seed: int, triples: int = 200) -> None:
+def suite_witt_rig_laws(res: SuiteResult, seed: int) -> None:
     from . import generate
 
     N = 6
+    TRIPLES = 200
     rng = random.Random(seed)
     zero = T.additive_unit(N)
     one = T.multiplicative_unit(N)
-    for i in range(triples):
+    for i in range(TRIPLES):
         f = generate.random_witt_elem(rng, N)
         g = generate.random_witt_elem(rng, N)
         h = generate.random_witt_elem(rng, N)
@@ -192,12 +196,13 @@ def suite_witt_rig_laws(res: SuiteResult, seed: int, triples: int = 200) -> None
 
 
 @_suite("theta-functor", "witt")
-def suite_theta_functor(res: SuiteResult, seed: int, pairs: int = 200) -> None:
+def suite_theta_functor(res: SuiteResult, seed: int) -> None:
     from . import generate
 
     N = 8
+    PAIRS = 200
     rng = random.Random(seed)
-    values = _rationals_with_units(rng, pairs)
+    values = _rationals_with_units(rng, PAIRS)
     res.check(T.theta(ZERO, N) == T.multiplicative_unit(N), "theta(0) is the unit")
     boundary = [
         (ZERO, ZERO),
@@ -206,7 +211,7 @@ def suite_theta_functor(res: SuiteResult, seed: int, pairs: int = 200) -> None:
         (ZERO, generate.random_rational(rng)),
         (INF, generate.random_rational(rng)),
     ]
-    for i in range(pairs):
+    for i in range(PAIRS):
         if i < len(boundary):
             r, rp = boundary[i]
         else:
@@ -227,10 +232,11 @@ def suite_theta_functor(res: SuiteResult, seed: int, pairs: int = 200) -> None:
 
 
 @_suite("negative-results", "witt")
-def suite_negative_results(res: SuiteResult, seed: int, pairs: int = 50) -> None:
+def suite_negative_results(res: SuiteResult, seed: int) -> None:
     from . import generate
 
     N = 6
+    PAIRS = 50
     rng = random.Random(seed)
     lam = Partition([2, 1])
     one = T.multiplicative_unit(N)
@@ -238,7 +244,7 @@ def suite_negative_results(res: SuiteResult, seed: int, pairs: int = 50) -> None
     res.check(doubled.value(lam) == ZERO, "unit ⊕ unit hits 0 at (2,1)")
     res.check(one.value(lam) == INF, "unit itself is ∞ at (2,1)")
     res.check(doubled != one, "the rig is not of characteristic one")
-    for i in range(pairs):
+    for i in range(PAIRS):
         r = generate.random_rational(rng)
         rp = generate.random_rational(rng)
         got = T.theta(r, N).add(T.theta(rp, N)).value(lam)
@@ -255,12 +261,13 @@ def suite_negative_results(res: SuiteResult, seed: int, pairs: int = 50) -> None
 
 
 @_suite("adjunction", "witt")
-def suite_adjunction(res: SuiteResult, seed: int, samples: int = 500) -> None:
+def suite_adjunction(res: SuiteResult, seed: int) -> None:
     from . import generate
 
     N = 6
+    SAMPLES = 500
     rng = random.Random(seed)
-    for i in range(samples):
+    for i in range(SAMPLES):
         f = generate.random_witt_elem(rng, N, max_points=4)
         if rng.random() < 0.25:
             f = f.mul(generate.random_witt_elem(rng, N, max_points=2))
@@ -283,14 +290,15 @@ def suite_adjunction(res: SuiteResult, seed: int, samples: int = 500) -> None:
 
 
 @_suite("enriched-axioms", "enriched")
-def suite_enriched(res: SuiteResult, seed: int, spaces: int = 50) -> None:
+def suite_enriched(res: SuiteResult, seed: int) -> None:
     from . import generate
 
     N = 6
+    SPACES = 50
     rng = random.Random(seed)
     labels = ("a", "b", "c", "d")
     saw_nonzero_self = False
-    for i in range(spaces):
+    for i in range(SPACES):
         if i % 2 == 0:
             space = generate.random_theta_space(rng, labels, N)
         else:
@@ -325,12 +333,13 @@ def suite_enriched(res: SuiteResult, seed: int, spaces: int = 50) -> None:
 
 
 @_suite("root-calculus", "witt")
-def suite_root_calculus(res: SuiteResult, seed: int, samples: int = 100) -> None:
+def suite_root_calculus(res: SuiteResult, seed: int) -> None:
     from . import generate
 
     N = 6
+    SAMPLES = 100
     rng = random.Random(seed)
-    for i in range(samples):
+    for i in range(SAMPLES):
         a = [generate.random_rational(rng) for _ in range(rng.randint(1, 3))]
         b = [generate.random_rational(rng) for _ in range(rng.randint(1, 3))]
         fa, fb = T.from_points(a, N), T.from_points(b, N)
@@ -370,7 +379,8 @@ def suite_residuation(res: SuiteResult, seed: int) -> None:
 
 
 @_suite("plancherel", "plancherel")
-def suite_plancherel(res: SuiteResult, seed: int, paths: int = 10_000) -> None:
+def suite_plancherel(res: SuiteResult, seed: int) -> None:
+    PATHS = 10_000
     for n in range(1, 13):
         total = sum(T.plancherel_measure(n).values())
         res.check(total == 1, f"measure on size {n} sums to 1")
@@ -391,14 +401,14 @@ def suite_plancherel(res: SuiteResult, seed: int, paths: int = 10_000) -> None:
     counts: dict[int, dict[Partition, int]] = {
         n: {} for n in range(1, horizon + 1)
     }
-    for i in range(paths):
+    for i in range(PATHS):
         path = T.sample_path(horizon, seed + i)
         for n, lam in enumerate(path.steps, start=1):
             counts[n][lam] = counts[n].get(lam, 0) + 1
     for n in range(1, horizon + 1):
         for lam, p in T.plancherel_measure(n).items():
-            freq = Fraction(counts[n].get(lam, 0), paths)
-            sigma = (float(p) * (1 - float(p)) / paths) ** 0.5
+            freq = Fraction(counts[n].get(lam, 0), PATHS)
+            sigma = (float(p) * (1 - float(p)) / PATHS) ** 0.5
             res.check(
                 abs(float(freq - p)) <= 3 * sigma + 1e-12,
                 f"marginal at size {n}, partition {lam}: freq {float(freq):.4f} "

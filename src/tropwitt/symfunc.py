@@ -510,26 +510,6 @@ def counit_mult(f: SymFunc) -> int:
     return total
 
 
-def tensor_counit_left(t: TensorSymFunc, kind: str) -> SymFunc:
-    """Apply a counit ('add' or 'mult') to the left tensor factor."""
-    return _tensor_counit(t, kind, 0)
-
-
-def tensor_counit_right(t: TensorSymFunc, kind: str) -> SymFunc:
-    return _tensor_counit(t, kind, 1)
-
-
-def _tensor_counit(t: TensorSymFunc, kind: str, side: int) -> SymFunc:
-    # ε(m_λ) is 1 when λ = ∅ and 0 otherwise; ε×(m_λ) is also 1 on a row (n)
-    longest = 0 if kind == "add" else 1
-    out: dict[Partition, int] = {}
-    for pair, c in t._coeffs.items():
-        if pair[side].length <= longest:
-            other = pair[1 - side]
-            out[other] = out.get(other, 0) + c
-    return SymFunc(out, t.degree_bound)
-
-
 # -- composition ------------------------------------------------------------------------
 
 

@@ -80,7 +80,7 @@ from .partitions import Partition, _check_degree, partitions_of
 from .quantale import ZERO, LValue, _json_pair, _ratio, _text
 from .report import Report, Violation
 from .symfunc import SymFunc, _by_key, _check_bounds, _check_natural, _comult, _index, _is_natural
-from .symfunc import _keys, _labels, _positions, _prefix, _product, _row, _splittings, plethysm
+from .symfunc import _keys, _labels, _positions, _prefix, _product, _row, _splittings
 
 
 def _getter(positions: Sequence[int]):
@@ -437,12 +437,20 @@ def _reduced(bound: int, den: int, nums: list[int | None]) -> "WittElem":
 
 
 def _over_lcm(bound: int, nums: list[int | None], dens: list[int]) -> "WittElem":
-    """The canonical element with values nums/dens, not necessarily in
-    lowest terms: over the lcm D of the denominators, the gcd of D and the
-    numerators is D over the lcm of the reduced ones, so dividing by it
-    gives the canonical form."""
+    """The canonical element with values nums/dens, each in lowest terms,
+    lifted to the lcm D of the denominators.  No gcd is taken: for each
+    prime power of D, the value whose denominator carries it in full has a
+    numerator prime to it, so D and the lifted numerators are coprime."""
     den = lcm(*dens)
-    return _reduced(bound, den, [None if n is None else n * (den // d) for n, d in zip(nums, dens)])
+    lifted = tuple([None if n is None else n * (den // d) for n, d in zip(nums, dens)])
+    return WittElem._dense(bound, den, lifted)
+
+
+def _check_degree_bound(degree_bound) -> None:
+    """The degree-bound check of the constructors: a natural number of at
+    least 1, and a ValueError above MAX_DEGREE."""
+    _check_natural("degree bound", degree_bound, 1)
+    _check_degree(degree_bound, ValueError)
 
 
 class WittElem:
@@ -451,8 +459,7 @@ class WittElem:
     __slots__ = ("_degree_bound", "_den", "_nums")
 
     def __init__(self, degree_bound: int, values: Mapping[Partition, LValue]):
-        _check_natural("degree bound", degree_bound, 1)
-        _check_degree(degree_bound, ValueError)
+        _check_degree_bound(degree_bound)
         nums: list[int | None] = [None] * _prefix(degree_bound)
         dens = [1] * len(nums)
         for lam, v in values.items():
@@ -677,8 +684,7 @@ def theta(r: LValue, degree_bound: int) -> WittElem:
     r's own reduced denominator, with the checks of :func:`from_points`,
     the one-point evaluation that it equals.
     """
-    _check_natural("degree bound", degree_bound, 1)
-    _check_degree(degree_bound, ValueError)
+    _check_degree_bound(degree_bound)
     r = LValue(r)
     nums: list[int | None] = [None] * _prefix(degree_bound)
     if r._n is not None:
@@ -700,8 +706,7 @@ def from_points(points: Iterable[LValue], degree_bound: int) -> WittElem:
     points.  The result is always a valid homomorphism: supports of
     products add without cancellation, so evaluation commutes with min.
     """
-    _check_natural("degree bound", degree_bound, 1)
-    _check_degree(degree_bound, ValueError)
+    _check_degree_bound(degree_bound)
     pts = sorted(LValue(p) for p in points)
     size = _prefix(degree_bound)
     finite = [(p._n, p._d) for p in pts if p.is_finite]
@@ -714,13 +719,3 @@ def from_points(points: Iterable[LValue], degree_bound: int) -> WittElem:
         for lam in islice(_labels, size)
     ]
     return _reduced(degree_bound, den, nums)
-
-
-def coaction(f: WittElem, inner: SymFunc, outer: SymFunc) -> LValue:
-    """Evaluate f at outer ∘ inner, the degree-limited composition action.
-
-    With inner fixed, outer ↦ coaction(f, inner, outer) behaves like a
-    homomorphism on every pair that stays under the degree bound; taking
-    inner = m_(1) recovers plain evaluation.
-    """
-    return f.eval(plethysm(outer, inner))

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from tropwitt.errors import FormatError
 from tropwitt.partitions import partitions_up_to
-from tropwitt.plancherel import sample_path
 from tropwitt.quantale import ZERO
 from tropwitt.witt import from_points, theta
 
@@ -213,30 +212,3 @@ _PART_TEXTS = st.one_of(
     st.sampled_from([str(10**100), "9" * 5000]),
 )
 near_miss_keys = st.builds(",".join, st.lists(_PART_TEXTS, max_size=4))
-
-
-@st.composite
-def near_miss_growth_documents(draw):
-    """A growth-path document of up to six steps, with none, one or two
-    faults among a bad step, a step dropped, two steps swapped, a step
-    appended that need not cover the last shape, a bad seed and a missing
-    key, and now and then the wrong shape."""
-    path = sample_path(draw(st.integers(1, 6)), draw(st.integers(0, 9)))
-    doc = path.to_json()
-    steps = doc["steps"]
-    faults = ["step", "drop", "swap", "append", "seed", "missing"]
-    for fault in draw(st.lists(st.sampled_from(faults), max_size=2)):
-        i = draw(st.integers(0, max(len(steps) - 1, 0)))
-        if fault == "step" and steps:
-            steps[i] = draw(near_miss_partitions)
-        elif fault == "drop" and steps:
-            del steps[i]
-        elif fault == "swap" and i + 1 < len(steps):
-            steps[i], steps[i + 1] = steps[i + 1], steps[i]
-        elif fault == "append":
-            steps.append(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
-        elif fault == "seed":
-            doc["seed"] = draw(st.one_of(_WRONG, st.integers(-(10**30), 10**30)))
-        elif fault == "missing" and doc:
-            del doc[draw(st.sampled_from(sorted(doc)))]
-    return _shapes(draw, doc, {**doc, "steps": "1"}, [])

@@ -3,13 +3,16 @@
 Each function here recomputes something the package computes smarter, by
 the most literal route available, so the tests can compare the two.  The
 polynomial route expands a symmetric function in finitely many variables,
-multiplies there and peels the result back into the monomial basis; no
-library path calls it.
+multiplies there and peels the result back into the monomial basis.  No
+library path calls any function here; among them are the covers of the
+Young lattice, the counits applied to one tensor factor, the composition
+action of a Witt element and Robinson–Schensted insertion.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -21,7 +24,7 @@ from tropwitt.partitions import MAX_DEGREE, Partition, partitions_of, partitions
 from tropwitt.plancherel import GrowthPath, growth_step
 from tropwitt.quantale import INF, ZERO, LValue, leq
 from tropwitt.report import Report, Violation
-from tropwitt.symfunc import SymFunc, coproduct_mult, monomial
+from tropwitt.symfunc import SymFunc, counit_add, counit_mult, coproduct_mult, monomial, plethysm
 from tropwitt.witt import WittElem
 
 
@@ -50,6 +53,17 @@ def partition_count(n: int, max_part: int | None = None) -> int:
     if max_part > n:
         max_part = n
     return partition_count(n, max_part - 1) + partition_count(n - max_part, max_part)
+
+
+def covers(p: Partition) -> tuple[Partition, ...]:
+    """Partitions one box above p in the Young lattice: each part
+    incremented where the staircase allows, then a new part 1 appended."""
+    out = []
+    for i, v in enumerate(p):
+        if i == 0 or p[i - 1] > v:
+            out.append(Partition(p[:i] + (v + 1,) + p[i + 1:]))
+    out.append(Partition(p + (1,)))
+    return tuple(out)
 
 
 # -- the polynomial route (Macdonald, *Symmetric Functions and Hall Polynomials*, ch. I) ----
@@ -409,6 +423,30 @@ def nat_combination_exists(
     return rec(0, dict(target))
 
 
+# -- counits on one tensor factor --------------------------------------------------------------
+
+_COUNITS = {"add": counit_add, "mult": counit_mult}
+
+
+def tensor_counit_left(t, kind: str) -> SymFunc:
+    """(ε ⊗ id)(t) for the counit of kind 'add' or 'mult': each term's left
+    factor m_a read by that counit, through ``monomial``."""
+    return _tensor_counit(t, _COUNITS[kind], 0)
+
+
+def tensor_counit_right(t, kind: str) -> SymFunc:
+    """(id ⊗ ε)(t), as ``tensor_counit_left`` on the right factor."""
+    return _tensor_counit(t, _COUNITS[kind], 1)
+
+
+def _tensor_counit(t, counit, side: int) -> SymFunc:
+    out: dict[Partition, int] = {}
+    for pair, c in t.items():
+        other = pair[1 - side]
+        out[other] = out.get(other, 0) + c * counit(monomial(pair[side], t.degree_bound))
+    return SymFunc(out, t.degree_bound)
+
+
 # -- the Witt rig on partition-keyed LValue tables ------------------------------------------
 
 
@@ -428,6 +466,14 @@ def eval_by_partitions(f: WittElem, g: SymFunc) -> LValue:
         if v < best:
             best = v
     return best
+
+
+def coaction(f: WittElem, inner: SymFunc, outer: SymFunc) -> LValue:
+    """f at outer ∘ inner, the degree-limited composition action: with inner
+    fixed, outer ↦ coaction(f, inner, outer) is a homomorphism on every pair
+    under the bound; inner = m_(1) gives plain evaluation, and inner = m_(n)
+    the Frobenius map F_n of f read at outer."""
+    return f.eval(plethysm(outer, inner))
 
 
 def from_points_by_lvalues(points: list[LValue], degree_bound: int) -> WittElem:
@@ -636,3 +682,22 @@ def sample_path_by_fractions(steps: int, seed: int, rng=None) -> GrowthPath:
                 break
         out.append(lam)
     return GrowthPath(seed, tuple(out))
+
+
+def rsk_shape(word) -> Partition:
+    """The shape of the Robinson–Schensted insertion tableau of word: each
+    letter bumps the least entry of a row that exceeds it into the next row,
+    and ends a row that has none (Schensted, "Longest increasing and
+    decreasing subsequences", Canad. J. Math. 13, 1961).  λ₁ is the longest
+    increasing subsequence and the row count the longest decreasing one."""
+    rows: list[list] = []
+    for x in word:
+        for row in rows:
+            i = bisect_right(row, x)
+            if i == len(row):
+                row.append(x)
+                break
+            row[i], x = x, row[i]
+        else:
+            rows.append([x])
+    return Partition([len(row) for row in rows])

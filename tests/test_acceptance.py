@@ -10,8 +10,8 @@ import time
 from tropwitt import suites
 
 
-def _run(name: str, minimum_checks: int, **kwargs) -> suites.SuiteResult:
-    result = suites.SUITES[name](**kwargs)
+def _run(name: str, minimum_checks: int) -> suites.SuiteResult:
+    result = suites.SUITES[name]()
     status = "PASS" if result.ok else "FAIL"
     print(f"ACCEPTANCE {name}: {status} ({result.passed} checks)")
     for failure in result.failures:
@@ -28,28 +28,28 @@ def test_01_identity_suite():
 
 def test_02_witt_rig_laws():
     # seven laws on each of at least 200 random point-evaluation triples
-    _run("witt-rig-laws", minimum_checks=200 * 7, triples=200)
+    _run("witt-rig-laws", minimum_checks=200 * 7)
 
 
 def test_03_theta_theorem():
     # validation plus multiplicativity and monotonicity per sampled pair
-    _run("theta-functor", minimum_checks=200 * 3, pairs=200)
+    _run("theta-functor", minimum_checks=200 * 3)
 
 
 def test_04_negative_results():
-    _run("negative-results", minimum_checks=3 + 2 * 50, pairs=50)
+    _run("negative-results", minimum_checks=3 + 2 * 50)
 
 
 def test_05_adjunction():
-    _run("adjunction", minimum_checks=500, samples=500)
+    _run("adjunction", minimum_checks=500)
 
 
 def test_06_enriched_propositions():
-    _run("enriched-axioms", minimum_checks=50 * (1 + 2 * 6 + 29), spaces=50)
+    _run("enriched-axioms", minimum_checks=50 * (1 + 2 * 6 + 29))
 
 
 def test_07_root_calculus():
-    _run("root-calculus", minimum_checks=100 * 2, samples=100)
+    _run("root-calculus", minimum_checks=100 * 2)
 
 
 def test_08_residuation():
@@ -59,6 +59,6 @@ def test_08_residuation():
 
 def test_09_plancherel():
     start = time.monotonic()
-    _run("plancherel", minimum_checks=12 + 8 + 1 + 18, paths=10_000)
+    _run("plancherel", minimum_checks=12 + 8 + 1 + 18)
     assert time.monotonic() - start < 60
 

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,7 +8,6 @@ from tropwitt.enriched import (
     MAX_POINTS,
     MetricSpace,
     WittSpace,
-    argmin_partition,
     eval_slice,
     lambda_action,
     slice_complete,
@@ -209,40 +207,6 @@ def test_eval_slice_of_sum_is_pointwise_min():
     assert fg == {k: min(tf[k], tg[k]) for k in tf}
 
 
-def test_argmin_on_basis():
-    rng = random.Random(31)
-    w = random_point_eval_space(rng, ("a", "b"), N)
-    assert argmin_partition(w, "a", "b", monomial(P(2, 1), N)) == P(2, 1)
-
-
-def test_argmin_prefers_finite_value():
-    w = theta_space(two_point_space(3, 3), N)
-    assert argmin_partition(w, "a", "b", complete(2, N)) == P(2)
-
-
-def test_argmin_tie_breaks_by_order():
-    f = from_points([lv(1), lv(1)], N)  # value 2 at both (2) and (1,1)
-    assert f.value(P(2)) == f.value(P(1, 1)) == lv(2)
-    w = WittSpace(
-        ["p", "q"],
-        {
-            ("p", "p"): theta(ZERO, N),
-            ("q", "q"): theta(ZERO, N),
-            ("p", "q"): f,
-            ("q", "p"): f,
-        },
-    )
-    assert argmin_partition(w, "p", "q", complete(2, N)) == P(1, 1)
-
-
-def test_argmin_rejects_empty_support():
-    w = theta_space(two_point_space(), N)
-    from tropwitt.symfunc import SymFunc
-
-    with pytest.raises(ValueError):
-        argmin_partition(w, "a", "b", SymFunc.zero(N))
-
-
 # -- functors -----------------------------------------------------------------------------
 
 
@@ -338,10 +302,10 @@ def test_loaders_refuse_more_points_than_the_maximum(cls, monkeypatch):
         names = [f"p{i}" for i in range(k)]
         return {"points": names, "dist": {f"{x}|{y}": entry for x in names for y in names}}
 
-    def read(value):
+    def read(value, memo):
         raise AssertionError(f"read the entry {value!r}")
 
-    monkeypatch.setattr(cls, "_entry_type", SimpleNamespace(from_json=read))
+    monkeypatch.setattr(cls, "_read", staticmethod(read))
     with pytest.raises(FormatError) as got:
         cls.from_json(doc(MAX_POINTS + 1))
     assert str(got.value) == f"{MAX_POINTS + 1} points exceed the maximum {MAX_POINTS}"

@@ -7,6 +7,7 @@ suite loads only the modules it computes with.  The commands run in fresh
 interpreters, the way ``python -m tropwitt.cli`` runs them.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -20,7 +21,8 @@ import tropwitt
 
 from test_cli import EVERY_COMMAND, cli_inputs
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 # modules that cost a cold process milliseconds to import and that no
 # command needs: a third-party option parser, and the modules behind
@@ -118,6 +120,30 @@ def test_every_public_name_resolves_to_its_module_attribute():
         module = importlib.import_module(f"tropwitt.{tropwitt._MODULE_OF[name]}")
         assert value is getattr(module, name)
         assert vars(tropwitt)[name] is value  # cached after the first read
+
+
+def _names_read(paths) -> set[str]:
+    """The names that the files read: each loaded ``Name``, loaded
+    ``Attribute`` and import alias, so a docstring or a definition is not a
+    use."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # the library, less the package's table of names, or the benchmark uses
+    # each public name; one that only the tests reach belongs in oracles.py
+    library = [path for path in (SRC / "tropwitt").glob("*.py") if path.name != "__init__.py"]
+    used = _names_read(library + sorted((ROOT / "perfbench").glob("*.py")))
+    assert sorted(set(tropwitt.__all__) - used) == []
 
 
 def test_dir_lists_every_public_name():

@@ -12,14 +12,13 @@ from tropwitt.errors import FormatError
 from tropwitt.partitions import (
     EMPTY,
     Partition,
-    covers,
     hook_dimension,
     partitions_of,
     partitions_up_to,
 )
 
 from documents import loaded, near_miss_keys, near_miss_partitions
-from oracles import count_syt, partition_count, partitions_brute
+from oracles import count_syt, covers, partition_count, partitions_brute
 
 small_parts = st.lists(st.integers(min_value=1, max_value=6), max_size=6)
 

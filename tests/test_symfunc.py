@@ -24,8 +24,6 @@ from tropwitt.symfunc import (
     monomial,
     multiply,
     plethysm,
-    tensor_counit_left,
-    tensor_counit_right,
     _comult,
     _index,
     _labels,
@@ -46,6 +44,8 @@ from oracles import (
     poly_mul,
     power_sums_by_map_count,
     product_by_alignment_count,
+    tensor_counit_left,
+    tensor_counit_right,
     three_way_splittings,
 )
 

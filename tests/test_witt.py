@@ -14,12 +14,13 @@ from tropwitt.symfunc import SymFunc, complete, coproduct_mult, monomial
 from tropwitt.witt import (
     WittElem,
     additive_unit,
-    coaction,
     from_points,
     multiplicative_unit,
     tau,
     theta,
 )
+
+from oracles import coaction
 
 N = 6
 
