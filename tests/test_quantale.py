@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tropwitt.enriched import MetricSpace
 from tropwitt.errors import FormatError, _shown
-from tropwitt.quantale import INF, ZERO, LValue, leq, monus, tropical_add, tropical_mul
+from tropwitt.quantale import INF, ZERO, LValue, _json_pair, leq, monus, tropical_add, tropical_mul
 
 from documents import loaded, near_miss_metric_documents, near_miss_tokens
 
@@ -397,6 +397,34 @@ def test_constructor_and_loader_read_a_token_alike(token):
         assert built is ValueError if want is FormatError else _is(built, want)
     else:
         assert built is TypeError
+
+
+def _lowest_terms(token):
+    """The oracle's value of a token as the pair that the reader must give:
+    coprime numerator and denominator, or (None, 1) for ∞."""
+    q = _token_oracle(token)
+    return (None, 1) if q is None else (q.numerator, q.denominator)
+
+
+@pytest.mark.parametrize(
+    "token",
+    # each route of the reader: ASCII digits/digits, bare digits, a trimmed
+    # token read again, a Fraction literal, an integer, and ∞
+    ["6/4", "0/5", "10/15", "4/06", "007", " 3/2", "\t14/21\n", "+6/4", "1.50", "2.5e1", 12, "inf"],
+)
+def test_token_reader_gives_lowest_terms(token):
+    # WittElem.from_json lifts the pairs to their lcm without a gcd, which
+    # is canonical only if every pair is already reduced
+    assert _json_pair(token) == _lowest_terms(token)
+
+
+@given(near_miss_tokens)
+def test_every_pair_read_is_in_lowest_terms(token):
+    if _token_oracle(token) is FormatError:
+        with pytest.raises(FormatError):
+            _json_pair(token)
+    else:
+        assert _json_pair(token) == _lowest_terms(token)
 
 
 _json_values = st.recursive(
