@@ -52,7 +52,6 @@ _MODULES = {
         "lambda_action",
         "slice_complete",
         "slice_table",
-        "table_space",
         "tau_space",
         "theta_space",
     ),

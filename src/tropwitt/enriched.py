@@ -234,11 +234,6 @@ def eval_slice(space: WittSpace, f: SymFunc) -> DistTable:
     return dict(zip(dist, _evals(space.degree_bound, dist.values(), f)))
 
 
-def table_space(space: WittSpace, table: DistTable) -> MetricSpace:
-    """Wrap a slice table as a MetricSpace (caller asserts the axioms)."""
-    return MetricSpace(space.points, table)
-
-
 # -- the induced functors ---------------------------------------------------------
 
 

@@ -305,9 +305,9 @@ def suite_enriched(res: SuiteResult, seed: int) -> None:
             space = generate.random_point_eval_space(rng, labels, N)
         res.check(space.validate().ok, f"space #{i} validates")
         for n in range(1, N + 1):
-            row = T.table_space(space, T.slice_table(space, Partition([n])))
+            row = T.MetricSpace(space.points, T.slice_table(space, Partition([n])))
             res.check(row.validate().ok, f"space #{i} slice ({n}) is metric")
-            hn = T.table_space(space, T.slice_complete(space, n))
+            hn = T.MetricSpace(space.points, T.slice_complete(space, n))
             res.check(hn.validate().ok, f"space #{i} complete slice {n} is metric")
         for lam in partitions_up_to(N):
             if lam.is_empty():

@@ -22,8 +22,10 @@ def _run(name: str, minimum_checks: int) -> suites.SuiteResult:
 
 
 def test_01_identity_suite():
-    # coproduct expansions, counit values, complete elements, row compositions
-    _run("identities", minimum_checks=8 + 1 + 8 + 2 * 29 + 8 + 10)
+    # Δ+ of m(1)..m(8) and of m(2,1), Δ× of m(1)..m(8), both counits on the
+    # 30 partitions of size at most 6 (∅ included), h_1..h_8, the 20 row
+    # compositions m(n) ∘ m(n') with nn' ≤ 8, then m(2) ∘ m(3) and the unit
+    _run("identities", minimum_checks=8 + 1 + 8 + 2 * 30 + 8 + 20 + 2)
 
 
 def test_02_witt_rig_laws():
@@ -32,8 +34,9 @@ def test_02_witt_rig_laws():
 
 
 def test_03_theta_theorem():
-    # validation plus multiplicativity and monotonicity per sampled pair
-    _run("theta-functor", minimum_checks=200 * 3)
+    # θ(0) is the unit, then validation plus multiplicativity and
+    # monotonicity per sampled pair
+    _run("theta-functor", minimum_checks=1 + 200 * 3)
 
 
 def test_04_negative_results():
@@ -45,7 +48,9 @@ def test_05_adjunction():
 
 
 def test_06_enriched_propositions():
-    _run("enriched-axioms", minimum_checks=50 * (1 + 2 * 6 + 29))
+    # per space: validation, its row and complete slices of sizes 1..6, the
+    # triangle on its 29 nonempty slices; then one finite nonzero self-distance
+    _run("enriched-axioms", minimum_checks=50 * (1 + 2 * 6 + 29) + 1)
 
 
 def test_07_root_calculus():
@@ -53,8 +58,9 @@ def test_07_root_calculus():
 
 
 def test_08_residuation():
-    # exhaustive grid of rationals plus infinity, cubed
-    _run("residuation", minimum_checks=26**3)
+    # the 27 values p/q, p ≤ 12, q ≤ 3, and ∞: the order against addition on
+    # each pair, residuation on each triple
+    _run("residuation", minimum_checks=28**2 + 28**3)
 
 
 def test_09_plancherel():

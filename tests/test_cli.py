@@ -76,10 +76,18 @@ def test_witt_theta_matches_documented_output(runner):
     )
 
 
-def test_witt_theta_output_keys_ordered_by_size_then_lex(runner):
-    result = runner.invoke(main, ["witt", "theta", "--r", "1", "--degree", "3"])
-    keys = list(json.loads(result.output)["values"])
-    assert keys == ["1", "1,1", "2", "1,1,1", "2,1", "3"]
+@pytest.mark.parametrize(
+    "r, rows",
+    # a decimal token, which only Fraction reads, and an unreduced ratio
+    [("1", ["1", "2", "3"]), ("0.75", ["3/4", "3/2", "9/4"]), ("6/4", ["3/2", "3", "9/2"])],
+    ids=["1", "0.75", "6/4"],
+)
+def test_witt_theta_output_keys_ordered_by_size_then_lex(runner, r, rows):
+    # reduced values, finite on the rows (1), (2), (3) only
+    result = runner.invoke(main, ["witt", "theta", "--r", r, "--degree", "3"])
+    values = list(json.loads(result.output)["values"].items())
+    one, two, three = rows
+    assert values == [("1", one), ("1,1", "inf"), ("2", two), ("1,1,1", "inf"), ("2,1", "inf"), ("3", three)]
 
 
 def test_sym_coprod_add_four_terms(runner, tmp_path):
@@ -137,12 +145,13 @@ def test_sym_bases(runner):
     assert data["complete"]["coeffs"] == {"1,1": 1, "2": 1}
 
 
-def test_witt_add_mul_validate(runner, tmp_path):
-    a = write(tmp_path, "a.json", theta(LValue(1), 4).to_json())
-    b = write(tmp_path, "b.json", theta(LValue(2), 4).to_json())
+@pytest.mark.parametrize("degree", [4, 12])
+def test_witt_add_mul_validate(runner, tmp_path, degree):
+    a = write(tmp_path, "a.json", theta(LValue(1), degree).to_json())
+    b = write(tmp_path, "b.json", theta(LValue(2), degree).to_json())
     result = runner.invoke(main, ["witt", "mul", "--input", a, "--other", b])
     assert result.exit_code == 0
-    assert json.loads(result.output) == theta(LValue(3), 4).to_json()
+    assert json.loads(result.output) == theta(LValue(3), degree).to_json()
 
     result = runner.invoke(main, ["witt", "add", "--input", a, "--other", b])
     assert result.exit_code == 0
@@ -211,28 +220,37 @@ def test_cat_theta_tau_round_trip(runner, tmp_path):
     assert MetricSpace.from_json(json.loads(result.output)) == space
 
 
-def test_cat_validate_both_kinds(runner, tmp_path):
-    space, path = metric_fixture(tmp_path)
-    result = runner.invoke(main, ["cat", "validate", "--input", path])
-    assert result.exit_code == 0
-
-    w = theta_space(space, 4)
-    wpath = write(tmp_path, "w.json", w.to_json())
-    result = runner.invoke(main, ["cat", "validate", "--input", wpath])
-    assert result.exit_code == 0
-
-    bad = MetricSpace(
-        ["a", "b"],
-        {
-            ("a", "a"): LValue(1),
-            ("b", "b"): ZERO,
-            ("a", "b"): LValue(1),
-            ("b", "a"): LValue(2),
-        },
-    )
-    bad_path = write(tmp_path, "bad.json", bad.to_json())
-    result = runner.invoke(main, ["cat", "validate", "--input", bad_path])
+def witnesses(result):
+    """The kind and witness of each violation in an exit-1 report."""
     assert result.exit_code == 1
+    return [[v["kind"], *v["witness"]] for v in json.loads(result.output)["violations"]]
+
+
+_ABC = {"a|a": "0", "a|b": "1", "a|c": "5/2", "b|a": "2", "b|b": "0", "b|c": "3/2",
+        "c|a": "1", "c|b": "2", "c|c": "0"}
+
+
+@pytest.mark.parametrize("degree", [6, 12])
+def test_cat_validate_both_kinds(runner, tmp_path, degree):
+    metric = write(tmp_path, "metric.json", {"points": ["a", "b", "c"], "dist": _ABC})
+    assert runner.invoke(main, ["cat", "validate", "--input", metric]).exit_code == 0
+    # d(b, b) and d(a, c) raised
+    broken = {"points": ["a", "b", "c"], "dist": {**_ABC, "a|c": "3", "b|b": "1"}}
+    result = runner.invoke(main, ["cat", "validate", "--input", write(tmp_path, "bad.json", broken)])
+    assert witnesses(result) == [["identity", "b"], ["triangle", "a", "b", "c"]]
+
+    result = runner.invoke(main, ["cat", "theta", "--input", metric, "--degree", str(degree)])
+    space = json.loads(result.output)
+    spath = write(tmp_path, "w.json", space)
+    assert runner.invoke(main, ["cat", "validate", "--input", spath]).exit_code == 0
+    result = runner.invoke(main, ["cat", "slice", "--input", spath, "--lambda", str(degree)])
+    assert json.loads(result.output)["table"]["a|c"] == {6: "15", 12: "30"}[degree]
+    # value(1) of d(a, c) raised to 9 breaks each check (1)·(n), n < N,
+    # of that entry, and composition through b at (1)
+    space["dist"]["a|c"]["values"]["1"] = "9"
+    result = runner.invoke(main, ["cat", "validate", "--input", write(tmp_path, "w.json", space)])
+    want = [["hom", "a", "c", "(1)", f"({n})"] for n in range(1, degree)]
+    assert witnesses(result) == [*want, ["composition", "a", "b", "c", "(1)"]]
 
 
 def test_cat_slice(runner, tmp_path):
@@ -486,8 +504,9 @@ def test_failing_input_reports_and_exit_codes(runner, tmp_path):
         (["cat", "validate"], {"points": ["a", "a"], "dist": {"a|a": "0"}}, 2,
          "point names must be distinct"),
         (["cat", "slice", "--h", "7"], None, 1, "n = 7 outside 1..6"),
+        (["cat", "slice", "--lambda", "+2"], None, 2, "bad partition key '+2'"),
     ],
-    ids=["dist-list", "dist-empty", "points-repeated", "slice-h-above-bound"],
+    ids=["dist-list", "dist-empty", "points-repeated", "slice-h-above-bound", "slice-lambda-signed"],
 )
 def test_cat_errors_name_the_fault(runner, tmp_path, args, doc, code, detail):
     # doc None: the degree-6 space of ``cli_inputs``
@@ -710,6 +729,10 @@ def test_number_token_past_the_digit_limit_is_a_format_error(runner, tmp_path, t
     assert time.perf_counter() - start < 1
     assert "more than 1000 digits" in error_of(result, 2)["detail"]
     result = runner.invoke(main, ["witt", "theta", "--r", token, "--degree", "2"])
+    assert "more than 1000 digits" in error_of(result, 2)["detail"]
+    metric = write(tmp_path, "metric.json", {"points": ["a", "b"], "dist": {
+        "a|a": "0", "a|b": token, "b|a": "1", "b|b": "0"}})
+    result = runner.invoke(main, ["cat", "validate", "--input", metric])
     assert "more than 1000 digits" in error_of(result, 2)["detail"]
 
 

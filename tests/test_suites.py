@@ -5,6 +5,13 @@ from tropwitt.quantale import ZERO
 from tropwitt.suites import SuiteResult
 
 
+def test_the_nine_suites_in_run_order():
+    assert list(suites.SUITES) == [
+        "identities", "witt-rig-laws", "theta-functor", "negative-results", "adjunction",
+        "enriched-axioms", "root-calculus", "residuation", "plancherel",
+    ]
+
+
 def test_a_failing_check_records_its_formatted_label():
     res = SuiteResult("s", "m")
     calls = []

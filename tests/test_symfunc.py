@@ -705,6 +705,7 @@ def test_constructor_error_texts(cls, coeffs, bound, error, text):
          "term m(3)⊗m(1,1,1) exceeds degree bound 2"),
         (TensorSymFunc, {"degree_bound": 4, "coeffs": {"2,1|1": 1, "1,2|01": 2}},
          "term m(2,1)⊗m(1) is named twice"),
+        (WittElem, {"degree_bound": 4, "values": {"+1": "1"}}, "bad partition key '+1'"),
     ],
 )
 def test_loader_error_texts(cls, data, text):

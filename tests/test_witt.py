@@ -407,25 +407,25 @@ def test_degree_bound_is_an_int_of_at_least_one(build, bound, error, text):
     assert build(1).degree_bound == 1
 
 
-@pytest.mark.parametrize("bound", [13, 10**100], ids=["13", "10**100"])
-def test_loaders_refuse_a_bound_above_the_maximum(bound):
+# bounds above the maximum, and the text that names each: past 4300
+# digits, int-to-str conversion raises a ValueError of its own
+_ABOVE = [(13, "13"), (10**100, str(10**100)), (10**5000, "<integer of more than 1000 digits>")]
+
+
+@pytest.mark.parametrize("bound, shown", _ABOVE, ids=["13", "10**100", "10**5000"])
+def test_loaders_refuse_a_bound_above_the_maximum(bound, shown):
     # before any partition up to the bound is indexed, with the CLI's text
     elem = {"degree_bound": bound, "values": {}}
     space = {"points": ["a"], "dist": {"a|a": elem}}
     for load, doc in [(WittElem.from_json, elem), (WittSpace.from_json, space)]:
         with pytest.raises(FormatError) as got:
             load(doc)
-        assert str(got.value) == f"degree_bound {bound} exceeds the maximum {MAX_DEGREE}"
+        assert str(got.value) == f"degree_bound {shown} exceeds the maximum {MAX_DEGREE}"
     assert WittElem.from_json({"degree_bound": MAX_DEGREE, "values": {}}) == additive_unit(MAX_DEGREE)
 
 
 @pytest.mark.parametrize("build", _BUILDERS.values(), ids=list(_BUILDERS))
-@pytest.mark.parametrize(
-    "bound, shown",
-    # past 4300 digits, int-to-str conversion raises a ValueError of its own
-    [(13, "13"), (10**100, str(10**100)), (10**5000, "<integer of more than 1000 digits>")],
-    ids=["13", "10**100", "10**5000"],
-)
+@pytest.mark.parametrize("bound, shown", _ABOVE, ids=["13", "10**100", "10**5000"])
 def test_constructors_refuse_a_bound_above_the_maximum(build, bound, shown, monkeypatch):
     # the loaders' ceiling and text, as a ValueError, before the basis is
     # indexed up to the bound: once ran until memory ran out at 10**100
