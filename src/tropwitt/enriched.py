@@ -133,9 +133,6 @@ class MetricSpace(_Space):
     def _read(data, memo: dict) -> LValue:
         return LValue.from_json(data)
 
-    def table(self) -> DistTable:
-        return dict(self._dist)
-
     def validate(self) -> Report:
         """Zero self-distances and the triangle inequality on all triples."""
         report = Report("metric-space")

@@ -54,16 +54,8 @@ class Partition(tuple):
         return tuple.__new__(cls, parts)
 
     @property
-    def parts(self) -> "Partition":
-        return self
-
-    @property
     def size(self) -> int:
         return sum(self)
-
-    @property
-    def length(self) -> int:
-        return len(self)
 
     def is_empty(self) -> bool:
         return not self
@@ -103,14 +95,6 @@ class Partition(tuple):
     def to_json(self) -> list[int]:
         return list(self)
 
-    @classmethod
-    def from_json(cls, data) -> "Partition":
-        if not isinstance(data, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in data
-        ):
-            raise FormatError(f"partition must be a list of positive integers, got {_shown(data)}")
-        return cls(data)
-
     def __repr__(self) -> str:
         return f"Partition({tuple(self)!r})"
 
@@ -147,7 +131,7 @@ def partitions_up_to(bound: int) -> tuple[Partition, ...]:
 
 
 # Largest degree bound accepted from CLI options, from the loaders that read
-# one (SymFunc, TensorSymFunc, WittElem) and from the WittElem constructors.
+# one (SymFunc, WittElem) and from the WittElem constructors.
 # A cold process at degree 12 spends about 0.02 s on the power-sum
 # transitions that every structure table reads, 0.07 s on the products that
 # validation checks and 0.15 s on the multiplicative coproduct; a cold

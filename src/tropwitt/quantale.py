@@ -19,9 +19,10 @@ One reader, ``_read``, turns a text token into integers for the
 constructor (a ``ValueError``) and for every JSON loader (``_json_pair``,
 a ``FormatError``); one writer, ``_text``, spells n/d in lowest terms for
 ``str``, ``to_json`` and the texts of :mod:`tropwitt.witt`.  ``Fraction``
-appears only in :meth:`LValue.as_fraction` and in reading the tokens that,
-once trimmed, are not ASCII digits or digits/digits: decimals and
-exponents such as "1.5" and "1e3", signs, and other Unicode digits.
+appears only in taking a ``Fraction`` operand (the constructor and
+``_coerce``) and in reading the tokens that, once trimmed, are not ASCII
+digits or digits/digits: decimals and exponents such as "1.5" and "1e3",
+signs, and other Unicode digits.
 
 Floats are rejected throughout; every law test in this package relies on
 exact equality.
@@ -80,17 +81,8 @@ class LValue:
         self._n, self._d = n, d
 
     @property
-    def is_infinite(self) -> bool:
-        return self._n is None
-
-    @property
     def is_finite(self) -> bool:
         return self._n is not None
-
-    def as_fraction(self) -> Fraction:
-        if self._n is None:
-            raise ValueError("infinite LValue has no Fraction form")
-        return Fraction(self._n, self._d)
 
     # -- numeric operators -------------------------------------------------
 

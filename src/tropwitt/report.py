@@ -45,6 +45,3 @@ class Report:
             "ok": self.ok,
             "violations": [v.to_json() for v in self.violations],
         }
-
-    def __bool__(self) -> bool:
-        return self.ok

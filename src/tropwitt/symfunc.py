@@ -7,9 +7,10 @@ rest of the package because both coproducts respect the grading: the
 additive one splits degree across the two factors and the multiplicative
 one preserves it on each side.  ``SymFunc`` and the tensors
 ``TensorSymFunc`` are one structure, written once in :class:`_Combination`;
-its loader refuses a degree bound above ``MAX_DEGREE`` before any key.  An
-element may have a larger bound, but no table is built, and no partition
-indexed, for a size above ``MAX_DEGREE`` (:func:`_prefix`).
+tensors are only written, and the loader of ``SymFunc`` refuses a degree
+bound above ``MAX_DEGREE`` before any key.  An element may have a larger
+bound, but no table is built, and no partition indexed, for a size above
+``MAX_DEGREE`` (:func:`_prefix`).
 
 The product, the multiplicative coproduct and composition (plethysm) are
 read off the power sums, the ghost coordinates (Macdonald, *Symmetric
@@ -45,9 +46,8 @@ from .partitions import EMPTY, MAX_DEGREE, Partition, _check_degree, partitions_
 class _Combination:
     """A finitely supported ℕ-combination of basis keys, truncated at a
     degree bound.  A subclass names, for one key, its degree (``_degree``),
-    its printed term (``_term``), its JSON key in both directions
-    (``_to_key``, ``_from_key``) and its place in the sort order
-    (``_order``)."""
+    its printed term (``_term``), its JSON key (``_to_key``) and its place
+    in the sort order (``_order``)."""
 
     __slots__ = ("_coeffs", "_degree_bound")
 
@@ -72,11 +72,8 @@ class _Combination:
     def degree_bound(self) -> int:
         return self._degree_bound
 
-    def support(self) -> list:
-        return sorted(self._coeffs, key=self._order)
-
     def items(self) -> Iterator[tuple]:
-        return ((key, self._coeffs[key]) for key in self.support())
+        return ((key, self._coeffs[key]) for key in sorted(self._coeffs, key=self._order))
 
     def __eq__(self, other) -> bool:
         return (
@@ -99,30 +96,6 @@ class _Combination:
             "coeffs": {to_key(key): c for key, c in self.items()},
         }
 
-    @classmethod
-    def from_json(cls, data):
-        if not isinstance(data, dict) or "degree_bound" not in data or "coeffs" not in data:
-            raise FormatError(f"{cls.__name__} JSON needs 'degree_bound' and 'coeffs'")
-        bound = data["degree_bound"]
-        if not _is_natural(bound):
-            raise FormatError(f"bad degree_bound {_shown(bound)}")
-        _check_degree(bound)
-        raw = data["coeffs"]
-        if not isinstance(raw, dict):
-            raise FormatError("'coeffs' must be an object")
-        coeffs = {}
-        for key, c in raw.items():
-            if not _is_natural(c):
-                raise FormatError(f"bad coefficient {_shown(c)} for key {_shown(key)}")
-            term = cls._from_key(key)
-            if term in coeffs:
-                raise FormatError(f"term {cls._term(term)} is named twice")
-            coeffs[term] = c
-        try:
-            return cls(coeffs, bound)
-        except DegreeOverflowError as exc:
-            raise FormatError(str(exc)) from exc
-
 
 class SymFunc(_Combination):
     """A finitely supported ℕ-combination of monomial basis elements m_λ."""
@@ -131,7 +104,6 @@ class SymFunc(_Combination):
 
     _degree = staticmethod(attrgetter("size"))
     _to_key = staticmethod(Partition.key)
-    _from_key = staticmethod(Partition.from_key)
     _order = staticmethod(Partition.sort_key)
 
     @staticmethod
@@ -168,19 +140,31 @@ class SymFunc(_Combination):
     def __mul__(self, other):
         if isinstance(other, SymFunc):
             return multiply(self, other)
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c: int) -> "SymFunc":
-        if c < 0:
-            raise ValueError("scalar must be ≥ 0")
-        return SymFunc({lam: c * v for lam, v in self._coeffs.items()}, self._degree_bound)
+    @classmethod
+    def from_json(cls, data):
+        if not isinstance(data, dict) or "degree_bound" not in data or "coeffs" not in data:
+            raise FormatError(f"{cls.__name__} JSON needs 'degree_bound' and 'coeffs'")
+        bound = data["degree_bound"]
+        if not _is_natural(bound):
+            raise FormatError(f"bad degree_bound {_shown(bound)}")
+        _check_degree(bound)
+        raw = data["coeffs"]
+        if not isinstance(raw, dict):
+            raise FormatError("'coeffs' must be an object")
+        coeffs = {}
+        for key, c in raw.items():
+            if not _is_natural(c):
+                raise FormatError(f"bad coefficient {_shown(c)} for key {_shown(key)}")
+            lam = Partition.from_key(key)
+            if lam in coeffs:
+                raise FormatError(f"term m{lam} is named twice")
+            coeffs[lam] = c
+        try:
+            return cls(coeffs, bound)
+        except DegreeOverflowError as exc:
+            raise FormatError(str(exc)) from exc
 
 
 class TensorSymFunc(_Combination):
@@ -199,13 +183,6 @@ class TensorSymFunc(_Combination):
     @staticmethod
     def _to_key(pair: tuple[Partition, Partition]) -> str:
         return f"{pair[0].key()}|{pair[1].key()}"
-
-    @staticmethod
-    def _from_key(key: str) -> tuple[Partition, Partition]:
-        sides = key.split("|") if isinstance(key, str) else ()
-        if len(sides) != 2:
-            raise FormatError(f"tensor key must be 'mu|nu', got {_shown(key)}")
-        return (Partition.from_key(sides[0]), Partition.from_key(sides[1]))
 
     @staticmethod
     def _order(pair: tuple[Partition, Partition]) -> tuple:

@@ -428,8 +428,11 @@ def _failing_pairs(points: Sequence[str], entries: Sequence["WittElem"]) -> list
 
 
 def _reduced(bound: int, den: int, nums: list[int | None]) -> "WittElem":
-    """The canonical element with values nums/den."""
-    g = gcd(den, *filter(None, nums))  # ∞ and 0 leave the gcd as it is
+    """The canonical element with values nums/den.  The numerators' sum
+    lies in their ideal, so taking it first leaves the gcd exact; it is
+    mostly prime to den, and math.gcd skips the arguments after a 1."""
+    finite = list(filter(None, nums))  # ∞ and 0 leave the gcd as it is
+    g = gcd(gcd(den, sum(finite)), *finite)
     if g > 1:
         den //= g
         nums = [None if n is None else n // g for n in nums]
@@ -707,7 +710,8 @@ def from_points(points: Iterable[LValue], degree_bound: int) -> WittElem:
     products add without cancellation, so evaluation commutes with min.
     """
     _check_degree_bound(degree_bound)
-    pts = sorted(LValue(p) for p in points)
+    # a λ has at most degree_bound parts, so it reads only that many points
+    pts = sorted(LValue(p) for p in points)[:degree_bound]
     size = _prefix(degree_bound)
     finite = [(p._n, p._d) for p in pts if p.is_finite]
     den = lcm(*(d for _, d in finite))
@@ -715,7 +719,7 @@ def from_points(points: Iterable[LValue], degree_bound: int) -> WittElem:
     ints = [n * (den // d) for n, d in finite]
     nums = [
         # largest exponents on the smallest points minimizes the sum
-        sum(part * pt for part, pt in zip(lam, ints)) if lam.length <= len(ints) else None
+        sum(part * pt for part, pt in zip(lam, ints)) if len(lam) <= len(ints) else None
         for lam in islice(_labels, size)
     ]
     return _reduced(degree_bound, den, nums)

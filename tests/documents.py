@@ -201,11 +201,6 @@ def near_miss_witt_space_documents(draw):
                    {**doc, "dist": {k: "0" for k in dist}})
 
 
-near_miss_partitions = st.one_of(
-    st.lists(st.one_of(st.integers(1, 5), _WRONG, st.just(10**100)), max_size=4),
-    st.sampled_from(["2,1", {}, 2, None]),
-)
-
 _PART_TEXTS = st.one_of(
     st.integers(1, 9).map(str),
     st.sampled_from(["", "0", "-1", "+1", " 1", "1 ", "1_0", "٣", "²", "1e3", "x", "1.0"]),

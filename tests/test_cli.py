@@ -17,7 +17,7 @@ from tropwitt.errors import FormatError
 from tropwitt.generate import random_metric_space, random_point_eval_space
 from tropwitt.partitions import Partition, partitions_up_to
 from tropwitt.quantale import ZERO, LValue
-from tropwitt.symfunc import SymFunc, TensorSymFunc, monomial
+from tropwitt.symfunc import SymFunc, monomial
 from tropwitt.witt import WittElem, theta
 
 from documents import (
@@ -686,7 +686,7 @@ def test_a_tensor_key_named_twice_is_refused_by_the_reader(tmp_path):
     doc = tmp_path / "tensor.json"
     doc.write_text('{"degree_bound": 2, "coeffs": {"1|1": 1, "|2": 1, "1|1": 3}}')
     with pytest.raises(FormatError, match=r"^key '1\|1' is named twice in one object$"):
-        TensorSymFunc.from_json(_read_json(str(doc)))
+        _read_json(str(doc))
 
 
 def test_values_too_wide_to_check_are_refused_at_once(runner, tmp_path):

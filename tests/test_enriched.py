@@ -20,7 +20,7 @@ from tropwitt.generate import random_metric_space, random_point_eval_space
 from tropwitt.partitions import Partition, partitions_of, partitions_up_to
 from tropwitt.plancherel import observe, sample_path
 from tropwitt.quantale import INF, ZERO, LValue
-from tropwitt.symfunc import SymFunc, TensorSymFunc, complete, monomial
+from tropwitt.symfunc import SymFunc, complete, monomial
 from tropwitt.witt import WittElem, from_points, theta
 
 from documents import loaded, near_miss_witt_space_documents
@@ -126,7 +126,7 @@ def test_theta_slice_at_hook_is_all_infinite():
 def test_slice_at_one_is_tau():
     rng = random.Random(3)
     w = random_point_eval_space(rng, ("a", "b", "c"), N)
-    assert slice_table(w, P(1)) == tau_space(w).table()
+    assert slice_table(w, P(1)) == tau_space(w)._dist
 
 
 def test_slice_at_empty_is_zero_and_above_the_bound_fails():
@@ -389,19 +389,24 @@ def test_loaders_refuse_a_key_that_is_no_pair_of_the_points(cls, entry, extra):
     "load, data, text",
     [
         (WittElem.from_json, {"degree_bound": 2, "values": {1: "0"}}, "bad partition key 1"),
+        (WittElem.from_json, {"degree_bound": 2, "values": {10**5000: "0"}},
+         "bad partition key <integer of more than 1000 digits>"),
         (SymFunc.from_json, {"degree_bound": 2, "coeffs": {1: 1}}, "bad partition key 1"),
         (SymFunc.from_json, {"degree_bound": 2, "coeffs": {10**5000: "x"}},
          "bad coefficient 'x' for key <integer of more than 1000 digits>"),
-        (TensorSymFunc.from_json, {"degree_bound": 2, "coeffs": {1: 1}},
-         "tensor key must be 'mu|nu', got 1"),
         (WittSpace.from_json, {"points": ["a"], "dist": {1: theta(ZERO, 1).to_json()}},
          "distance key must be 'x|y', got 1"),
+        (WittSpace.from_json, {"points": ["a"], "dist": {10**5000: theta(ZERO, 1).to_json()}},
+         "distance key must be 'x|y', got <integer of more than 1000 digits>"),
         (MetricSpace.from_json, {"points": ["a"], "dist": {(1, 2): "0"}},
          "distance key must be 'x|y', got (1, 2)"),
+        (MetricSpace.from_json, {"points": ["a"], "dist": {10**5000: "0"}},
+         "distance key must be 'x|y', got <integer of more than 1000 digits>"),
         (Partition.from_key, 12, "bad partition key 12"),
         (Partition.from_key, 10**5000, "bad partition key <integer of more than 1000 digits>"),
     ],
-    ids=["witt-elem", "sym", "sym-long", "tensor", "witt-space", "metric", "key", "key-long"],
+    ids=["witt-elem", "witt-elem-long", "sym", "sym-long", "witt-space", "witt-space-long",
+         "metric", "metric-long", "key", "key-long"],
 )
 def test_loaders_refuse_a_key_that_is_not_a_string(load, data, text):
     # JSON text has only string keys, but a library caller's dict may not

@@ -146,6 +146,49 @@ def test_every_public_name_has_a_caller():
     assert sorted(set(tropwitt.__all__) - used) == []
 
 
+def _attributes_read(path) -> set[tuple[str, tuple[str, ...]]]:
+    """Each attribute name that the file loads, with the names of the
+    classes whose bodies hold the read, outermost first."""
+    reads = set()
+
+    def visit(node, classes):
+        if isinstance(node, ast.ClassDef):
+            classes = (*classes, node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add((node.attr, classes))
+        for child in ast.iter_child_nodes(node):
+            visit(child, classes)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return reads
+
+
+def test_every_public_member_has_a_caller():
+    # each public member of a public class, or of its tropwitt bases, is
+    # read by the benchmark or by the library outside the body of the class
+    # that defines it; NamedTuple fields are data, not members.  A member
+    # passes when any object's attribute of the same name is read
+    bench = {name for path in (ROOT / "perfbench").glob("*.py") for name, _ in _attributes_read(path)}
+    library = {path.stem: _attributes_read(path) for path in (SRC / "tropwitt").glob("*.py")}
+    unread = set()
+    for name in tropwitt.__all__:
+        value = getattr(tropwitt, name)
+        for cls in value.__mro__ if isinstance(value, type) else ():
+            if not cls.__module__.startswith("tropwitt."):
+                continue
+            module = cls.__module__.removeprefix("tropwitt.")
+            for member in vars(cls):
+                if member.startswith("_") or member in getattr(cls, "_fields", ()) or member in bench:
+                    continue
+                if not any(
+                    attr == member and not (file == module and cls.__name__ in classes)
+                    for file, reads in library.items()
+                    for attr, classes in reads
+                ):
+                    unread.add(f"{name}.{member}")
+    assert sorted(unread) == []
+
+
 def test_dir_lists_every_public_name():
     assert set(tropwitt.__all__) <= set(dir(tropwitt))
     assert {"__version__", "__all__"} <= set(dir(tropwitt))

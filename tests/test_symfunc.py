@@ -52,8 +52,9 @@ from oracles import (
 N = 8
 
 
-def m(*parts, bound=N):
-    return monomial(Partition(parts), bound)
+def m(*parts, bound=N, c=1):
+    """c·m_λ, λ having the given parts."""
+    return SymFunc({Partition(parts): c}, bound)
 
 
 def product_rows(mu, nu):
@@ -98,6 +99,7 @@ def oracle_product(f, g):
 def test_monomial_unit():
     assert m() == SymFunc.one(N)
     assert monomial(EMPTY, N).constant_term == 1
+    assert m(2) + m(1, 1) + SymFunc.zero(N) == m(2) + m(1, 1)
 
 
 def test_elementary_is_column():
@@ -128,9 +130,7 @@ def test_expand_single_orbits():
 
 def test_from_polynomial_peels():
     p = {(2, 0): 1, (0, 2): 1, (1, 1): 2}
-    assert from_polynomial(p, 2) == monomial(Partition([2]), 2) + 2 * monomial(
-        Partition([1, 1]), 2
-    )
+    assert from_polynomial(p, 2) == m(2, bound=2) + m(1, 1, bound=2, c=2)
 
 
 def test_from_polynomial_rejects_asymmetric():
@@ -158,7 +158,7 @@ def test_expand_round_trip(f):
 
 def test_product_examples():
     assert m(1) * m(2) == m(3) + m(2, 1)
-    assert m(1) * m(1) == m(2) + 2 * m(1, 1)
+    assert m(1) * m(1) == m(2) + m(1, 1, c=2)
     assert m() * m(2, 1) == m(2, 1)
 
 
@@ -172,7 +172,7 @@ def test_basis_product_matches_alignment_count_oracle():
 
 def test_basis_product_matches_polynomial_route_at_degree_twelve():
     mu, nu = Partition([4, 2, 1]), Partition([3, 1, 1])
-    k = mu.length + nu.length  # enough variables to see every m_λ of the product
+    k = len(mu) + len(nu)  # enough variables to see every m_λ of the product
     want = from_polynomial(
         poly_mul(expand_in_vars(monomial(mu, 12), k), expand_in_vars(monomial(nu, 12), k)),
         k,
@@ -288,7 +288,7 @@ def test_product_row_times_row():
         for np in range(1, 4):
             got = m(n) * m(np)
             if n == np:
-                assert got == m(2 * n) + 2 * m(n, n)
+                assert got == m(2 * n) + m(n, n, c=2)
             else:
                 assert got == m(n + np) + m(n, np)
 
@@ -460,7 +460,7 @@ def test_plethysm_on_sums():
     want = oracle_product(inner, inner)
     # m_(1,1)(a_1, a_2, ...) = e_2 of the alphabet = (S^2 - sum of squares)/2
     squares = plethysm(m(2), inner)
-    assert 2 * got + squares == want
+    assert got + got + squares == want
     assert plethysm(elementary(2, N), inner) == got
 
 
@@ -483,17 +483,17 @@ PLETHYSM_OUTER = [
     m(3),
     m(2, 1),
     m(1, 1, 1),
-    m() + 2 * m(1) + m(1, 1),  # a constant term
+    m() + m(1, c=2) + m(1, 1),  # a constant term
     complete(2, N),
 ]
 PLETHYSM_INNER = [
     SymFunc.zero(N),
     m(1),
-    3 * m(1),
+    m(1, c=3),
     m(2),
     m(1, 1),
     m(1) + m(2),  # mixed degrees
-    2 * m(1) + m(1, 1),
+    m(1, c=2) + m(1, 1),
     m(1) + m(2, 1),
 ]
 
@@ -551,17 +551,10 @@ def test_monomial_not_natural_combination_of_elementary_products():
 
 
 def test_symfunc_json_round_trip():
-    f = 3 * m(2, 1) + m() + 2 * m(4)
+    f = m(2, 1, c=3) + m() + m(4, c=2)
     data = f.to_json()
     assert data == {"degree_bound": 8, "coeffs": {"": 1, "2,1": 3, "4": 2}}
     assert SymFunc.from_json(data) == f
-
-
-def test_tensor_json_round_trip():
-    t = coproduct_add(m(2, 1))
-    assert TensorSymFunc.from_json(t.to_json()) == t
-    keys = list(t.to_json()["coeffs"])
-    assert "2,1|" in keys and "|2,1" in keys and "1|2" in keys
 
 
 def test_symfunc_json_rejects_bad_inputs():
@@ -571,8 +564,6 @@ def test_symfunc_json_rejects_bad_inputs():
         SymFunc.from_json({"degree_bound": 4, "coeffs": {"2,1": -1}})
     with pytest.raises(FormatError):
         SymFunc.from_json({"degree_bound": 4, "coeffs": {"9": 1}})
-    with pytest.raises(FormatError):
-        TensorSymFunc.from_json({"degree_bound": 4, "coeffs": {"2,1": 1}})
 
 
 @pytest.mark.parametrize("cls", [SymFunc, TensorSymFunc])
@@ -589,17 +580,8 @@ def test_constructors_reject_what_the_other_rejects(cls):
         cls({}, -1)
 
 
-def test_tensor_json_rejects_bad_bounds_as_format_errors():
-    for bound in (-1, True, 1.5):
-        with pytest.raises(FormatError):
-            TensorSymFunc.from_json({"degree_bound": bound, "coeffs": {}})
-    with pytest.raises(FormatError):
-        TensorSymFunc.from_json({"degree_bound": 2, "coeffs": {"3|1,1,1": 1}})
-
-
-@pytest.mark.parametrize("cls", [SymFunc, TensorSymFunc])
 @pytest.mark.parametrize("bound", [13, 10**100], ids=["13", "10**100"])
-def test_loaders_refuse_a_bound_above_the_maximum(cls, bound, monkeypatch):
+def test_loaders_refuse_a_bound_above_the_maximum(bound, monkeypatch):
     # before any key is read (this one is malformed) or any partition is
     # indexed: with a term m(30) under a bound of 40, coproduct_mult would
     # build the size-30 coproduct table without end
@@ -608,12 +590,11 @@ def test_loaders_refuse_a_bound_above_the_maximum(cls, bound, monkeypatch):
 
     monkeypatch.setattr(symfunc, "_prefix", index)
     with pytest.raises(FormatError) as got:
-        cls.from_json({"degree_bound": bound, "coeffs": {"x": 1}})
+        SymFunc.from_json({"degree_bound": bound, "coeffs": {"x": 1}})
     assert str(got.value) == f"degree_bound {bound} exceeds the maximum {MAX_DEGREE}"
     monkeypatch.undo()
-    key = "12" if cls is SymFunc else "12|1"
-    loaded = cls.from_json({"degree_bound": MAX_DEGREE, "coeffs": {key: 1}})
-    assert loaded.degree_bound == MAX_DEGREE and loaded.to_json()["coeffs"] == {key: 1}
+    loaded = SymFunc.from_json({"degree_bound": MAX_DEGREE, "coeffs": {"12": 1}})
+    assert loaded.degree_bound == MAX_DEGREE and loaded.to_json()["coeffs"] == {"12": 1}
 
 
 _F = SymFunc({Partition([2, 1]): 3, EMPTY: 1, Partition([1, 1]): 1, Partition([3]): 2, Partition([1]): 0},
@@ -628,7 +609,7 @@ _F = SymFunc({Partition([2, 1]): 3, EMPTY: 1, Partition([1, 1]): 1, Partition([3
         (coproduct_add(m(2, 1, bound=4)),
          "TensorSymFunc<m()⊗m(2,1) + m(1)⊗m(2) + m(2)⊗m(1) + m(2,1)⊗m()>",
          [("|2,1", 1), ("1|2", 1), ("2|1", 1), ("2,1|", 1)]),
-        (coproduct_mult(2 * m(1, 1, bound=4) + m(1, bound=4)),
+        (coproduct_mult(m(1, 1, bound=4, c=2) + m(1, bound=4)),
          "TensorSymFunc<m(1)⊗m(1) + 4*m(1,1)⊗m(1,1) + 2*m(1,1)⊗m(2) + 2*m(2)⊗m(1,1)>",
          [("1|1", 1), ("1,1|1,1", 4), ("1,1|2", 2), ("2|1,1", 2)]),
         (tensor_counit_right(coproduct_add(_F), "add"), "SymFunc<m() + m(1,1) + 3*m(2,1) + 2*m(3)>",
@@ -638,7 +619,7 @@ _F = SymFunc({Partition([2, 1]): 3, EMPTY: 1, Partition([1, 1]): 1, Partition([3
     ],
 )
 def test_printed_and_serialized_forms(value, printed, coeffs):
-    # repr, the JSON keys, items() and support() all follow the
+    # repr, the JSON keys and items() all follow the
     # size-then-lexicographic order, of the left and then the right factor
     # for a tensor
     def term(key):
@@ -648,7 +629,6 @@ def test_printed_and_serialized_forms(value, printed, coeffs):
     assert repr(value) == printed
     assert list(value.to_json()["coeffs"].items()) == coeffs
     assert list(value.items()) == [(term(k), c) for k, c in coeffs]
-    assert value.support() == [term(k) for k, _ in coeffs]
 
 
 _P21, _P1 = Partition([2, 1]), Partition([1])
@@ -693,18 +673,18 @@ def test_constructor_error_texts(cls, coeffs, bound, error, text):
         (SymFunc, {"degree_bound": 4, "coeffs": {"1,,1": 1}}, "bad partition key '1,,1'"),
         (SymFunc, {"degree_bound": 4, "coeffs": {"1|1": 1}}, "bad partition key '1|1'"),
         (SymFunc, {"degree_bound": 4, "coeffs": {"2,1": 1, "1,2": 0}}, "term m(2,1) is named twice"),
-        (TensorSymFunc, [], "TensorSymFunc JSON needs 'degree_bound' and 'coeffs'"),
-        (TensorSymFunc, {"degree_bound": -1, "coeffs": {}}, "bad degree_bound -1"),
-        (TensorSymFunc, {"degree_bound": 4, "coeffs": "x"}, "'coeffs' must be an object"),
-        (TensorSymFunc, {"degree_bound": 4, "coeffs": {"2,1": 1}}, "tensor key must be 'mu|nu', got '2,1'"),
-        (TensorSymFunc, {"degree_bound": 4, "coeffs": {"1||1": 1}},
-         "tensor key must be 'mu|nu', got '1||1'"),
-        (TensorSymFunc, {"degree_bound": 4, "coeffs": {"2,1": -1}}, "bad coefficient -1 for key '2,1'"),
-        (TensorSymFunc, {"degree_bound": 4, "coeffs": {"x|1": 1}}, "bad partition key 'x'"),
-        (TensorSymFunc, {"degree_bound": 2, "coeffs": {"3|1,1,1": 1}},
-         "term m(3)⊗m(1,1,1) exceeds degree bound 2"),
-        (TensorSymFunc, {"degree_bound": 4, "coeffs": {"2,1|1": 1, "1,2|01": 2}},
-         "term m(2,1)⊗m(1) is named twice"),
+        (WittElem, None, "WittElem JSON needs 'degree_bound' and 'values'"),
+        (WittElem, {"degree_bound": 4}, "WittElem JSON needs 'degree_bound' and 'values'"),
+        (WittElem, {"degree_bound": 0, "values": {}}, "bad WittElem JSON"),
+        (WittElem, {"degree_bound": 4, "values": []}, "bad WittElem JSON"),
+        (WittElem, {"degree_bound": 4, "values": {"": "1"}}, "the empty partition must be omitted"),
+        (WittElem, {"degree_bound": 4, "values": {"9": "1"}}, "partition (9) exceeds degree bound 4"),
+        # every value is read before an oversized partition is named
+        (WittElem, {"degree_bound": 4, "values": {"9": "x"}}, "bad LValue 'x'"),
+        (WittElem, {"degree_bound": 4, "values": {"2,1": "1", "1,2": "1"}},
+         "partition (2,1) is named twice"),
+        (WittElem, {"degree_bound": 4, "values": {"1": 1.5}},
+         "LValue must be an integer or string, got 1.5"),
         (WittElem, {"degree_bound": 4, "values": {"+1": "1"}}, "bad partition key '+1'"),
     ],
 )
@@ -715,38 +695,32 @@ def test_loader_error_texts(cls, data, text):
 
 
 def _respelled(key: str):
-    """Another key for the same partition, or pair: the first nonempty side
-    with its parts reversed, or with a leading zero when that changes
-    nothing; None when every side is empty."""
-    sides = key.split("|")
-    for i, side in enumerate(sides):
-        if side:
-            parts = side.split(",")
-            sides[i] = ",".join(parts[::-1]) if parts != parts[::-1] else "0" + side
-            return "|".join(sides)
-    return None
+    """Another key for the same partition: its parts reversed, or with a
+    leading zero when that changes nothing; None for the empty key."""
+    if not key:
+        return None
+    parts = key.split(",")
+    return ",".join(parts[::-1]) if parts != parts[::-1] else "0" + key
 
 
-def _terms(key: str):
-    """The partition, or pair, that a well-formed key names; None otherwise."""
+def _term(key: str):
+    """The partition that a well-formed key names; None otherwise."""
     try:
-        return tuple(map(Partition.from_key, key.split("|")))
+        return Partition.from_key(key)
     except FormatError:
         return None
 
 
 @st.composite
 def near_miss_documents(draw):
-    """A SymFunc, TensorSymFunc or WittElem document with a degree bound up
-    to 6, with none, one or two faults among a bad key, a bad value, a wrong
-    bound and a repeated partition, and now and then the wrong shape."""
-    cls = draw(st.sampled_from([SymFunc, TensorSymFunc, WittElem]))
+    """A SymFunc or WittElem document with a degree bound up to 6, with
+    none, one or two faults among a bad key, a bad value, a wrong bound and
+    a repeated partition, and now and then the wrong shape."""
+    cls = draw(st.sampled_from([SymFunc, WittElem]))
     body_name = "values" if cls is WittElem else "coeffs"
     bound = draw(st.integers(1, 6))
     keys = [lam.key() for lam in partitions_up_to(bound) if lam.size or cls is not WittElem]
     key = st.sampled_from(keys)
-    if cls is TensorSymFunc:
-        key = st.builds("{}|{}".format, key, key)
     value = st.sampled_from(["1", "3/2", "inf", 0, 2]) if cls is WittElem else st.integers(0, 3)
     body = draw(st.dictionaries(key, value, max_size=5))
     doc = {"degree_bound": bound, body_name: body}
@@ -773,26 +747,19 @@ def near_miss_documents(draw):
 @given(near_miss_documents())
 @example((SymFunc, {"degree_bound": -(10**5000), "coeffs": {}}))
 @example((SymFunc, {"degree_bound": 4, "coeffs": {"1": -(10**5000)}}))
-@example((TensorSymFunc, {"degree_bound": 4, "coeffs": {"1|1": -(10**5000)}}))
 @example((WittElem, {"degree_bound": 10**5000, "values": {}}))
 @example((WittElem, {"degree_bound": 4, "values": {"1": -(10**5000)}}))
 def test_loaders_on_near_miss_documents(case):
     # a loader raises only FormatError; what loads round-trips; a document
-    # whose keys name one partition, or pair, twice never loads
+    # whose keys name one partition twice never loads
     cls, doc = case
     try:
         value = cls.from_json(doc)
     except FormatError:
         return
     assert cls.from_json(value.to_json()) == value
-    named = [_terms(key) for key in doc.get("values", doc.get("coeffs"))]
+    named = [_term(key) for key in doc.get("values", doc.get("coeffs"))]
     named = [t for t in named if t is not None]
     assert len(set(named)) == len(named), f"{doc} loaded as {value!r}"
 
 
-def test_scalar_and_zero():
-    f = m(2) + m(1, 1)
-    assert 0 * f == SymFunc.zero(N)
-    assert f + SymFunc.zero(N) == f
-    with pytest.raises(ValueError):
-        f.scale(-1)

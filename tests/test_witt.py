@@ -135,7 +135,7 @@ def test_theta_values():
         for r, row in rows.items():
             th = theta(r, bound)
             for lam in partitions_up_to(bound):
-                parts = len(lam.parts)
+                parts = len(lam)
                 want = ZERO if parts == 0 else row(lam.size) if parts == 1 else INF
                 assert th.value(lam) == want, (bound, r, lam)
 
