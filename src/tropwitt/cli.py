@@ -199,7 +199,16 @@ def _read_json(path: str):
 
 
 def _emit(data, output: str | None) -> None:
-    text = json.dumps(data, indent=2)
+    # a plethysm of valid inputs can have a coefficient past Python's digit
+    # limit for writing an integer as text: lift it, where there is one
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(data, indent=2)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

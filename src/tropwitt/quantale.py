@@ -1,28 +1,26 @@
 """The min-plus rig on [0, ∞] with exact rational arithmetic.
 
 ``LValue`` is an extended nonnegative rational.  Its Python operators keep
-the *numeric* reading: ``a + b`` adds, ``a <= b`` is the usual order, and
-``min`` picks the numerically smaller value.  The rig structure lives in
-the module functions: :func:`tropical_add` is min, :func:`tropical_mul` is
-numeric addition, and :func:`leq` is the rig's own order, which runs
-opposite to the numeric one (∞ is the bottom element, 0 the top, because
-x ≼ y holds exactly when min(x, z) = y for some z).
+the *numeric* reading and take only ``LValue`` operands, save ``*`` by an
+``int``: ``a + b`` adds, ``a <= b`` is the usual order, ``min`` picks the
+numerically smaller value, and ``LValue(1) == 1`` is false.  The rig
+structure lives in the module functions: :func:`tropical_add` is min,
+:func:`tropical_mul` is numeric addition, and :func:`leq` is the rig's own
+order, which runs opposite to the numeric one (∞ is the bottom element, 0
+the top, because x ≼ y holds exactly when min(x, z) = y for some z).
 
 A value is held as one canonical integer pair: a numerator and a positive
 denominator in lowest terms, with ∞ marked by a numerator of ``None``.
 Sums, multiples, truncated differences, the order (by cross-multiplication),
-the text form and the hash are computed on the two integers; the hash is
-``Fraction``'s, so an ``LValue``, the equal ``int`` and the equal
-``Fraction`` are one dict key.
+the text form and the hash are computed on the two integers.
 
 One reader, ``_read``, turns a text token into integers for the
 constructor (a ``ValueError``) and for every JSON loader (``_json_pair``,
 a ``FormatError``); one writer, ``_text``, spells n/d in lowest terms for
 ``str``, ``to_json`` and the texts of :mod:`tropwitt.witt`.  ``Fraction``
-appears only in taking a ``Fraction`` operand (the constructor and
-``_coerce``) and in reading the tokens that, once trimmed, are not ASCII
-digits or digits/digits: decimals and exponents such as "1.5" and "1e3",
-signs, and other Unicode digits.
+appears only in the constructor's ``Fraction`` argument and in reading the
+tokens that, once trimmed, are not ASCII digits or digits/digits: decimals
+and exponents such as "1.5" and "1e3", signs, and other Unicode digits.
 
 Floats are rejected throughout; every law test in this package relies on
 exact equality.
@@ -32,7 +30,6 @@ from __future__ import annotations
 
 import re
 import reprlib
-import sys
 from fractions import Fraction
 from math import gcd
 from typing import Union
@@ -51,7 +48,6 @@ _MAX_DIGITS = 1000
 _TOO_LARGE = 10**_MAX_DIGITS
 _TOO_LONG = f": more than {_MAX_DIGITS} digits"
 _EXPONENT = re.compile(r"[eE]([-+]?\d+)\Z")
-_MODULUS = sys.hash_info.modulus
 
 LValueLike = Union["LValue", int, Fraction, str]
 
@@ -86,14 +82,11 @@ class LValue:
 
     # -- numeric operators -------------------------------------------------
 
-    # an LValue operand skips the _coerce call: the law suites combine and
-    # compare LValues with each other in their innermost loops
+    # no > or >=: Python reflects a > b to b < a, and a >= b to b <= a
 
     def __add__(self, other) -> "LValue":
         if not isinstance(other, LValue):
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+            return NotImplemented
         a, c = self._n, other._n
         if a is None or c is None:
             return INF
@@ -101,8 +94,6 @@ class LValue:
         if b == d:
             return _ratio(a + c, b)
         return _ratio(a * d + c * b, b * d)
-
-    __radd__ = __add__
 
     def __mul__(self, n) -> "LValue":
         """Scalar multiple by a nonnegative integer; 0·∞ = 0 (empty sum)."""
@@ -120,27 +111,15 @@ class LValue:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LValue):
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+            return NotImplemented
         return self._n == other._n and self._d == other._d
 
     def __hash__(self) -> int:
-        n, d = self._n, self._d
-        if d == 1:  # an integer, or ∞
-            return hash(n)
-        # Fraction's hash: n over d modulo the hash modulus, or the hash of
-        # float infinity when d has no inverse there
-        try:
-            return hash(hash(n) * pow(d, -1, _MODULUS))
-        except ValueError:
-            return sys.hash_info.inf
+        return hash((self._n, self._d))
 
     def __lt__(self, other) -> bool:
         if not isinstance(other, LValue):
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+            return NotImplemented
         a, c = self._n, other._n
         if a is None or c is None:
             return c is None and a is not None
@@ -149,20 +128,12 @@ class LValue:
 
     def __le__(self, other) -> bool:
         if not isinstance(other, LValue):
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+            return NotImplemented
         a, c = self._n, other._n
         if a is None or c is None:
             return c is None
         b, d = self._d, other._d
         return a <= c if b == d else a * d <= c * b
-
-    def __gt__(self, other) -> bool:
-        return not self <= other
-
-    def __ge__(self, other) -> bool:
-        return not self < other
 
     def __repr__(self) -> str:
         return f"LValue({self})"
@@ -234,13 +205,6 @@ def _read(token: str) -> tuple[int | None, int]:
     if q < 0:
         raise ValueError(f"LValue must be nonnegative, got {q}")
     return q.numerator, q.denominator
-
-
-def _coerce(x) -> "LValue":
-    """A non-LValue operand as an LValue, or NotImplemented."""
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return LValue(x)
-    return NotImplemented
 
 
 def _text(n: int | None, d: int) -> str:

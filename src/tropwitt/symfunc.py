@@ -57,7 +57,7 @@ class _Combination:
         clean = {}
         for key, c in coeffs.items():
             if type(c) is not int or c < 0:  # the error text is built only when needed
-                _check_natural(f"coefficient of {key}", c)
+                _check_natural(f"coefficient of {self._term(key)}", c)
             if c == 0:
                 continue
             if degree(key) > degree_bound:

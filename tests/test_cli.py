@@ -17,7 +17,7 @@ from tropwitt.errors import FormatError
 from tropwitt.generate import random_metric_space, random_point_eval_space
 from tropwitt.partitions import Partition, partitions_up_to
 from tropwitt.quantale import ZERO, LValue
-from tropwitt.symfunc import SymFunc, monomial
+from tropwitt.symfunc import SymFunc, monomial, plethysm
 from tropwitt.witt import WittElem, theta
 
 from documents import (
@@ -115,6 +115,28 @@ def test_sym_plethysm(runner, tmp_path):
     result = runner.invoke(main, ["sym", "plethysm", "--input", f, "--other", g])
     assert result.exit_code == 0
     assert json.loads(result.output)["coeffs"] == {"6": 1}
+
+
+def test_sym_plethysm_writes_a_coefficient_past_the_digit_limit(runner, tmp_path):
+    # e_12 ∘ 10**999·m(1), of two valid inputs, has 77 terms of up to 11,989
+    # digits, past the 4,300 that Python writes as text by default; the
+    # command lifts that limit for its one dump, then restores it
+    e12 = {"degree_bound": 12, "coeffs": {",".join("1" * 12): 1}}
+    wide = {"degree_bound": 12, "coeffs": {"1": 10**999}}
+    f, g = write(tmp_path, "f.json", e12), write(tmp_path, "g.json", wide)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    result = runner.invoke(main, ["sym", "plethysm", "--input", f, "--other", g])
+    assert result.exit_code == 0
+    want = plethysm(SymFunc.from_json(e12), SymFunc.from_json(wide))
+    if limit:
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+    try:
+        assert result.output == json.dumps(want.to_json(), indent=2) + "\n"
+        assert max(len(str(c)) for _, c in want.items()) == 11989
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,17 @@ from hypothesis import strategies as st
 
 from tropwitt.enriched import MetricSpace
 from tropwitt.errors import FormatError, _shown
-from tropwitt.quantale import INF, ZERO, LValue, _json_pair, leq, monus, tropical_add, tropical_mul
+from tropwitt.quantale import (
+    INF,
+    ZERO,
+    LValue,
+    _json_pair,
+    _ratio,
+    leq,
+    monus,
+    tropical_add,
+    tropical_mul,
+)
 
 from documents import loaded, near_miss_metric_documents, near_miss_tokens
 
@@ -211,7 +221,7 @@ def test_min_builtin_works():
     assert min(LValue(3), LValue(2), INF) == LValue(2)
 
 
-# -- comparisons with LValue, int and Fraction operands ----------------------------------
+# -- comparisons: LValue operands only ------------------------------------------------
 
 numbers = st.one_of(
     st.integers(min_value=0, max_value=12),
@@ -227,8 +237,9 @@ def _key(v):
     return (0, Fraction(v._n, v._d) if isinstance(v, LValue) else Fraction(v))
 
 
-@given(lvalues, st.one_of(lvalues, numbers))
+@given(lvalues, st.one_of(lvalues, numbers.map(LValue)))
 def test_comparisons_match_a_fraction_or_infinity_oracle(a, b):
+    # LValue defines no > or >=: Python reflects a > b to b < a
     ka, kb = _key(a), _key(b)
     assert (a == b) == (ka == kb) and (b == a) == (ka == kb)
     assert (a != b) == (ka != kb) and (b != a) == (ka != kb)
@@ -238,8 +249,26 @@ def test_comparisons_match_a_fraction_or_infinity_oracle(a, b):
     assert (a >= b) == (ka >= kb) and (b <= a) == (ka >= kb)
 
 
-@pytest.mark.parametrize("other", [True, False, 1.0, 0.0, "1", "inf", None])
+@pytest.mark.parametrize(
+    "other",
+    [
+        True,
+        False,
+        1.0,
+        0.0,
+        "1",
+        "inf",
+        None,
+        pytest.param(0, id="int-0"),
+        pytest.param(1, id="int-1"),
+        pytest.param(Fraction(1, 2), id="fraction-1/2"),
+        pytest.param(-1, id="int-minus-1"),
+        pytest.param(Fraction(-1, 2), id="fraction-minus-1/2"),
+    ],
+)
 def test_comparisons_with_other_types_are_unchanged(other):
+    # an int or a Fraction, negative or not, is no LValue: unequal, unordered
+    # and not added, as every other type
     for a in (ZERO, LValue(1), INF):
         assert a != other and other != a
         assert not a == other and not other == a
@@ -250,22 +279,19 @@ def test_comparisons_with_other_types_are_unchanged(other):
             lambda: a >= other,
             lambda: other < a,
             lambda: other >= a,
+            lambda: a + other,
+            lambda: other + a,
         ):
             with pytest.raises(TypeError):
                 compare()
 
 
-def test_comparisons_with_negative_numbers_raise():
-    for other in (-1, Fraction(-1, 2)):
-        for compare in (
-            lambda: LValue(1) == other,
-            lambda: LValue(1) < other,
-            lambda: LValue(1) <= other,
-            lambda: LValue(1) > other,
-            lambda: INF >= other,
-        ):
-            with pytest.raises(ValueError):
-                compare()
+def test_sum_needs_an_lvalue_start_and_one_value_hashes_alike():
+    with pytest.raises(TypeError):
+        sum([LValue(1)])  # 0 + LValue(1)
+    assert sum([LValue(1), LValue(2)], ZERO) == LValue(3)
+    a, b, c = LValue("2/4"), LValue(Fraction(1, 2)), _ratio(2, 4)
+    assert a == b == c and hash(a) == hash(b) == hash(c)
 
 
 # -- every operation against a Fraction-or-∞ oracle, with up to 300 digits -------------
@@ -298,7 +324,8 @@ def _is(v: LValue, q) -> bool:
 @example(Fraction(1, 2), Fraction(1, 2), 2, 1)
 @example(Fraction(2, 3), Fraction(1, 6), 3, 0)
 @example(Fraction(1, _BIG), Fraction(_BIG - 1, _BIG), 0, _BIG)
-# denominators with no inverse modulo the hash modulus
+# denominators that are multiples of Python's hash modulus, whose Fraction
+# hash is that of float infinity
 @example(Fraction(3, sys.hash_info.modulus), Fraction(1, 2 * sys.hash_info.modulus), 1, 0)
 def test_every_operation_matches_a_fraction_or_infinity_oracle(p, q, k, n):
     a, b = _lv(p), _lv(q)
@@ -306,7 +333,7 @@ def test_every_operation_matches_a_fraction_or_infinity_oracle(p, q, k, n):
     assert _is(a + b, total) and _is(b + a, total)
     assert _is(tropical_mul(a, b), total)
     shifted = None if p is None else p + n
-    assert _is(a + n, shifted) and _is(n + a, shifted)
+    assert _is(a + LValue(n), shifted) and _is(LValue(n) + a, shifted)
     multiple = Fraction(0) if k == 0 else None if p is None else k * p
     assert _is(k * a, multiple) and _is(a * k, multiple)
     if q is None:
@@ -321,10 +348,10 @@ def test_every_operation_matches_a_fraction_or_infinity_oracle(p, q, k, n):
     assert (a == b) == (p == q)
     assert a.to_json() == str(a) and LValue.from_json(a.to_json()) == a
     if p is not None:
-        # an LValue, the equal Fraction and the equal int are one dict key
-        assert a == p and hash(a) == hash(p) and Fraction(a._n, a._d) == p
-        assert hash(LValue(p.numerator)) == hash(p.numerator)
-        assert {p: 1}[a] == 1 and {a: 1}[p] == 1
+        # the value, its text and an unreduced pair of it are one dict key
+        same = (a, LValue(str(p)), _ratio(p.numerator * (k + 1), p.denominator * (k + 1)))
+        assert len({hash(v) for v in same}) == 1 and len(set(same)) == 1
+        assert Fraction(a._n, a._d) == p
 
 
 # -- near-miss JSON tokens and metric-space documents ---------------------------------

@@ -637,14 +637,13 @@ _P21, _P1 = Partition([2, 1]), Partition([1])
 @pytest.mark.parametrize(
     "cls, coeffs, bound, error, text",
     [
-        (SymFunc, {_P21: True}, 4, TypeError, "coefficient of (2,1) must be int, got True"),
-        (SymFunc, {_P21: 1.5}, 4, TypeError, "coefficient of (2,1) must be int, got 1.5"),
-        (SymFunc, {_P21: -1}, 4, ValueError, "coefficient of (2,1) must be ≥ 0, got -1"),
+        (SymFunc, {_P21: True}, 4, TypeError, "coefficient of m(2,1) must be int, got True"),
+        (SymFunc, {_P21: 1.5}, 4, TypeError, "coefficient of m(2,1) must be int, got 1.5"),
+        (SymFunc, {_P21: -1}, 4, ValueError, "coefficient of m(2,1) must be ≥ 0, got -1"),
         (SymFunc, {}, "4", TypeError, "degree bound must be int, got '4'"),
         (SymFunc, {}, -1, ValueError, "degree bound must be ≥ 0, got -1"),
         (SymFunc, {_P21: 1}, 2, DegreeOverflowError, "term m(2,1) exceeds degree bound 2"),
-        (TensorSymFunc, {(_P21, _P1): None}, 4, TypeError,
-         "coefficient of (Partition((2, 1)), Partition((1,))) must be int, got None"),
+        (TensorSymFunc, {(_P21, _P1): None}, 4, TypeError, "coefficient of m(2,1)⊗m(1) must be int, got None"),
         (TensorSymFunc, {(_P1, _P21): 1}, 2, DegreeOverflowError,
          "term m(1)⊗m(2,1) exceeds degree bound 2"),
     ],

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -438,3 +439,19 @@ def test_constructors_refuse_a_bound_above_the_maximum(build, bound, shown, monk
     assert str(got.value) == f"degree_bound {shown} exceeds the maximum {MAX_DEGREE}"
     monkeypatch.undo()
     assert build(MAX_DEGREE).degree_bound == MAX_DEGREE
+
+
+def test_readme_library_example_gives_its_commented_results():
+    # each line with a comment is an expression whose repr the comment
+    # starts with ("# LValue(4): ..."); the other lines are run as they are
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope, wants = {}, []
+    for line in block.splitlines():
+        code, _, comment = line.partition("  # ")
+        if comment:
+            wants.append(comment.split(":")[0])
+            assert repr(eval(code, scope)) == wants[-1], line
+        else:
+            exec(code, scope)
+    assert wants == ["LValue(4)", "True", "True", "True", "LValue(1)"]
