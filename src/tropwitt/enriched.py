@@ -11,14 +11,14 @@ self-distance, which is exactly the partial-metric behavior the tests
 exhibit.
 
 Both are one structure, a point set with one hom-object per ordered pair,
-written once in ``_Space``: the table, its JSON form and its errors.  Each
-class adds its entry check, its reader of one entry of a document,
+written once in ``_Space``: the table, its JSON form, its errors and the
+check that each entry has the class's entry type, ``LValue`` or
+``WittElem``.  Each class adds its reader of one entry of a document,
 ``_read(data, memo)``, and its axioms.  The Witt-space check, with its
 report texts, is :mod:`tropwitt.witt`'s, and so is the reader of a Witt
 entry, which parses each distinct string token once per document (a
 space of k points repeats its values over k² entries).  A metric space
-reads each entry with ``LValue.from_json`` and keeps an ``LValue`` entry
-as it is, values being immutable.
+reads each entry with ``LValue.from_json``.
 """
 
 from __future__ import annotations
@@ -58,13 +58,14 @@ def _check_points(points: Iterable[str]) -> tuple[str, ...]:
 
 class _Space:
     """Finite point set with one entry per ordered pair, held x-major.  A
-    subclass checks an entry in ``_entry`` and reads one from a document
-    with ``_read(data, memo)``, memo living for that document."""
+    subclass names its entry type (and article) in ``_entry``, and reads
+    one from a document with ``_read(data, memo)``, memo per document."""
 
     __slots__ = ("_points", "_dist")
 
     def __init__(self, points: Iterable[str], dist: Mapping[tuple[str, str], object]):
         self._points = _check_points(points)
+        kind, name = self._entry
         table = {}
         for x in self._points:
             for y in self._points:
@@ -72,7 +73,9 @@ class _Space:
                     entry = dist[(x, y)]
                 except KeyError:
                     raise ValueError(f"missing distance for pair ({x}, {y})") from None
-                table[(x, y)] = self._entry(x, y, entry)
+                if not isinstance(entry, kind):
+                    raise TypeError(f"distance for ({x}, {y}) must be {name}")
+                table[(x, y)] = entry
         self._dist = table
 
     @property
@@ -124,10 +127,7 @@ class MetricSpace(_Space):
     """Finite point set with an extended-rational distance table."""
 
     __slots__ = ()
-
-    @staticmethod
-    def _entry(x: str, y: str, entry) -> LValue:
-        return entry if type(entry) is LValue else LValue(entry)  # values are immutable
+    _entry = LValue, "an LValue"
 
     @staticmethod
     def _read(data, memo: dict) -> LValue:
@@ -160,6 +160,7 @@ class WittSpace(_Space):
     check, and the texts of its report, live in :mod:`tropwitt.witt`."""
 
     __slots__ = ("_degree_bound",)
+    _entry = WittElem, "a WittElem"
 
     def __init__(self, points: Iterable[str], dist: Mapping[tuple[str, str], WittElem]):
         super().__init__(points, dist)
@@ -167,12 +168,6 @@ class WittSpace(_Space):
         if len(bounds) != 1:
             raise ValueError(f"entries disagree on degree bound: {sorted(bounds)}")
         (self._degree_bound,) = bounds
-
-    @staticmethod
-    def _entry(x: str, y: str, entry) -> WittElem:
-        if not isinstance(entry, WittElem):
-            raise TypeError(f"distance for ({x}, {y}) must be a WittElem")
-        return entry
 
     # one entry of a document, each string token read once per document
     _read = staticmethod(WittElem._load)

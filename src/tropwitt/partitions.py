@@ -131,7 +131,7 @@ def partitions_up_to(bound: int) -> tuple[Partition, ...]:
 
 
 # Largest degree bound accepted from CLI options, from the loaders that read
-# one (SymFunc, WittElem) and from the WittElem constructors.
+# one (SymFunc, WittElem) and from the WittElem generators.
 # A cold process at degree 12 spends about 0.02 s on the power-sum
 # transitions that every structure table reads, 0.07 s on the products that
 # validation checks and 0.15 s on the multiplicative coproduct; a cold
@@ -143,7 +143,7 @@ MAX_DEGREE = 12
 
 def _check_degree(bound: int, error: type[Exception] = FormatError) -> None:
     """Refuse a degree bound above MAX_DEGREE, before anything is indexed up
-    to it: a loader raises FormatError, a constructor ValueError."""
+    to it: a loader raises FormatError, a generator ValueError."""
     if bound > MAX_DEGREE:
         raise error(f"degree_bound {_shown(bound)} exceeds the maximum {MAX_DEGREE}")
 

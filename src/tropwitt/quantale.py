@@ -191,10 +191,12 @@ def _read(token: str) -> tuple[int | None, int]:
         return _read(s)
     if s.lower() in (_INF_TOKEN, "infinity", "∞"):
         return None, 1
-    # Fraction accepts digit separators from Python 3.11 on; refuse them on
-    # every version, so the grammar does not depend on the interpreter
+    # Fraction reads digit separators from Python 3.11 on and whitespace
+    # beside "/" from 3.12 on; refuse both, so the grammar is the same on each
     if "_" in s:
         raise ValueError(f"bad LValue {s!r}: underscores are not accepted")
+    if any(c.isspace() for c in s):
+        raise ValueError(f"bad LValue {s!r}: whitespace is not accepted")
     exponent = _EXPONENT.search(s) if len(s) <= _MAX_DIGITS else None
     if len(s) + (abs(int(exponent[1])) if exponent else 0) > _MAX_DIGITS:
         raise ValueError(f"bad LValue {reprlib.repr(s)}{_TOO_LONG}")

@@ -21,9 +21,10 @@ positions of a degree bound N are a prefix, shared with every larger
 bound, and m_∅ sits at position −1.  An element keeps a shared
 denominator D, the lcm of the reduced denominators of its finite values,
 and one integer numerator per nonempty partition, ``None`` for ∞; the
-form is canonical, so equality is tuple equality.
-Every rig operation is then a min over integer sums on position tables.
-``LValue`` appears only at the API and JSON boundary.
+form is canonical, so equality is tuple equality; values enter only
+through the loader and the generators.  Every rig operation is a min
+over integer sums on position tables, and ``LValue`` appears only at the
+API and JSON boundary.
 
 The coproduct is read flat, one group per λ and left factor μᵢ, holding
 the right factors νⱼ of that group: (f·g)(λ) is the min over λ's groups of
@@ -73,7 +74,7 @@ from functools import cache, lru_cache
 from itertools import compress, count, islice, repeat
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DegreeOverflowError, FormatError
 from .partitions import Partition, _check_degree, partitions_of
@@ -450,7 +451,7 @@ def _over_lcm(bound: int, nums: list[int | None], dens: list[int]) -> "WittElem"
 
 
 def _check_degree_bound(degree_bound) -> None:
-    """The degree-bound check of the constructors: a natural number of at
+    """The degree-bound check of the generators: a natural number of at
     least 1, and a ValueError above MAX_DEGREE."""
     _check_natural("degree bound", degree_bound, 1)
     _check_degree(degree_bound, ValueError)
@@ -460,25 +461,6 @@ class WittElem:
     """A candidate rig homomorphism from symmetric functions to [0, ∞]."""
 
     __slots__ = ("_degree_bound", "_den", "_nums")
-
-    def __init__(self, degree_bound: int, values: Mapping[Partition, LValue]):
-        _check_degree_bound(degree_bound)
-        nums: list[int | None] = [None] * _prefix(degree_bound)
-        dens = [1] * len(nums)
-        for lam, v in values.items():
-            if lam.is_empty():
-                if v != ZERO:
-                    raise ValueError("the empty partition is forced to value 0")
-                continue
-            if lam.size > degree_bound:
-                raise DegreeOverflowError(
-                    f"partition {lam} exceeds degree bound {degree_bound}"
-                )
-            v = LValue(v)
-            i = _index[lam]
-            nums[i], dens[i] = v._n, v._d
-        f = _over_lcm(degree_bound, nums, dens)
-        self._degree_bound, self._den, self._nums = degree_bound, f._den, f._nums
 
     @classmethod
     def _dense(cls, degree_bound: int, den: int, nums: tuple) -> "WittElem":
@@ -669,7 +651,8 @@ def _column(bound: int, elems: Iterable[WittElem], lam: Partition) -> list[LValu
 
 def additive_unit(degree_bound: int) -> WittElem:
     """The zero of the rig: ∞ on every nonempty partition."""
-    return WittElem(degree_bound, {})
+    _check_degree_bound(degree_bound)
+    return WittElem._dense(degree_bound, 1, (None,) * _prefix(degree_bound))
 
 
 def multiplicative_unit(degree_bound: int) -> WittElem:

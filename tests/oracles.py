@@ -17,6 +17,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
+from math import lcm
 
 from tropwitt.enriched import WittSpace
 from tropwitt.errors import DegreeOverflowError, FormatError, TropwittError
@@ -449,6 +450,16 @@ def _tensor_counit(t, counit, side: int) -> SymFunc:
 # -- the Witt rig on partition-keyed LValue tables ------------------------------------------
 
 
+def elem(bound: int, values: dict[Partition, LValue]) -> WittElem:
+    """The element with these values, ∞ at each partition not named (m_∅
+    ignored), stored in its canonical form: every value lifted to the lcm
+    of the reduced denominators, built here, not by the library's reader."""
+    vals = [values.get(lam, INF) for lam in partitions_up_to(bound)[1:]]
+    den = lcm(*(v._d for v in vals))
+    nums = tuple(None if v._n is None else v._n * (den // v._d) for v in vals)
+    return WittElem._dense(bound, den, nums)
+
+
 def _value_table(f: WittElem) -> dict[Partition, LValue]:
     return {lam: f.value(lam) for lam in partitions_up_to(f.degree_bound) if not lam.is_empty()}
 
@@ -490,7 +501,7 @@ def from_points_by_lvalues(points: list[LValue], degree_bound: int) -> WittElem:
             for part, pt in zip(lam, pts):
                 total = total + part * pt
             values[lam] = total
-    return WittElem(degree_bound, values)
+    return elem(degree_bound, values)
 
 
 def _lvalue_from_json(data) -> LValue:
@@ -512,8 +523,8 @@ def _lvalue_from_json(data) -> LValue:
 def witt_from_json_by_partitions(data) -> WittElem:
     """``WittElem.from_json`` by way of a Partition-keyed table: a bound
     above MAX_DEGREE refused first, every key through ``Partition.from_key``,
-    every value through the ``LValue`` constructor, then the public
-    constructor, whose errors become format errors.  A partition within the
+    every value through the ``LValue`` constructor, then the first
+    partition above the bound, if any, named.  A partition within the
     bound that two keys name is reported at the first key not in canonical
     form that names it after another key, or whose canonical key is in the
     document."""
@@ -534,10 +545,10 @@ def witt_from_json_by_partitions(data) -> WittElem:
         if lam.size <= bound and key != lam.key() and (lam in values or lam.key() in raw):
             raise FormatError(f"partition {lam} is named twice")
         values[lam] = _lvalue_from_json(v)
-    try:
-        return WittElem(bound, values)
-    except (ValueError, DegreeOverflowError) as exc:
-        raise FormatError(str(exc)) from exc
+    oversized = next((lam for lam in values if lam.size > bound), None)
+    if oversized is not None:
+        raise FormatError(f"partition {oversized} exceeds degree bound {bound}")
+    return elem(bound, values)
 
 
 @cache
@@ -573,7 +584,7 @@ def add_by_partitions(f: WittElem, g: WittElem) -> WittElem:
             if v < best:
                 best = v
         out[lam] = best
-    return WittElem(f.degree_bound, out)
+    return elem(f.degree_bound, out)
 
 
 def mul_by_partitions(f: WittElem, g: WittElem) -> WittElem:
@@ -587,7 +598,7 @@ def mul_by_partitions(f: WittElem, g: WittElem) -> WittElem:
             if v < best:
                 best = v
         out[lam] = best
-    return WittElem(f.degree_bound, out)
+    return elem(f.degree_bound, out)
 
 
 def leq_by_partitions(f: WittElem, g: WittElem) -> bool:

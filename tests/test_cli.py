@@ -18,7 +18,7 @@ from tropwitt.generate import random_metric_space, random_point_eval_space
 from tropwitt.partitions import Partition, partitions_up_to
 from tropwitt.quantale import ZERO, LValue
 from tropwitt.symfunc import SymFunc, monomial, plethysm
-from tropwitt.witt import WittElem, theta
+from tropwitt.witt import theta
 
 from documents import (
     near_miss_elem_documents,
@@ -27,6 +27,7 @@ from documents import (
     near_miss_text_tokens,
     near_miss_witt_space_documents,
 )
+from oracles import elem
 
 
 class Runner:
@@ -187,7 +188,7 @@ def test_witt_add_mul_validate(runner, tmp_path, degree):
 
 
 def test_witt_validate_rejects_invalid(runner, tmp_path):
-    bad_elem = WittElem(4, {Partition([1]): LValue(1), Partition([2]): LValue(5)})
+    bad_elem = elem(4, {Partition([1]): LValue(1), Partition([2]): LValue(5)})
     bad = write(tmp_path, "bad.json", bad_elem.to_json())
     result = runner.invoke(main, ["witt", "validate", "--input", bad])
     assert result.exit_code == 1
@@ -488,7 +489,7 @@ def test_output_file_holds_the_printed_json(runner, tmp_path, args):
 
 
 def test_failing_input_reports_and_exit_codes(runner, tmp_path):
-    bad_elem = WittElem(4, {Partition([1]): LValue(1), Partition([2]): LValue(5)})
+    bad_elem = elem(4, {Partition([1]): LValue(1), Partition([2]): LValue(5)})
     bad = write(tmp_path, "bad.json", bad_elem.to_json())
     good = write(tmp_path, "good.json", theta(LValue(1), 4).to_json())
     out = tmp_path / "out.json"

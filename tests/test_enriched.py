@@ -328,7 +328,7 @@ _E3 = theta(ZERO, 3)
         (MetricSpace, [], {}, ValueError, "a space needs at least one point", None, {}),
         (WittSpace, [], {}, ValueError, "a space needs at least one point", None, {}),
         # an entry of the other kind: the JSON loader of the entry reports it
-        (MetricSpace, ["a"], {("a", "a"): _E3}, TypeError, "cannot build LValue from WittElem",
+        (MetricSpace, ["a"], {("a", "a"): _E3}, TypeError, "distance for (a, a) must be an LValue",
          f"LValue must be an integer or string, got {_E3.to_json()!r}", {}),
         (WittSpace, ["a"], {("a", "a"): ZERO}, TypeError, "distance for (a, a) must be a WittElem",
          "WittElem JSON needs 'degree_bound' and 'values'", {}),
@@ -361,6 +361,21 @@ def test_constructor_and_loader_errors(cls, points, dist, error, text, json_text
     with pytest.raises(FormatError) as got:
         cls.from_json(doc)
     assert str(got.value) == (json_text or text)
+
+
+def test_a_value_table_is_no_element():
+    # a table becomes an element only through WittElem.from_json or a generator
+    with pytest.raises(TypeError) as got:
+        WittElem(4, {})
+    assert str(got.value) == "WittElem() takes no arguments"
+
+
+@pytest.mark.parametrize("entry", [0, "0", Fraction(0), None], ids=["int", "str", "fraction", "none"])
+def test_a_metric_entry_must_be_a_built_lvalue(entry):
+    # nothing is coerced: a value enters through LValue or the loaders
+    with pytest.raises(TypeError) as got:
+        MetricSpace(["a"], {("a", "a"): entry})
+    assert str(got.value) == "distance for (a, a) must be an LValue"
 
 
 @given(near_miss_witt_space_documents())

@@ -49,6 +49,7 @@ from tropwitt.witt import (
 
 from oracles import (
     add_by_partitions,
+    elem,
     eval_by_partitions,
     from_points_by_lvalues,
     leq_by_partitions,
@@ -89,11 +90,11 @@ def witt_elems(draw, bound: int, lvalues=lvalues) -> WittElem:
         values = {lam: f.value(lam) for lam in parts}
         for lam in draw(st.lists(st.sampled_from(parts), min_size=1, max_size=3)):
             values[lam] = draw(lvalues)
-        return WittElem(bound, values)
+        return elem(bound, values)
     if kind == "sparse":
         chosen = draw(st.lists(st.sampled_from(parts), max_size=4))
-        return WittElem(bound, {lam: draw(lvalues) for lam in chosen})
-    return WittElem(bound, {lam: draw(lvalues) for lam in parts})
+        return elem(bound, {lam: draw(lvalues) for lam in chosen})
+    return elem(bound, {lam: draw(lvalues) for lam in parts})
 
 
 @st.composite
@@ -111,7 +112,7 @@ def _same(got: WittElem, want: WittElem) -> None:
 def _with_value(f: WittElem, lam: Partition, v: LValue) -> WittElem:
     """f with its value at λ replaced by v."""
     values = {mu: f.value(mu) for mu in partitions_up_to(f.degree_bound)}
-    return WittElem(f.degree_bound, {**values, lam: v})
+    return elem(f.degree_bound, {**values, lam: v})
 
 
 def _same_rig_operations(pair: tuple[WittElem, WittElem]) -> None:
@@ -162,7 +163,7 @@ def test_stored_form_is_canonical(f):
     # rebuilding from the values gives the same stored form, so equality
     # of elements is equality of their value tables
     values = {lam: f.value(lam) for lam in partitions_up_to(f.degree_bound)}
-    assert WittElem(f.degree_bound, values) == f
+    assert elem(f.degree_bound, values) == f
     assert WittElem.from_json(f.to_json()) == f
 
 
@@ -240,7 +241,7 @@ def test_eight_point_space_with_broken_entries(bound):
     dist = {(x, y): space.dist(x, y) for x in points for y in points}
     dist["h", "a"] = from_points([LValue(40)] * bound, bound)
     dist["c", "h"] = additive_unit(bound)
-    dist["h", "h"] = WittElem(bound, {Partition([1]): LValue(Fraction(1, 3))})
+    dist["h", "h"] = elem(bound, {Partition([1]): LValue(Fraction(1, 3))})
     _same_space_reports(WittSpace(points, dist))
 
 
@@ -288,7 +289,7 @@ def test_fields_at_a_byte_boundary(top, size):
     base = {(x, y): theta(LValue(0 if x == y else 1 + (x < y)), 3) for x in points for y in points}
     dist = dict(base)
     parts = [lam for lam in partitions_up_to(3) if not lam.is_empty()]
-    dist["a", "b"] = WittElem(3, {lam: LValue(top - i) for i, lam in enumerate(parts)})
+    dist["a", "b"] = elem(3, {lam: LValue(top - i) for i, lam in enumerate(parts)})
     dist["c", "a"] = _with_value(base["c", "a"], parts[-1], LValue(top))
     space = WittSpace(points, dist)
     packed = _Packed(list(space._dist.values()))
@@ -347,10 +348,10 @@ def test_violation_in_the_last_field_of_the_last_group():
     )
     rows = {Partition([n]): ZERO for n in range(1, 5)}
     dist = {
-        ("a", "a"): WittElem(4, rows),
-        ("a", "b"): WittElem(4, {last: ZERO}),
-        ("b", "a"): WittElem(4, {Partition([4]): ZERO}),
-        ("b", "b"): WittElem(4, {**rows, last: LValue(5)}),
+        ("a", "a"): elem(4, rows),
+        ("a", "b"): elem(4, {last: ZERO}),
+        ("b", "a"): elem(4, {Partition([4]): ZERO}),
+        ("b", "b"): elem(4, {**rows, last: LValue(5)}),
     }
     space = WittSpace(("a", "b"), dist)
     witnesses = [v.witness for v in space.validate().violations if v.kind == "composition"]
@@ -423,7 +424,7 @@ def test_space_broken_in_different_size_runs():
     dist = {(x, y): space.dist(x, y) for x in points for y in points}
     for pair, lam in ((("a", "e"), Partition([4])), (("b", "d"), Partition([1, 1, 1, 1]))):
         values = {mu: dist[pair].value(mu) for mu in partitions_up_to(4)}
-        dist[pair] = WittElem(4, {**values, lam: LValue(10**6)})
+        dist[pair] = elem(4, {**values, lam: LValue(10**6)})
     broken = WittSpace(points, dist)
     sizes = {}
     for v in broken.validate().violations:

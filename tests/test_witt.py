@@ -21,7 +21,7 @@ from tropwitt.witt import (
     theta,
 )
 
-from oracles import coaction
+from oracles import coaction, elem
 
 N = 6
 
@@ -75,7 +75,7 @@ def test_units_validate():
 
 
 def test_invalid_element_reported_with_witness():
-    bad = WittElem(4, {P(1): lv(1), P(2): lv(5)})
+    bad = elem(4, {P(1): lv(1), P(2): lv(5)})
     report = bad.validate()
     assert not report.ok
     assert any(v.witness == (P(1), P(1)) for v in report.violations)
@@ -202,7 +202,7 @@ def test_lipschitz_members():
 
 
 def test_lipschitz_counterexample():
-    f = WittElem(4, {P(1): lv(1), P(2): lv(5)})
+    f = elem(4, {P(1): lv(1), P(2): lv(5)})
     assert not f.is_lipschitz()
 
 
@@ -372,13 +372,7 @@ def test_degree_bound_mismatch_raises():
         theta(lv(1), 4).leq(theta(lv(1), 5))
 
 
-def test_constructor_rejects_nonzero_empty_partition():
-    with pytest.raises(ValueError):
-        WittElem(3, {Partition(): lv(1)})
-
-
 _BUILDERS = {
-    "WittElem": lambda n: WittElem(n, {}),
     "from_points": lambda n: from_points([lv(1)], n),
     "theta": lambda n: theta(ZERO, n),
     "additive_unit": additive_unit,
@@ -416,9 +410,9 @@ _ABOVE = [(13, "13"), (10**100, str(10**100)), (10**5000, "<integer of more than
 @pytest.mark.parametrize("bound, shown", _ABOVE, ids=["13", "10**100", "10**5000"])
 def test_loaders_refuse_a_bound_above_the_maximum(bound, shown):
     # before any partition up to the bound is indexed, with the CLI's text
-    elem = {"degree_bound": bound, "values": {}}
-    space = {"points": ["a"], "dist": {"a|a": elem}}
-    for load, doc in [(WittElem.from_json, elem), (WittSpace.from_json, space)]:
+    element = {"degree_bound": bound, "values": {}}
+    space = {"points": ["a"], "dist": {"a|a": element}}
+    for load, doc in [(WittElem.from_json, element), (WittSpace.from_json, space)]:
         with pytest.raises(FormatError) as got:
             load(doc)
         assert str(got.value) == f"degree_bound {shown} exceeds the maximum {MAX_DEGREE}"
